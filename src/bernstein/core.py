@@ -11,8 +11,10 @@ evaluation at elements) live here as well.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
+from .multipoly import MultiPoly, _bilinear
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -199,6 +201,20 @@ class AlgebraTable:
         vecs = linalg.kernel([list(self.weight)])
         return [Element(self, tuple(v)) for v in vecs]
 
+    def _integer_rows(self):
+        """(rows, den): rows[i][j] lists the (k, den * s_ijk) of the
+        nonzero structure constants, all integers; cached."""
+        cached = self._cache.get("integer_rows")
+        if cached is None:
+            den = lcm(*(c.denominator for vec in self._products.values()
+                        for c in vec.values()))
+            rows = [{} for _ in self.labels]
+            for (i, j), vec in self._products.items():
+                pairs = tuple((k, int(c * den)) for k, c in vec.items())
+                rows[i][j] = rows[j][i] = pairs
+            cached = self._cache["integer_rows"] = (rows, den)
+        return cached
+
     def structural_key(self):
         return (self.labels,
                 tuple((pair, tuple(sorted(vec.items())))
@@ -210,10 +226,6 @@ class AlgebraTable:
             return NotImplemented
         return self.structural_key() == other.structural_key()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(self.labels)
 
@@ -224,7 +236,10 @@ class AlgebraTable:
 
 def bilinear_product(table, xcoords, ycoords, zero):
     """Bilinear extension of the structure constants; works for Fraction
-    and for polynomial coordinates."""
+    and for polynomial coordinates (``zero`` a MultiPoly)."""
+    if isinstance(zero, MultiPoly):
+        rows, den = table._integer_rows()
+        return _bilinear(rows, den, xcoords, ycoords, zero)
     out = [zero] * table.dim
     for i, xi in enumerate(xcoords):
         if not xi:

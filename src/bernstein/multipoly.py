@@ -1,16 +1,22 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are keyed by sorted tuples of (variable name, exponent) pairs;
-coefficients are Fractions and zero coefficients are never stored, so
-a polynomial is zero exactly when its term dict is empty.
+Terms are keyed by sorted tuples of (variable name, exponent) pairs.
+A polynomial is held as integer numerators over one positive common
+denominator ``den``: the coefficient of ``key`` is
+``Fraction(terms[key], den)``.  The form is canonical: zero numerators
+are never stored, ``gcd(den, *numerators) == 1``, and the zero
+polynomial (empty term dict) has ``den == 1``.  So two polynomials are
+equal exactly when their term dicts and denominators are, and the inner
+loops of arithmetic run on Python ints instead of Fractions (the
+one-denominator integer kernels of Monagan and Pearce, CASC 2007).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _merge_keys(k1, k2):
@@ -21,12 +27,22 @@ def _merge_keys(k1, k2):
 
 
 class MultiPoly:
-    """Polynomial in named commuting variables with Fraction coefficients."""
+    """Polynomial in named commuting variables with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    def __init__(self, terms=None, den=1):
+        """``terms`` maps monomial keys to int numerators over the positive
+        int ``den``; zero numerators are dropped and the pair is reduced
+        to lowest terms."""
+        terms = {k: c for k, c in terms.items() if c} if terms else {}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
+        self.terms = terms
+        self.den = den
 
     @classmethod
     def zero(cls):
@@ -35,11 +51,11 @@ class MultiPoly:
     @classmethod
     def const(cls, c):
         c = Fraction(c)
-        return cls({(): c} if c else None)
+        return cls({(): c.numerator} if c else None, c.denominator)
 
     @classmethod
     def var(cls, name):
-        return cls({((str(name), 1),): ONE})
+        return cls({((str(name), 1),): 1})
 
     @staticmethod
     def _coerce(other):
@@ -53,47 +69,43 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        terms = {k: c * fa for k, c in self.terms.items()}
         for key, c in other.terms.items():
-            val = terms.get(key, ZERO) + sign * c
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
-        return MultiPoly(terms)
+            terms[key] = terms.get(key, 0) + fb * c
+        return MultiPoly(terms, den)
 
     def __add__(self, other):
-        return self._combined(other, ONE)
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combined(other, -ONE)
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
-        return (-self)._combined(other, ONE)
+        return (-self)._combined(other, 1)
 
     def __neg__(self):
-        return MultiPoly({k: -c for k, c in self.terms.items()})
+        return MultiPoly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             if not f:
                 return MultiPoly()
-            return MultiPoly({k: c * f for k, c in self.terms.items()})
+            num = f.numerator
+            return MultiPoly({k: c * num for k, c in self.terms.items()},
+                             self.den * f.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
-                val = out.get(key, ZERO) + c1 * c2
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return MultiPoly(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return MultiPoly(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -102,7 +114,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (ONE / Fraction(other))
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, k):
@@ -120,10 +132,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        if not self.terms or (len(self.terms) == 1 and () in self.terms):
+            return hash(self.constant_value())  # equals hash(Fraction(c))
+        return hash((self.den, frozenset(self.terms.items())))
 
     def variables(self):
         names = set()
@@ -142,21 +156,32 @@ class MultiPoly:
         if not self.terms:
             return ZERO
         if list(self.terms) == [()]:
-            return self.terms[()]
+            return Fraction(self.terms[()], self.den)
         raise ValueError("polynomial is not constant")
 
     def evaluate(self, assignment):
-        acc = ZERO
+        """Value at a point; integer coordinates are kept as ints."""
+        powers = {}
+        acc = 0
         for key, c in self.terms.items():
-            val = c
-            for name, e in key:
-                val *= Fraction(assignment[name]) ** e
-            acc += val
-        return acc
+            for factor in key:
+                p = powers.get(factor)
+                if p is None:
+                    name, e = factor
+                    v = Fraction(assignment[name])
+                    p = (v.numerator if v.denominator == 1 else v) ** e
+                    powers[factor] = p
+                c *= p
+            acc += c
+        return Fraction(acc) / self.den
 
     def substitute(self, name, value):
+        """Replace ``name`` by a rational; the numerators stay integers by
+        scaling the term of exponent e by ``p^e q^(top-e)`` for
+        value = p/q and top the highest exponent of ``name``."""
         value = Fraction(value)
-        out = {}
+        split = []
+        top = 0
         for key, c in self.terms.items():
             exp = 0
             rest = []
@@ -165,23 +190,21 @@ class MultiPoly:
                     exp = e
                 else:
                     rest.append((n, e))
-            val = c * value ** exp if exp else c
-            if not val:
-                continue
-            rkey = tuple(rest)
-            acc = out.get(rkey, ZERO) + val
-            if acc:
-                out[rkey] = acc
-            else:
-                out.pop(rkey, None)
-        return MultiPoly(out)
+            split.append((tuple(rest), exp, c))
+            top = max(top, exp)
+        p, q = value.numerator, value.denominator
+        scale = [p ** e * q ** (top - e) for e in range(top + 1)]
+        out = {}
+        for rkey, exp, c in split:
+            out[rkey] = out.get(rkey, 0) + c * scale[exp]
+        return MultiPoly(out, self.den * q ** top)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
         for key in sorted(self.terms, key=lambda k: (sum(e for _, e in k), k)):
-            c = self.terms[key]
+            c = Fraction(self.terms[key], self.den)
             factors = [f"{n}^{e}" if e > 1 else n for n, e in key]
             body = "*".join(factors) if factors else str(abs(c))
             if factors and abs(c) != 1:
@@ -192,3 +215,62 @@ class MultiPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def _bilinear(rows, den, xcoords, ycoords, zero):
+    """Coordinates of the bilinear product of two polynomial vectors.
+
+    ``rows[i]`` maps j to the ((k, s_ijk * den), ...) of the nonzero
+    structure constants s_ijk, all integers.  Computes
+    out_k = sum_i x_i * (sum_j s_ijk y_j) on raw numerator dicts over
+    one common denominator and builds a MultiPoly only for the output
+    coordinates that are touched; the others stay ``zero``.
+    """
+    xs = [(i, c) for i, c in enumerate(xcoords) if c]
+    ys = [(j, c) for j, c in enumerate(ycoords) if c]
+    out = [zero] * len(rows)
+    if not xs or not ys:
+        return out
+    dx = lcm(*(c.den for _, c in xs))
+    dy = lcm(*(c.den for _, c in ys))
+    ys = [(j, c.terms if c.den == dy
+           else {m: v * (dy // c.den) for m, v in c.terms.items()})
+          for j, c in ys]
+    merged = {}
+    acc = {}
+    for i, xi in xs:
+        row = rows[i]
+        inner = {}
+        for j, yterms in ys:
+            pairs = row.get(j)
+            if pairs is None:
+                continue
+            for k, s in pairs:
+                w = inner.get(k)
+                if w is None:
+                    w = inner[k] = {}
+                for m, v in yterms.items():
+                    w[m] = w.get(m, 0) + s * v
+        if not inner:
+            continue
+        f = dx // xi.den
+        for m1, c1 in xi.terms.items():
+            c1 *= f
+            memo = merged.get(m1)
+            if memo is None:
+                memo = merged[m1] = {}
+            for k, w in inner.items():
+                target = acc.get(k)
+                if target is None:
+                    target = acc[k] = {}
+                for m2, v in w.items():
+                    key = memo.get(m2)
+                    if key is None:
+                        key = memo[m2] = _merge_keys(m1, m2)
+                    target[key] = target.get(key, 0) + c1 * v
+    total = den * dx * dy
+    for k, target in acc.items():
+        poly = MultiPoly(target, total)
+        if poly:
+            out[k] = poly
+    return out

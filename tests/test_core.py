@@ -9,7 +9,8 @@ from bernstein.core import (AlgebraError, AlgebraTable, Element, Operator,
                             UnivariatePoly, as_scalar, bilinear_product,
                             format_scalar, left_mult_operator, parse_scalar,
                             poly_eval, principal_powers, HALF, ONE, ZERO)
-from bernstein import catalog
+from bernstein import catalog, linalg
+from bernstein.multipoly import MultiPoly
 
 from conftest import rand_element, rand_scalar
 
@@ -184,3 +185,53 @@ def test_poly_eval_uses_principal_powers():
     assert poly_eval(a, p).is_zero()
     assert poly_eval(a, UnivariatePoly.x()) == a
     assert poly_eval(a, UnivariatePoly()) == table.zero()
+
+
+def _rebased(table, rng):
+    """The table on a seeded unimodular basis b'_a = sum_i P[a][i] b_i,
+    P built from integer row operations on the identity."""
+    n = table.dim
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        a, b = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        p[a] = [u + f * v for u, v in zip(p[a], p[b])]
+    basis = [table.element(row) for row in p]
+    vectors = [list(b.coords) for b in basis]
+    products = {}
+    for a in range(n):
+        for b in range(a, n):
+            image = list((basis[a] * basis[b]).coords)
+            products[(a, b)] = dict(enumerate(linalg.express(vectors, image)))
+    return AlgebraTable(table.labels, products)
+
+
+def test_symbolic_bilinear_product_matches_concrete():
+    rng = random.Random(8)
+    table = _rebased(catalog.free_single_truncated(5), rng)
+    constants = [c for _, vec in table.product_items() for c in vec.values()]
+    assert any(c.denominator > 1 for c in constants)
+    names = ("r", "s", "t")
+
+    def rand_coord():
+        if rng.random() < 0.2:
+            return MultiPoly.zero()
+        poly = MultiPoly.const(rand_scalar(rng))
+        for name in names:
+            poly = poly + rand_scalar(rng) * MultiPoly.var(name)
+        return poly * (MultiPoly.var(rng.choice(names)) + rand_scalar(rng))
+
+    zero = MultiPoly.zero()
+    for _ in range(6):
+        x = [rand_coord() for _ in range(table.dim)]
+        y = [rand_coord() for _ in range(table.dim)]
+        xy = bilinear_product(table, x, y, zero)
+        xx = bilinear_product(table, x, x, zero)
+        for _ in range(4):
+            point = {name: rand_scalar(rng) for name in names}
+            xv = [c.evaluate(point) for c in x]
+            yv = [c.evaluate(point) for c in y]
+            assert [c.evaluate(point) for c in xy] == \
+                bilinear_product(table, xv, yv, ZERO)
+            assert [c.evaluate(point) for c in xx] == \
+                bilinear_product(table, xv, xv, ZERO)

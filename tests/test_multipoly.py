@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,13 @@ def rand_poly(rng, nvars=3, nterms=4):
             term = term * MultiPoly.var(rng.choice(names))
         p = p + term
     return p
+
+
+def rand_nonzero(rng):
+    while True:
+        c = F(rng.randint(-5, 5), rng.randint(1, 6))
+        if c:
+            return c
 
 
 def test_constructors_and_equality():
@@ -87,3 +95,102 @@ def test_substitute_partial():
     q = p.substitute("x", F(3))
     assert q == y + 9
     assert q.variables() == ["y"]
+
+
+def _canonical(p):
+    if not p.terms:
+        return p.den == 1
+    return (p.den > 0 and gcd(p.den, *p.terms.values()) == 1
+            and all(isinstance(c, int) and c for c in p.terms.values()))
+
+
+def test_canonical_form_invariants():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert MultiPoly.zero().den == 1 and not MultiPoly.zero().terms
+    assert (x / 3 - x / 3).den == 1
+    assert (x / 2 + x / 2).den == 1
+    half = x / 2 + y / 4
+    assert half.den == 4 and half.terms == {(("x", 1),): 2, (("y", 1),): 1}
+    assert ((x + y) * F(2, 3)).den == 3
+    rng = random.Random(13)
+    for _ in range(40):
+        p, q = rand_poly(rng), rand_poly(rng)
+        for r in (p, q, p + q, p - q, p * q, p / 3, -p, p.substitute("t0", F(1, 2))):
+            assert _canonical(r)
+    # equal values built by different routes: same terms, den and hash
+    routes = [(x + y) * (x - y) / 6,
+              x * x / 6 - y * y / 6,
+              (x / 2 + y / 2) * (x / 3 - y / 3),
+              ((x + y) * (x - y) * F(2, 3)) / 4]
+    for p in routes[1:]:
+        assert p == routes[0] and hash(p) == hash(routes[0])
+        assert (p.terms, p.den) == (routes[0].terms, routes[0].den)
+
+
+def test_constant_hash_matches_fraction():
+    for c in (F(0), F(3), F(-7, 4), F(1, 3)):
+        p = MultiPoly.const(c)
+        assert p == c and hash(p) == hash(c)
+    three = MultiPoly.var("x") + 3 - MultiPoly.var("x")
+    assert three == 3 and hash(three) == hash(3)
+    assert len({MultiPoly.const(2), F(2), 2}) == 1
+
+
+def _ref(p):
+    """The polynomial as a plain {key: Fraction} dict."""
+    return {k: F(c, p.den) for k, c in p.terms.items()}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            exps = dict(k1)
+            for n, e in k2:
+                exps[n] = exps.get(n, 0) + e
+            key = tuple(sorted(exps.items()))
+            out[key] = out.get(key, F(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_substitute(a, name, value):
+    out = {}
+    for key, c in a.items():
+        e = dict(key).pop(name, 0)
+        rest = tuple((n, k) for n, k in key if n != name)
+        out[rest] = out.get(rest, F(0)) + c * value ** e
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_evaluate(a, point):
+    total = F(0)
+    for key, c in a.items():
+        for n, e in key:
+            c *= point[n] ** e
+        total += c
+    return total
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(14)
+    for _ in range(60):
+        p, q = rand_poly(rng, nterms=6), rand_poly(rng, nterms=6)
+        p = p * F(rng.randint(1, 5), rng.randint(1, 7))
+        c = rand_nonzero(rng)
+        assert _ref(p + q) == _ref_add(_ref(p), _ref(q))
+        assert _ref(p - q) == _ref_add(_ref(p), _ref(q), -1)
+        assert _ref(p * q) == _ref_mul(_ref(p), _ref(q))
+        assert _ref(p / c) == {k: v / c for k, v in _ref(p).items()}
+        value = F(rng.randint(-4, 4), rng.randint(1, 5))
+        assert _ref(p.substitute("t1", value)) == \
+            _ref_substitute(_ref(p), "t1", value)
+        point = {f"t{i}": F(rng.randint(-5, 5), rng.randint(1, 4))
+                 for i in range(3)}
+        assert p.evaluate(point) == _ref_evaluate(_ref(p), point)
