@@ -11,7 +11,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
-                   ZERO, ONE, HALF)
+                   ZERO, HALF)
 from .elements import analyze_element
 from .groebner import (NcPoly, Presentation, buchberger_truncated,
                        truncated_algebra_table)
@@ -253,34 +253,36 @@ def from_associative(assoc, s_indices, name=""):
         raise AlgebraError("S index out of range")
 
     dim = assoc.dim
-    span = []
+
+    def product(va, vb):
+        acc = [ZERO] * dim
+        for i, ca in va.items():
+            for j, cb in vb.items():
+                for k, c in assoc.product(i, j).items():
+                    acc[k] += ca * cb * c
+        return acc
+
+    span = linalg.Subspace()
+    basis = []
+
+    def grow(vec):
+        if span.add(vec):
+            basis.append({k: c for k, c in enumerate(vec) if c})
+
+    units = linalg.identity_matrix(dim)
     for i in s_indices:
-        vec = [ZERO] * dim
-        vec[i] = ONE
-        span.append(vec)
-    rank = linalg.span_rank(span)
-    while True:
-        products = []
-        for va in span:
-            for vb in span:
-                acc = [ZERO] * dim
-                for i, ca in enumerate(va):
-                    if not ca:
-                        continue
-                    for j, cb in enumerate(vb):
-                        if not cb:
-                            continue
-                        for k, c in assoc.product(i, j).items():
-                            acc[k] += ca * cb * c
-                if any(acc):
-                    products.append(acc)
-        new_rank = linalg.span_rank(span + products)
-        if new_rank == rank:
-            break
-        rows, _ = linalg.rref(span + products)
-        span = [r for r in rows if any(r)]
-        rank = new_rank
-    if rank != dim:
+        grow(units[i])
+    # Closure under products: every ordered pair of basis vectors found
+    # so far is multiplied once, when the later of the two is reached.
+    done = 0
+    while done < len(basis) and span.rank < dim:
+        v = basis[done]
+        for u in basis[:done + 1]:
+            grow(product(u, v))
+            if u is not v:
+                grow(product(v, u))
+        done += 1
+    if span.rank != dim:
         raise AlgebraError("S does not generate the associative algebra")
 
     clabels = [f"c_{lbl}" for lbl in assoc.labels]
@@ -354,30 +356,31 @@ def quotient(table, ideal_basis, name=""):
     """Quotient by the span of the given elements, which must be an
     ideal; with a weight present the ideal must lie in the weight
     kernel so the weight can descend."""
-    vectors = [list(g.coords) for g in ideal_basis if g]
-    if vectors:
-        rows, _ = linalg.rref(vectors)
-        vectors = [r for r in rows if any(r)]
+    ideal = linalg.Subspace(g.coords for g in ideal_basis)
+    vectors = ideal.rows()
     span_elems = [table.element(v) for v in vectors]
     for b in table.basis():
         for g in span_elems:
-            if not linalg.span_contains(vectors, list((b * g).coords)):
+            if not ideal.contains((b * g).coords):
                 raise AlgebraError("the given span is not an ideal")
     if table.has_weight:
         for g in span_elems:
             if g.weight():
                 raise AlgebraError(
                     "ideal is not contained in the weight kernel")
-    kept = linalg.extend_with_standard(vectors, table.dim)
-    full = vectors + [[ONE if k == i else ZERO for k in range(table.dim)]
-                      for i in kept]
-    r = len(vectors)
+    # The ideal's echelon rows, then the unit vectors that complete them
+    # greedily in index order; a unit vector that adds nothing gets
+    # coordinate 0, so the kept ones sit at positions r + i.
+    full = linalg.Subspace(vectors)
+    r = full.size
+    kept = [i for i, e in enumerate(linalg.identity_matrix(table.dim))
+            if full.add(e)]
 
     def project(el):
-        coords = linalg.express(full, list(el.coords))
+        coords = full.coords(el.coords)
         if coords is None:
             raise InternalCheckError("projection failed on a basis vector")
-        return coords[r:]
+        return [coords[r + i] for i in kept]
 
     labels = [table.labels[i] for i in kept]
     products = {}
@@ -401,29 +404,23 @@ def subalgebra(table, generators, name=""):
     """Smallest subalgebra containing the generators.  Returns the
     sub-table on an echelonised basis together with the list of ambient
     elements realising that basis."""
-    vectors = [list(g.coords) for g in generators if g]
-    if vectors:
-        rows, _ = linalg.rref(vectors)
-        vectors = [r for r in rows if any(r)]
-    while True:
-        elems = [table.element(v) for v in vectors]
-        prods = []
+    span = linalg.Subspace(g.coords for g in generators)
+    grew = True
+    while grew:
+        elems = [table.element(v) for v in span.rows()]
+        grew = False
         for i, x in enumerate(elems):
             for y in elems[i:]:
-                p = x * y
-                if p:
-                    prods.append(list(p.coords))
-        if linalg.span_rank(vectors + prods) == len(vectors):
-            break
-        rows, _ = linalg.rref(vectors + prods)
-        vectors = [r for r in rows if any(r)]
+                grew |= span.add((x * y).coords)
+    vectors = span.rows()
+    echelon = linalg.Subspace(vectors)
     basis_elems = [table.element(v) for v in vectors]
     labels = [f"b{k + 1}" for k in range(len(vectors))]
     products = {}
     for i, x in enumerate(basis_elems):
         for b in range(i, len(basis_elems)):
             p = x * basis_elems[b]
-            coords = linalg.express(vectors, list(p.coords))
+            coords = echelon.coords(p.coords)
             if coords is None:
                 raise InternalCheckError("closure produced a non-member")
             entry = {labels[k]: c for k, c in enumerate(coords) if c}

@@ -421,13 +421,13 @@ def left_mult_operator(x, carrier):
     operator; both are checked.
     """
     carrier = list(carrier)
-    vectors = [list(c.coords) for c in carrier]
-    if not linalg.independent(vectors):
+    space = linalg.Subspace(c.coords for c in carrier)
+    if space.rank != len(carrier):
         raise AlgebraError("carrier basis is linearly dependent")
     cols = []
     for c in carrier:
         image = x * c
-        coords = linalg.express(vectors, list(image.coords))
+        coords = space.coords(image.coords)
         if coords is None:
             raise AlgebraError("carrier is not invariant under the operator")
         cols.append(coords)

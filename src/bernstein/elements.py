@@ -44,14 +44,14 @@ def analyze_element(a):
     if a.is_zero():
         return ElementAnalysis(a, 0, UnivariatePoly.x(), [], 2)
     powers = [a]
-    vectors = [list(a.coords)]
+    space = linalg.Subspace([a.coords])
     while True:
         nxt = powers[-1] * a
-        coords = linalg.express(vectors, list(nxt.coords))
-        if coords is not None:
+        if not space.add(nxt.coords):
+            # nxt is the last input and dependent, so its coordinate is 0
+            coords = space.coords(nxt.coords)[:-1]
             break
         powers.append(nxt)
-        vectors.append(list(nxt.coords))
         if len(powers) > table.dim:
             raise InternalCheckError("power independence beyond the dimension")
     m = len(powers)

@@ -447,13 +447,17 @@ class AssociativeTable:
             for k, c in vec.items():
                 if not (0 <= k < n) or not as_scalar(c):
                     raise AlgebraError("bad product entry")
+        # Only triples of total degree <= up_to are checked; within[b]
+        # lists, in index order, the words of degree at most b, so the
+        # triples are visited in lexicographic order.
+        degrees = [len(w) for w in self.words]
+        within = {b: [k for k in range(n) if degrees[k] <= b]
+                  for b in range(self.up_to + 1)}
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.degree(i) + self.degree(j) + self.degree(k) \
-                            > self.up_to:
-                        continue
-                    left = self._apply_vec(self.product(i, j), k, False)
+            for j in within.get(self.up_to - degrees[i], ()):
+                pij = self.product(i, j)
+                for k in within.get(self.up_to - degrees[i] - degrees[j], ()):
+                    left = self._apply_vec(pij, k, False)
                     right = self._apply_vec(self.product(j, k), i, True)
                     if left != right:
                         raise AlgebraError(

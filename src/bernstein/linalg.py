@@ -1,11 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on one echelon engine.
 
-All routines use deterministic pivoting (first nonzero entry, scanning
-rows top to bottom and columns left to right), so results are
-reproducible bit for bit.  ``solve`` and ``express`` accept right-hand
-sides whose entries live in any commutative ring with a Fraction
-action; divisions only ever happen by pivot entries of the coefficient
-matrix, which are plain Fractions.
+``Subspace`` keeps the span of a family of vectors in reduced row
+echelon form over sparse rows.  A row's pivot is its first nonzero
+column and holds 1, and no other row has an entry there, so ``rows()``
+is the unique reduced echelon form and results are reproducible bit
+for bit.  Each row records how it is built from the vectors given, so
+``contains``, ``coords`` and ``add`` reduce one vector against the
+stored rows and never eliminate the family again: a caller with many
+questions about one family builds one ``Subspace`` and reuses it.
+Targets of ``contains`` and ``coords`` may have entries in any
+commutative ring with a Fraction action (``MultiPoly``); they are only
+divided by pivots, which are Fractions.  The functions below wrap one
+``Subspace`` per call.
 """
 
 from __future__ import annotations
@@ -16,39 +22,117 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _axpy(dst, f, src):
+    """dst -= f * src on sparse dicts, dropping entries that cancel."""
+    for k, x in src.items():
+        val = dst.get(k)
+        val = -(f * x) if val is None else val - f * x
+        if val:
+            dst[k] = val
+        else:
+            del dst[k]
+
+
+class Subspace:
+    """Span of a family of Fraction vectors in reduced row echelon form:
+    ``_tails[p]`` is the row with pivot column p less its pivot entry 1,
+    ``_combos[p]`` the coefficients that build it from the vectors given."""
+
+    def __init__(self, vectors=()):
+        self._tails = {}
+        self._combos = {}
+        self.size = 0          # number of vectors given so far
+        self.width = None      # length of the vectors
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self):
+        return len(self._tails)
+
+    def _residual(self, v):
+        """(residual, pivot factors) of v against the rows, sparse."""
+        t = {i: c for i, c in enumerate(v) if c}
+        factors = []
+        for p in [c for c in t if c in self._tails]:
+            f = t.pop(p)
+            _axpy(t, f, self._tails[p])
+            factors.append((p, f))
+        return t, factors
+
+    def add(self, v):
+        """Append v to the family; True when it enlarged the span."""
+        self.size += 1
+        self.width = len(v)
+        row, factors = self._residual(v)
+        if not row:
+            return False
+        combo = {self.size - 1: ONE}
+        for p, f in factors:
+            _axpy(combo, f, self._combos[p])
+        pivot = min(row)
+        inv = ONE / row.pop(pivot)
+        row = {c: x * inv for c, x in row.items()}
+        combo = {i: x * inv for i, x in combo.items()}
+        for p, tail in self._tails.items():
+            f = tail.pop(pivot, None)
+            if f is not None:
+                _axpy(tail, f, row)
+                _axpy(self._combos[p], f, combo)
+        self._tails[pivot] = row
+        self._combos[pivot] = combo
+        return True
+
+    def contains(self, v):
+        return not self._residual(v)[0]
+
+    def coords(self, t, zero=ZERO):
+        """Coordinates of t in the vectors as given, or None when t is
+        outside the span.  A vector that depends on earlier ones gets
+        coordinate ``zero``; pass ``MultiPoly.zero()`` for polynomial
+        targets."""
+        residual, factors = self._residual(t)
+        if residual:
+            return None
+        out = [None] * self.size
+        for p, f in factors:
+            for i, x in self._combos[p].items():
+                out[i] = f * x if out[i] is None else out[i] + f * x
+        return [zero if c is None else c for c in out]
+
+    def rows(self):
+        """The nonzero rows of the reduced echelon form, by pivot."""
+        out = []
+        for p in sorted(self._tails):
+            row = [ZERO] * self.width
+            row[p] = ONE
+            for c, x in self._tails[p].items():
+                row[c] = x
+            out.append(row)
+        return out
+
+
 def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
+    """a @ b, skipping zero entries; exact for Fraction or MultiPoly."""
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                x = a[i][t]
-                y = b[t][j]
-                if not x or not y:
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            row.append(ZERO if acc is None else acc)
-        out.append(row)
+    for arow in a:
+        acc = [None] * len(b[0])
+        for x, nonzero in zip(arow, b_nonzero):
+            if not x:
+                continue
+            for j, y in nonzero:
+                acc[j] = x * y if acc[j] is None else acc[j] + x * y
+        out.append([ZERO if c is None else c for c in acc])
     return out
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if not x or not y:
-                continue
-            acc = x * y if acc is None else acc + x * y
-        out.append(ZERO if acc is None else acc)
-    return out
+    return [row[0] for row in mat_mul(a, [[y] for y in v])]
 
 
 def transpose(m):
@@ -56,156 +140,72 @@ def transpose(m):
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    """Reduced row echelon form, zero rows last: (rows, pivot columns)."""
+    space = Subspace(m)
+    rows = space.rows()
+    rows += [[ZERO] * len(m[0]) for _ in range(len(m) - len(rows))]
+    return rows, sorted(space._tails)
 
 
 def rank(m):
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return Subspace(m).rank
 
 
 def kernel(m, ncols=None):
-    """Basis of the right nullspace of m, one vector per free column.
-
-    ``ncols`` is only needed when m has no rows.
-    """
+    """Basis of the right nullspace of m, one vector per free column;
+    ``ncols`` is needed only when m has no rows."""
     if not m:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
-        return [[ONE if i == j else ZERO for j in range(ncols)]
-                for i in range(ncols)]
-    rows, pivots = rref(m)
-    width = len(m[0])
-    free = [c for c in range(width) if c not in pivots]
+        return identity_matrix(ncols)
+    tails = Subspace(m)._tails
     basis = []
-    for f in free:
-        v = [ZERO] * width
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
+    for f, v in enumerate(identity_matrix(len(m[0]))):
+        if f not in tails:
+            for p, tail in tails.items():
+                v[p] = -tail.get(f, ZERO)
+            basis.append(v)
     return basis
 
 
 def solve(m, b, zero=ZERO):
-    """One solution of m @ x = b, or None if the system is inconsistent.
-
-    Free variables are set to ``zero``, which also fixes the ring the
-    solution lives in when b has non-Fraction entries.
-    """
-    rows = [list(r) for r in m]
-    rhs = list(b)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    piv = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rhs[r], rhs[pr] = rhs[pr], rhs[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        piv.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if rhs[i]:
-            return None
-    sol = [zero] * ncols
-    for pr, pc in reversed(piv):
-        acc = rhs[pr]
-        for c in range(pc + 1, ncols):
-            if rows[pr][c] and sol[c]:
-                acc = acc - rows[pr][c] * sol[c]
-        sol[pc] = acc * (ONE / rows[pr][pc])
-    return sol
+    """One solution of m @ x = b, or None; free variables are set to
+    ``zero``, which also fixes the ring of the solution."""
+    return Subspace(transpose(m)).coords(b, zero=zero)
 
 
 def invert(m):
-    n = len(m)
-    aug = [list(row) + list(idrow) for row, idrow in zip(m, identity_matrix(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    """Rows of m^-1: the coordinates of the unit vectors in the rows of m."""
+    space = Subspace(m)
+    if space.rank != len(m):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [space.coords(e) for e in identity_matrix(len(m))]
 
 
 def independent(vectors):
-    return rank(list(vectors)) == len(list(vectors))
+    vectors = list(vectors)
+    return Subspace(vectors).rank == len(vectors)
 
 
 def express(basis_vectors, target, zero=ZERO):
-    """Coordinates of target in the given spanning family, or None.
-
-    Solves the column system; with a dependent family the first
-    consistent coordinate vector (free variables zero) is returned.
-    """
-    basis_vectors = list(basis_vectors)
-    if not basis_vectors:
-        return [] if not any(target) else None
-    m = [[v[i] for v in basis_vectors] for i in range(len(basis_vectors[0]))]
-    return solve(m, target, zero=zero)
-
-
-def span_rank(vectors):
-    vectors = list(vectors)
-    return rank(vectors) if vectors else 0
+    """Coordinates of target in the given spanning family, or None; with
+    a dependent family, vectors that depend on earlier ones get 0."""
+    return Subspace(basis_vectors).coords(target, zero=zero)
 
 
 def span_contains(vectors, v):
-    vectors = list(vectors)
-    return span_rank(vectors) == span_rank(vectors + [list(v)])
+    return Subspace(vectors).contains(v)
 
 
 def span_equal(a, b):
-    a, b = list(a), list(b)
-    ra, rb = span_rank(a), span_rank(b)
-    return ra == rb == span_rank(a + b)
+    return Subspace(a).rows() == Subspace(b).rows()
 
 
 def extend_with_standard(vectors, dim):
     """Indices of standard basis vectors that complete the family to a
     basis of the ambient space, chosen greedily in index order."""
-    current = [list(v) for v in vectors]
-    r = span_rank(current)
-    added = []
-    for i in range(dim):
-        if r == dim:
-            break
-        e = [ZERO] * dim
-        e[i] = ONE
-        if span_rank(current + [e]) > r:
-            current.append(e)
-            added.append(i)
-            r += 1
-    if r != dim:
+    space = Subspace(vectors)
+    added = [i for i, e in enumerate(identity_matrix(dim)) if space.add(e)]
+    if space.rank != dim:
         raise ValueError("family does not extend to a basis")
     return added

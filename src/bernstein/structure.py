@@ -109,10 +109,10 @@ def peirce(table, e=None):
     nbasis = table.barideal_basis()
     if not nbasis:
         return PeirceDecomposition(table, e, [], [])
-    nvecs = [list(b.coords) for b in nbasis]
+    nspace = linalg.Subspace(b.coords for b in nbasis)
     images = []
     for b in nbasis:
-        coords = linalg.express(nvecs, list((e * b).coords))
+        coords = nspace.coords((e * b).coords)
         if coords is None:
             raise AlgebraError("weight kernel is not invariant under the idempotent")
         images.append(coords)
@@ -259,14 +259,14 @@ def zero_v_squared(table, dec=None):
         labels += [f"v{i + 1}" for i in range(len(dec.v_basis))]
         nv = len(dec.v_basis)
         vstart = 1 + len(dec.u_basis)
-        vectors = [list(a.coords) for a in adapted]
+        space = linalg.Subspace(a.coords for a in adapted)
         products = {}
         for i in range(len(adapted)):
             for j in range(i, len(adapted)):
                 if i >= vstart and j >= vstart:
                     continue
                 prod = adapted[i] * adapted[j]
-                coords = linalg.express(vectors, list(prod.coords))
+                coords = space.coords(prod.coords)
                 if coords is None:
                     raise InternalCheckError("adapted basis does not span a subalgebra")
                 vec = {k: c for k, c in enumerate(coords) if c}

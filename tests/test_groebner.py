@@ -1,6 +1,7 @@
 """Noncommutative rewriting: deglex order, normal forms, completion,
 normal words, and truncated associative tables."""
 
+import dataclasses
 import random
 
 import pytest
@@ -169,3 +170,52 @@ def test_associative_table_verify_rejects_bad_entries():
         overflow_pairs=table.overflow_pairs)
     with pytest.raises(AlgebraError):
         broken.verify()
+
+
+def _first_nonassociative_triple(table):
+    """Brute force: the first triple (i, j, k) in lexicographic order,
+    of total degree at most up_to, with (ij)k != i(jk)."""
+    def mult(x, y):
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for k, c in table.product(a, b).items():
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return {k: c for k, c in out.items() if c}
+
+    n = table.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table.degree(i) + table.degree(j) + table.degree(k) \
+                        > table.up_to:
+                    continue
+                a, b, c = {i: 1}, {j: 1}, {k: 1}
+                if mult(mult(a, b), c) != mult(a, mult(b, c)):
+                    return (i, j, k)
+    return None
+
+
+def test_associative_table_verify_names_first_failing_triple():
+    table = truncated_algebra_table(kurosh_state(), 4)
+    rng = random.Random(5)
+    pairs = [(i, j) for i in range(table.dim) for j in range(table.dim)
+             if table.degree(i) + table.degree(j) < table.up_to]
+    checked = 0
+    for _ in range(12):
+        i, j = rng.choice(pairs)
+        targets = [m for m in range(table.dim)
+                   if table.degree(m) == table.degree(i) + table.degree(j)]
+        products = dict(table.products)
+        products[(i, j)] = {rng.choice(targets): rng.choice((2, -1, 3))}
+        broken = dataclasses.replace(table, products=products)
+        triple = _first_nonassociative_triple(broken)
+        if triple is None:
+            broken.verify()
+            continue
+        checked += 1
+        with pytest.raises(AlgebraError) as info:
+            broken.verify()
+        assert str(info.value) == \
+            "associativity fails on triple ({}, {}, {})".format(*triple)
+    assert checked >= 8

@@ -109,3 +109,150 @@ def test_extend_with_standard():
     assert linalg.extend_with_standard([], 2) == [0, 1]
     full = frac_matrix([[1, 0], [0, 1]])
     assert linalg.extend_with_standard(full, 2) == []
+
+
+# --------------------------------------------------------------- Subspace
+
+def ref_rref(vectors):
+    """Nonzero rows of the reduced row echelon form by plain dense
+    Gauss-Jordan elimination, the reference for ``Subspace``."""
+    rows = [list(v) for v in vectors]
+    out = []
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[c] for x in pivot]
+        rows = [[x - r[c] * y for x, y in zip(r, pivot)] for r in rows]
+        out = [[x - o[c] * y for x, y in zip(o, pivot)] for o in out]
+        out.append(pivot)
+    return out
+
+
+def rand_family(rng):
+    """Sparse vectors mixed with zero vectors and combinations of
+    earlier members."""
+    width = rng.randint(1, 7)
+    family = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if kind < 0.15:
+            family.append([F(0)] * width)
+        elif kind < 0.4 and family:
+            v = [F(0)] * width
+            for w in rng.sample(family, rng.randint(1, len(family))):
+                f = F(rng.randint(-3, 3), rng.choice((1, 2)))
+                v = [x + f * y for x, y in zip(v, w)]
+            family.append(v)
+        else:
+            family.append([F(rng.randint(-4, 4), rng.choice((1, 3)))
+                           if rng.random() < 0.5 else F(0)
+                           for _ in range(width)])
+    return width, family
+
+
+def independent_positions(family):
+    """Positions of the vectors that enlarge the span of those before."""
+    return [i for i in range(len(family))
+            if len(ref_rref(family[:i + 1])) > len(ref_rref(family[:i]))]
+
+
+def test_subspace_rows_rank_contains_match_reference():
+    rng = random.Random(31)
+    for _ in range(80):
+        width, family = rand_family(rng)
+        space = linalg.Subspace(family)
+        ref = ref_rref(family)
+        assert space.rows() == ref
+        assert space.rank == len(ref)
+        for _ in range(4):
+            probe = [F(rng.randint(-2, 2)) for _ in range(width)]
+            if family and rng.random() < 0.5:
+                probe = [F(0)] * width
+                for w in family:
+                    f = F(rng.randint(-2, 2))
+                    probe = [x + f * y for x, y in zip(probe, w)]
+            assert space.contains(probe) == \
+                (len(ref_rref(family + [probe])) == len(ref))
+
+
+def test_subspace_add_reports_growth():
+    rng = random.Random(32)
+    for _ in range(60):
+        _, family = rand_family(rng)
+        space = linalg.Subspace()
+        grown = [i for i, v in enumerate(family) if space.add(v)]
+        assert grown == independent_positions(family)
+        assert space.size == len(family)
+        assert space.rows() == ref_rref(family)
+
+
+def test_subspace_coords_on_dependent_families():
+    rng = random.Random(33)
+    for _ in range(80):
+        width, family = rand_family(rng)
+        space = linalg.Subspace(family)
+        free = set(range(len(family))) - set(independent_positions(family))
+        for _ in range(4):
+            target = [F(rng.randint(-3, 3)) for _ in range(width)]
+            coords = space.coords(target)
+            if len(ref_rref(family + [target])) > space.rank:
+                assert coords is None
+                continue
+            assert len(coords) == len(family)
+            assert all(coords[i] == 0 for i in free)
+            total = [F(0)] * width
+            for c, v in zip(coords, family):
+                total = [x + c * y for x, y in zip(total, v)]
+            assert total == target
+    empty = linalg.Subspace([])
+    assert empty.rank == 0 and empty.rows() == []
+    assert empty.coords([F(0), F(0)]) == []
+    assert empty.coords([F(0), F(1)]) is None
+    assert not empty.contains([F(1)])
+
+
+def test_subspace_coords_with_polynomial_targets():
+    rng = random.Random(34)
+    s, t = MultiPoly.var("s"), MultiPoly.var("t")
+    zero = MultiPoly.zero()
+    for _ in range(60):
+        width, family = rand_family(rng)
+        space = linalg.Subspace(family)
+        wanted = [zero] * len(family)
+        for i in independent_positions(family):
+            wanted[i] = (s * F(rng.randint(-3, 3))
+                         + t * t * F(rng.randint(-2, 2), 3)
+                         + MultiPoly.const(F(rng.randint(-1, 1))))
+        target = [zero] * width
+        for p, v in zip(wanted, family):
+            target = [x + p * y for x, y in zip(target, v)]
+        assert space.coords(target, zero=zero) == wanted
+        assert space.contains(target)
+        outside = next((e for e in linalg.identity_matrix(width)
+                        if not space.contains(e)), None)
+        if outside is not None:
+            moved = [x + s * y for x, y in zip(target, outside)]
+            assert space.coords(moved, zero=zero) is None
+            assert not space.contains(moved)
+
+
+def test_mat_mul_matches_dense_product():
+    rng = random.Random(35)
+    s = MultiPoly.var("s")
+    for _ in range(30):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)]
+        b = [[F(rng.randint(-2, 2)) * (s if rng.random() < 0.3 else 1)
+              for _ in range(m)] for _ in range(k)]
+        for left, right in ((a, linalg.transpose(a)), (a, b)):
+            want = [[sum((left[i][t] * right[t][j]
+                          for t in range(len(right))), F(0))
+                     for j in range(len(right[0]))]
+                    for i in range(len(left))]
+            assert linalg.mat_mul(left, right) == want
+        v = [F(rng.randint(-2, 2)) for _ in range(k)]
+        assert linalg.mat_vec(a, v) == [sum((x * y for x, y in zip(row, v)),
+                                            F(0)) for row in a]
