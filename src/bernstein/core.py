@@ -30,12 +30,17 @@ class InternalCheckError(RuntimeError):
 
 
 def as_scalar(value):
-    """Coerce int, str ("p/q") or Fraction to Fraction; reject floats."""
+    """Coerce int, str ("p/q" or a plain decimal) or Fraction to Fraction;
+    reject floats and exponent notation ("1e1000000" would build a
+    million-digit integer)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise AlgebraError(f"bad scalar {value!r}: exponent notation "
+                               "is not accepted")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

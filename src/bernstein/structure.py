@@ -10,13 +10,12 @@ of left multiplication by e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
                    ZERO, ONE, HALF)
 from .multipoly import MultiPoly
-from .symbolic import IdentityCheck, check_identity, generic_element
+from .symbolic import IdentityCheck, check_identity
 
 
 def is_bernstein(table):

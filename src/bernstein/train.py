@@ -6,6 +6,12 @@ carrier gets one indeterminate per carrier basis vector, so "x^k = 0
 for all x in N" and "L_v is nilpotent for all v in V" are decided
 exactly, not by sampling.  Independent routes to the same verdict are
 always cross-checked against each other.
+
+Tree sums S_q (the sum of all full binary trees with q leaves evaluated
+at x) come from the bilinear recursion S_1 = x, S_q = sum of
+S_i S_(q-i) over i = 1..q-1, which takes q(q-1)/2 products in all
+instead of Catalan-many tree evaluations.  Explicit enumeration
+(full_trees, parenthesized_powers) is capped at MAX_ENUMERATED_LEAVES.
 """
 
 from __future__ import annotations
@@ -25,11 +31,19 @@ from .symbolic import SymbolicElement, generic_element
 
 LEAF = "x"
 
+# Largest leaf count full_trees enumerates (Catalan(9) = 4862 trees).
+# Its cache of enumerations is never freed, so the cap also bounds that.
+MAX_ENUMERATED_LEAVES = 10
+
 
 def full_trees(m):
-    """All full binary trees with m leaves (ordered; Catalan count)."""
+    """All full binary trees with m leaves (ordered; Catalan count),
+    for 1 <= m <= MAX_ENUMERATED_LEAVES."""
     if m < 1:
         raise AlgebraError("trees need at least one leaf")
+    if m > MAX_ENUMERATED_LEAVES:
+        raise AlgebraError(f"tree enumeration is capped at "
+                           f"{MAX_ENUMERATED_LEAVES} leaves")
     cache = full_trees.__dict__.setdefault("_cache", {1: (LEAF,)})
     if m in cache:
         return cache[m]
@@ -104,8 +118,9 @@ def parenthesized_powers(a, m, carrier=None):
     Returns a dict keyed by the tree rendering.  The carrier (default:
     the barideal) must satisfy (x^2)^2 = 0 and contain a; for m >= 4
     every tree that is not a principal-power shape is asserted to
-    evaluate to zero.
+    evaluate to zero.  m is capped at MAX_ENUMERATED_LEAVES.
     """
+    trees = full_trees(m)
     table = a.algebra
     carrier = _default_carrier(table, carrier)
     if not _sq_sq_zero(table, carrier):
@@ -114,7 +129,7 @@ def parenthesized_powers(a, m, carrier=None):
         raise AlgebraError("element is not in the carrier span")
     cache = {}
     out = {}
-    for tree in full_trees(m):
+    for tree in trees:
         value = eval_tree(tree, a, cache)
         if m >= 4 and not is_principal_shape(tree) and value:
             raise InternalCheckError(
@@ -123,9 +138,30 @@ def parenthesized_powers(a, m, carrier=None):
     return out
 
 
+def _tree_sums(a, q_max):
+    """[S_1, ..., S_q_max], S_q the sum of all q-leaf tree evaluations
+    at a.  Splitting each tree at its root and using bilinearity gives
+    S_1 = a and S_q = sum of S_i S_(q-i) over i = 1..q-1."""
+    sums = [a]
+    for q in range(2, q_max + 1):
+        products = [sums[j] * sums[q - 2 - j] for j in range(q - 1)]
+        sums.append(sum(products[1:], products[0]))
+    return sums
+
+
+def _check_tree_sum(total, power, q):
+    """Cross-check a tree sum against 2^(q-2) times the principal power."""
+    if total - power.scale(Fraction(2 ** (q - 2))):
+        raise InternalCheckError("tree power sum differs from 2^(q-2) a^q")
+
+
 def tree_power_sum(a, q, carrier=None):
     """Sum of all q-leaf tree evaluations at a, asserted equal to
-    2^(q-2) a^q (q >= 2) on a carrier with (x^2)^2 = 0."""
+    2^(q-2) a^q (q >= 2) on a carrier with (x^2)^2 = 0.
+
+    The sum comes from the bilinear recursion S_q = sum of S_i S_(q-i),
+    not from enumerating the trees, so q is not capped; the principal
+    power a^q is the independent route it is checked against."""
     if not isinstance(q, int) or q < 2:
         raise AlgebraError("tree power sums start at q = 2")
     table = a.algebra
@@ -134,14 +170,8 @@ def tree_power_sum(a, q, carrier=None):
         raise AlgebraError("carrier does not satisfy (x^2)^2 = 0")
     if not _in_span(carrier, a):
         raise AlgebraError("element is not in the carrier span")
-    cache = {}
-    total = None
-    for tree in full_trees(q):
-        value = eval_tree(tree, a, cache)
-        total = value if total is None else total + value
-    expected = (a ** q).scale(Fraction(2 ** (q - 2)))
-    if (total - expected):
-        raise InternalCheckError("tree power sum differs from 2^(q-2) a^q")
+    total = _tree_sums(a, q)[-1]
+    _check_tree_sum(total, a ** q, q)
     return total
 
 
@@ -452,7 +482,7 @@ def engel_yagzhev_report(table, carrier=None):
     carrier = _default_carrier(table, carrier)
     bounds = {"nil_search_bound": len(carrier) + 2,
               "engel_search_bound": len(carrier),
-              "yagzhev_max_leaves": max(6, 0)}
+              "yagzhev_max_leaves": 6}
     if not _sq_sq_zero(table, carrier):
         return EngelYagzhevReport(False, None, None, None, bounds)
 
@@ -462,23 +492,19 @@ def engel_yagzhev_report(table, carrier=None):
     x = generic_element(table, "n", restrict_to=carrier)
     q_max = max(6, nil_index or 0)
     bounds["yagzhev_max_leaves"] = q_max
+    sums = _tree_sums(x, q_max)
     yagzhev = None
     if nil_index is not None:
-        for q in range(nil_index, q_max + 1):
-            tree_power_sum(x, q, carrier=carrier)
-            if (x ** q):
+        power = x
+        for q in range(2, q_max + 1):
+            power = power * x
+            _check_tree_sum(sums[q - 1], power, q)
+            if q >= nil_index and power:
                 raise InternalCheckError("x^q nonzero at and beyond the nil index")
         yagzhev = q_max
-    else:
-        for q in range(2, q_max + 1):
-            total = None
-            cache = {}
-            for tree in full_trees(q):
-                value = eval_tree(tree, x, cache)
-                total = value if total is None else total + value
-            if total.is_zero():
-                raise InternalCheckError(
-                    "tree sums vanish although the carrier is not nil bounded")
+    elif any(total.is_zero() for total in sums[1:]):
+        raise InternalCheckError(
+            "tree sums vanish although the carrier is not nil bounded")
 
     flags = {nil_index is not None, engel_index is not None, yagzhev is not None}
     if len(flags) != 1:

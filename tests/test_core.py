@@ -235,3 +235,13 @@ def test_symbolic_bilinear_product_matches_concrete():
                 bilinear_product(table, xv, yv, ZERO)
             assert [c.evaluate(point) for c in xx] == \
                 bilinear_product(table, xv, xv, ZERO)
+
+
+def test_scalar_exponent_notation_rejected():
+    # Fraction accepts "1e1000000" and builds a million-digit integer.
+    for bad in ("1e1000000", "2E3", "2.5e-3"):
+        with pytest.raises(AlgebraError):
+            parse_scalar(bad)
+        with pytest.raises(AlgebraError):
+            as_scalar(bad)
+    assert parse_scalar("0.25") == F(1, 4)

@@ -8,15 +8,18 @@ import pytest
 
 from bernstein.core import AlgebraError, UnivariatePoly
 from bernstein.elements import train_polynomial
-from bernstein.train import (check_lx_power_splitting, engel_check,
-                             engel_yagzhev_report, full_trees,
+from bernstein.symbolic import generic_element
+from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
+                             check_lx_power_splitting, engel_check,
+                             engel_yagzhev_report, eval_tree, full_trees,
                              generic_nil_index, ideal_power_chain,
                              is_principal_shape, locally_train_analysis,
                              operator_nilpotency_check, parenthesized_powers,
                              train_analysis, tree_label, tree_power_sum)
 from bernstein import catalog
 
-from conftest import bernstein_pool, rand_combination, rand_unit_element
+from conftest import (bernstein_pool, rand_combination, rand_element,
+                      rand_unit_element)
 
 F = Fraction
 
@@ -214,3 +217,45 @@ def test_square_square_zero_consequences():
             assert ((x * x) * (x * y)).is_zero()
             assert ((x * y) * (x * z)).scale(2) + (x * x) * (y * z) == \
                 table.zero()
+
+
+def test_tree_sums_match_enumeration_on_whole_algebra():
+    # On the whole algebra (x^2)^2 != 0, so no power identity holds, but
+    # the recursion is still the sum over all trees.
+    rng = random.Random(55)
+    for table in (catalog.example_not_train(),
+                  catalog.shift_up_truncated(4),
+                  catalog.free_single_truncated(5)):
+        for x in (generic_element(table, "t"), rand_element(table, rng)):
+            sums = _tree_sums(x, 8)
+            assert len(sums) == 8
+            cache = {}
+            for q in range(1, 9):
+                trees = full_trees(q)
+                total = eval_tree(trees[0], x, cache)
+                for tree in trees[1:]:
+                    total = total + eval_tree(tree, x, cache)
+                assert sums[q - 1] == total
+
+
+def test_engel_yagzhev_report_shift_up_ten():
+    rep = engel_yagzhev_report(catalog.shift_up_truncated(10))
+    assert rep.satisfies_sq_sq_zero
+    assert (rep.nil_bounded_index, rep.engel_index,
+            rep.yagzhev_verified_upto) == (11, 10, 11)
+    assert rep.bounds == {"nil_search_bound": 13, "engel_search_bound": 11,
+                          "yagzhev_max_leaves": 11}
+
+
+def test_tree_enumeration_cap():
+    table = catalog.zhevlakov_bernstein(3, 3)
+    x = table.barideal_basis()[0]
+    assert len(full_trees(MAX_ENUMERATED_LEAVES)) == \
+        math.comb(2 * MAX_ENUMERATED_LEAVES - 2, MAX_ENUMERATED_LEAVES - 1) \
+        // MAX_ENUMERATED_LEAVES
+    with pytest.raises(AlgebraError):
+        full_trees(MAX_ENUMERATED_LEAVES + 1)
+    with pytest.raises(AlgebraError):
+        parenthesized_powers(x, MAX_ENUMERATED_LEAVES + 1)
+    # Tree sums do not enumerate, so they are not capped.
+    assert tree_power_sum(x, MAX_ENUMERATED_LEAVES + 2).is_zero()
