@@ -8,6 +8,7 @@ verdict is negative), 1 for problems with the input or its bounds, and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -457,10 +458,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built once per process; argparse keeps
+    no state between calls of ``parse_args``."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,12 @@ An optional weight row makes it a baric algebra; multiplicativity of
 the weight is checked on construction.  Elements, left-multiplication
 operators and univariate polynomials (used with zero constant term for
 evaluation at elements) live here as well.
+
+Elements keep Fraction coordinates, but the product works on integers:
+the structure constants are cleared of denominators once per table
+(``AlgebraTable._integer_rows``), rational factors once per product,
+and ``bilinear_product`` accumulates in Python ints before it builds
+one Fraction per nonzero output coordinate.
 """
 
 from __future__ import annotations
@@ -241,23 +247,34 @@ class AlgebraTable:
 
 def bilinear_product(table, xcoords, ycoords, zero):
     """Bilinear extension of the structure constants; works for Fraction
-    and for polynomial coordinates (``zero`` a MultiPoly)."""
+    and for polynomial coordinates (``zero`` a MultiPoly).
+
+    Both run on the table's structure constants cleared of denominators
+    (``_integer_rows``).  Rational x and y are cleared of denominators
+    once, out_k = sum_i x_i (sum_j s_ijk y_j) is accumulated in ints,
+    and one Fraction is built per nonzero output coordinate; the others
+    stay ``zero``."""
+    rows, den = table._integer_rows()
     if isinstance(zero, MultiPoly):
-        rows, den = table._integer_rows()
         return _bilinear(rows, den, xcoords, ycoords, zero)
-    out = [zero] * table.dim
-    for i, xi in enumerate(xcoords):
-        if not xi:
-            continue
-        for j, yj in enumerate(ycoords):
-            if not yj:
-                continue
-            vec = table.product_vector(i, j)
-            if not vec:
-                continue
-            c = xi * yj
-            for k, s in vec.items():
-                out[k] = out[k] + c * s
+    out = [zero] * len(rows)
+    xs, dx = linalg.integer_entries(xcoords)
+    ys, dy = linalg.integer_entries(ycoords)
+    if not xs or not ys:
+        return out
+    acc = [0] * len(rows)
+    for i, xi in xs:
+        row = rows[i]
+        for j, yj in ys:
+            pairs = row.get(j)
+            if pairs is not None:
+                c = xi * yj
+                for k, s in pairs:
+                    acc[k] += c * s
+    total = den * dx * dy
+    for k, a in enumerate(acc):
+        if a:
+            out[k] = Fraction(a, total)
     return out
 
 

@@ -361,26 +361,20 @@ def normal_words(state, degree):
             f"(complete below {state.complete_below})")
     leads = [g.leading_word() for g in state.basis]
     ngens = len(state.presentation.generators)
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == degree:
-            out.append(tuple(prefix))
-            return
-        for letter in range(ngens):
-            prefix.append(letter)
-            ok = True
-            for lead in leads:
-                if len(lead) <= len(prefix) and \
-                        tuple(prefix[-len(lead):]) == lead:
-                    ok = False
-                    break
-            if ok:
-                extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
+    # Degree by degree, not by a recursive closure: a closure that
+    # refers to itself is a reference cycle, which would keep the words
+    # alive until the cyclic garbage collector runs.
+    words = [()]
+    for _ in range(degree):
+        longer = []
+        for prefix in words:
+            for letter in range(ngens):
+                word = prefix + (letter,)
+                if not any(len(lead) <= len(word)
+                           and word[-len(lead):] == lead for lead in leads):
+                    longer.append(word)
+        words = longer
+    return words
 
 
 def hilbert_counts(state, up_to):

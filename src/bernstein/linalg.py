@@ -4,43 +4,54 @@
 echelon form over sparse rows.  A row's pivot is its first nonzero
 column and holds 1, and no other row has an entry there, so ``rows()``
 is the unique reduced echelon form and results are reproducible bit
-for bit.  Each row records how it is built from the vectors given, so
-``contains``, ``coords`` and ``add`` reduce one vector against the
-stored rows and never eliminate the family again: a caller with many
-questions about one family builds one ``Subspace`` and reuses it.
-Targets of ``contains`` and ``coords`` may have entries in any
-commutative ring with a Fraction action (``MultiPoly``); they are only
-divided by pivots, which are Fractions.  The functions below wrap one
-``Subspace`` per call.
+for bit.  Each row is stored fraction-free: integer numerators over
+one positive row denominator, reduced by their gcd, in one augmented
+dict that holds the row's entries and the coefficients that build it
+from the vectors given.  Rational inputs are cleared of denominators
+once, so ``add``, ``contains`` and ``coords`` reduce one vector against
+the stored rows in one integer pass per row and never eliminate the
+family again: a caller with many questions about one family builds one
+``Subspace`` and reuses it.  Results come back as Fractions.  Targets
+of ``contains`` and ``coords`` may have entries in any commutative
+ring with a Fraction action (``MultiPoly``); they reduce against the
+same integer rows, divided by the row denominator.  The functions
+below wrap one ``Subspace`` per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _axpy(dst, f, src):
-    """dst -= f * src on sparse dicts, dropping entries that cancel."""
-    for k, x in src.items():
-        val = dst.get(k)
-        val = -(f * x) if val is None else val - f * x
-        if val:
-            dst[k] = val
-        else:
-            del dst[k]
+def integer_entries(v):
+    """(entries, den) for a vector of Fractions or ints: the nonzero
+    entries as (index, numerator over den) pairs, den the least common
+    denominator.  Entries without a ``denominator`` raise
+    AttributeError."""
+    entries = [(i, c) for i, c in enumerate(v) if c]
+    den = lcm(*[c.denominator for _, c in entries])
+    if den == 1:
+        return [(i, c.numerator) for i, c in entries], 1
+    return [(i, c.numerator * (den // c.denominator))
+            for i, c in entries], den
 
 
 class Subspace:
-    """Span of a family of Fraction vectors in reduced row echelon form:
-    ``_tails[p]`` is the row with pivot column p less its pivot entry 1,
-    ``_combos[p]`` the coefficients that build it from the vectors given."""
+    """Span of a family of rational vectors in reduced row echelon form.
+
+    ``_rows[p]`` is ``(row, den)`` for the row with pivot column p: the
+    integer dict ``row`` over the positive ``den`` holds the row's
+    entries off the pivot at their columns c < width, and at key
+    width + i the coefficient of the i-th vector given in the
+    combination that builds the row; ``gcd(den, *row.values()) == 1``.
+    """
 
     def __init__(self, vectors=()):
-        self._tails = {}
-        self._combos = {}
+        self._rows = {}
         self.size = 0          # number of vectors given so far
         self.width = None      # length of the vectors
         for v in vectors:
@@ -48,66 +59,131 @@ class Subspace:
 
     @property
     def rank(self):
-        return len(self._tails)
+        return len(self._rows)
 
-    def _residual(self, v):
-        """(residual, pivot factors) of v against the rows, sparse."""
-        t = {i: c for i, c in enumerate(v) if c}
+    def _residual(self, v, new=None):
+        """(acc, den): the residual r = v - sum of v_p row_p over the
+        pivots p, augmented.  Keys below len(v) hold r, keys len(v) + i
+        its coefficient of the i-th vector given, counting v itself as
+        vector ``new`` when that is given.  Rational v gives int values
+        over den; polynomial v gives ring values and den None."""
+        rows = self._rows
+        width = len(v)
+        try:
+            entries, den = integer_entries(v)
+        except AttributeError:      # polynomial entries
+            return self._ring_residual(v), None
+        acc = {}
         factors = []
-        for p in [c for c in t if c in self._tails]:
-            f = t.pop(p)
-            _axpy(t, f, self._tails[p])
-            factors.append((p, f))
-        return t, factors
+        for c, n in entries:
+            hit = rows.get(c)
+            if hit is None:
+                acc[c] = n
+            else:
+                factors.append((hit, n))
+        if new is not None:
+            acc[width + new] = den
+        if factors:
+            scale = lcm(*[d for (_, d), _ in factors])
+            if scale != 1:
+                acc = {k: a * scale for k, a in acc.items()}
+                den *= scale
+            for (row, d), n in factors:
+                f = n * (scale // d)
+                for k, x in row.items():
+                    a = acc.get(k, 0) - f * x
+                    if a:
+                        acc[k] = a
+                    else:
+                        del acc[k]
+        return acc, den
+
+    def _ring_residual(self, v):
+        """The augmented residual of a vector with ring entries: each
+        factor v_p is divided by its row denominator once."""
+        rows = self._rows
+        acc = {c: x for c, x in enumerate(v) if x and c not in rows}
+        for p, x in enumerate(v):
+            if not x or p not in rows:
+                continue
+            row, d = rows[p]
+            f = x / d
+            for k, n in row.items():
+                prev = acc.get(k)
+                val = -(f * n) if prev is None else prev - f * n
+                if val:
+                    acc[k] = val
+                else:
+                    del acc[k]
+        return acc
 
     def add(self, v):
         """Append v to the family; True when it enlarged the span."""
+        width = self.width = len(v)
+        row, _ = self._residual(v, new=self.size)
         self.size += 1
-        self.width = len(v)
-        row, factors = self._residual(v)
-        if not row:
+        pivot = min(row)    # row holds v's own coefficient, at width + new
+        if pivot >= width:
             return False
-        combo = {self.size - 1: ONE}
-        for p, f in factors:
-            _axpy(combo, f, self._combos[p])
-        pivot = min(row)
-        inv = ONE / row.pop(pivot)
-        row = {c: x * inv for c, x in row.items()}
-        combo = {i: x * inv for i, x in combo.items()}
-        for p, tail in self._tails.items():
-            f = tail.pop(pivot, None)
-            if f is not None:
-                _axpy(tail, f, row)
-                _axpy(self._combos[p], f, combo)
-        self._tails[pivot] = row
-        self._combos[pivot] = combo
+        den = row.pop(pivot)
+        if den < 0:
+            den = -den
+            row = {k: -a for k, a in row.items()}
+        g = gcd(den, *row.values())
+        if g != 1:
+            den //= g
+            row = {k: a // g for k, a in row.items()}
+        for p, (other, d) in list(self._rows.items()):
+            f = other.pop(pivot, None)
+            if f is None:
+                continue
+            g = gcd(den, f)
+            a, f = den // g, f // g
+            if a != 1:
+                other = {k: x * a for k, x in other.items()}
+                d *= a
+            for k, x in row.items():
+                y = other.get(k, 0) - f * x
+                if y:
+                    other[k] = y
+                else:
+                    del other[k]
+            g = gcd(d, *other.values())
+            if g != 1:
+                d //= g
+                other = {k: x // g for k, x in other.items()}
+            self._rows[p] = (other, d)
+        self._rows[pivot] = (row, den)
         return True
 
     def contains(self, v):
-        return not self._residual(v)[0]
+        acc, _ = self._residual(v)
+        return not acc or min(acc) >= len(v)
 
     def coords(self, t, zero=ZERO):
         """Coordinates of t in the vectors as given, or None when t is
         outside the span.  A vector that depends on earlier ones gets
         coordinate ``zero``; pass ``MultiPoly.zero()`` for polynomial
         targets."""
-        residual, factors = self._residual(t)
-        if residual:
+        acc, den = self._residual(t)
+        width = len(t)
+        if acc and min(acc) < width:
             return None
-        out = [None] * self.size
-        for p, f in factors:
-            for i, x in self._combos[p].items():
-                out[i] = f * x if out[i] is None else out[i] + f * x
-        return [zero if c is None else c for c in out]
+        out = [zero] * self.size
+        for k, a in acc.items():
+            out[k - width] = -a if den is None else Fraction(-a, den)
+        return out
 
     def rows(self):
         """The nonzero rows of the reduced echelon form, by pivot."""
         out = []
-        for p in sorted(self._tails):
+        for p in sorted(self._rows):
+            tail, den = self._rows[p]
             row = [ZERO] * self.width
             row[p] = ONE
-            for c, x in self._tails[p].items():
-                row[c] = x
+            for c, x in tail.items():
+                if c < self.width:
+                    row[c] = Fraction(x, den)
             out.append(row)
         return out
 
@@ -144,7 +220,7 @@ def rref(m):
     space = Subspace(m)
     rows = space.rows()
     rows += [[ZERO] * len(m[0]) for _ in range(len(m) - len(rows))]
-    return rows, sorted(space._tails)
+    return rows, sorted(space._rows)
 
 
 def rank(m):
@@ -158,12 +234,13 @@ def kernel(m, ncols=None):
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         return identity_matrix(ncols)
-    tails = Subspace(m)._tails
+    space = Subspace(m)
+    rows = dict(zip(sorted(space._rows), space.rows()))
     basis = []
     for f, v in enumerate(identity_matrix(len(m[0]))):
-        if f not in tails:
-            for p, tail in tails.items():
-                v[p] = -tail.get(f, ZERO)
+        if f not in rows:
+            for p, row in rows.items():
+                v[p] = -row[f]
             basis.append(v)
     return basis
 

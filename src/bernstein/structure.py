@@ -99,10 +99,37 @@ def _zero_like(coords):
     return ZERO
 
 
+def _combination(table, coeffs, elements):
+    """sum of c * b over the pairs, accumulated on nonzero entries."""
+    coords = [ZERO] * table.dim
+    for c, b in zip(coeffs, elements):
+        if c:
+            for k, x in enumerate(b.coords):
+                if x:
+                    coords[k] += c * x
+    return Element(table, tuple(coords))
+
+
 def peirce(table, e=None):
-    """Peirce decomposition for the idempotent e (found if omitted)."""
+    """Peirce decomposition for the idempotent e (found if omitted).
+
+    Without e the decomposition is cached on the table as coordinate
+    tuples: elements refer to their table, so caching them would make a
+    reference cycle through the table's cache."""
     if e is None:
-        e = find_idempotent(table)
+        cached = table._cache.get("peirce")
+        if cached is not None:
+            e, us, vs = cached
+            return PeirceDecomposition(
+                table, Element(table, e),
+                [Element(table, u) for u in us],
+                [Element(table, v) for v in vs])
+        dec = peirce(table, find_idempotent(table))
+        table._cache["peirce"] = (
+            dec.idempotent.coords,
+            tuple(u.coords for u in dec.u_basis),
+            tuple(v.coords for v in dec.v_basis))
+        return dec
     if e * e != e or e.weight() != 1:
         raise AlgebraError("peirce needs an idempotent of weight 1")
     nbasis = table.barideal_basis()
@@ -123,17 +150,10 @@ def peirce(table, e=None):
     vcoords = linalg.kernel(m, ncols=n)
     if len(ucoords) + len(vcoords) != n:
         raise AlgebraError("not a Bernstein Peirce decomposition")
-
-    def lift(cs):
-        acc = table.zero()
-        for c, b in zip(cs, nbasis):
-            if c:
-                acc = acc + b.scale(c)
-        return acc
-
-    return PeirceDecomposition(table, e,
-                               [lift(c) for c in ucoords],
-                               [lift(c) for c in vcoords])
+    return PeirceDecomposition(
+        table, e,
+        [_combination(table, c, nbasis) for c in ucoords],
+        [_combination(table, c, nbasis) for c in vcoords])
 
 
 def idempotent_family(table, e, u):
@@ -160,14 +180,7 @@ def lyubich_ideal(table, dec=None):
         for k in range(table.dim):
             rows.append([p.coords[k] for p in prods])
     coords = linalg.kernel(rows, ncols=len(ub))
-    out = []
-    for cs in coords:
-        acc = table.zero()
-        for c, u in zip(cs, ub):
-            if c:
-                acc = acc + u.scale(c)
-        out.append(acc)
-    return out
+    return [_combination(table, cs, ub) for cs in coords]
 
 
 @dataclass

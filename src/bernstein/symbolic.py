@@ -237,13 +237,30 @@ def symbolic_rank(rows):
     return r
 
 
+def _point_degree(table, rng):
+    """Dimension of the span of the principal powers of one seeded
+    integer point: a lower bound on the generic degree."""
+    x = table.element([Fraction(rng.randint(-50, 50))
+                       for _ in range(table.dim)])
+    space = linalg.Subspace()
+    power = x
+    while space.add(power.coords) and space.rank < table.dim:
+        power = power * x
+    return space.rank
+
+
 def generic_degree(table, seed=0):
     """Largest dimension of the subalgebra generated by one element.
 
-    Computed as the exact symbolic rank of the matrix of principal
-    powers of a fully generic element, and confirmed by evaluating at
-    pseudorandom rational points.
+    The principal powers of one seeded rational point span a lower
+    bound, and the dimension is an upper bound, so when the point
+    reaches the dimension that is the answer.  Otherwise the degree is
+    the exact symbolic rank of the matrix of principal powers of a
+    fully generic element, confirmed by evaluating at pseudorandom
+    rational points.
     """
+    if _point_degree(table, random.Random(seed)) == table.dim:
+        return table.dim
     x = generic_element(table, "t")
     powers = principal_powers(x, table.dim + 1)
     rows = [list(p.coords) for p in powers]

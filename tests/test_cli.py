@@ -196,3 +196,30 @@ def test_internal_check_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.structure, "classify", boom)
     rc, _, err = run(capsys, "check", str(path))
     assert rc == 2 and "internal check failed" in err
+
+
+def test_successive_calls_match_fresh_processes(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    path = tmp_path / "nt.json"
+    save_algebra(catalog.example_not_train(), path)
+    calls = [
+        ["construct", "elementary", "--param", "nil_dim=3", "--json"],
+        ["construct", "elementary", "--json"],
+        ["construct", "free_single"],
+        ["--seed", "7", "check", str(path), "--generic-degree", "--json"],
+        ["check", str(path), "--generic-degree", "--json"],
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "bernstein.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr)
+    # The parser that main reuses still parses like a new one.
+    for argv in calls:
+        assert vars(cli._parser().parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))

@@ -245,3 +245,49 @@ def test_scalar_exponent_notation_rejected():
         with pytest.raises(AlgebraError):
             as_scalar(bad)
     assert parse_scalar("0.25") == F(1, 4)
+
+
+def _triple_loop_product(table, x, y):
+    """sum over i, j, k of x_i y_j s_ijk e_k, in Fractions."""
+    out = [F(0)] * table.dim
+    for i in range(table.dim):
+        for j in range(table.dim):
+            for k, s in table.product_vector(i, j).items():
+                out[k] += F(x[i]) * F(y[j]) * s
+    return out
+
+
+def _rand_coords(rng, dim):
+    """Sparse, dense, zero or integer vectors, some with large
+    denominators."""
+    kind = rng.random()
+    if kind < 0.1:
+        return [ZERO] * dim
+    if kind < 0.25:
+        return [rng.randint(-3, 3) for _ in range(dim)]
+    if kind < 0.5:
+        return [F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+                if rng.random() < 0.6 else ZERO for _ in range(dim)]
+    return [rand_scalar(rng) if rng.random() < 0.5 else ZERO
+            for _ in range(dim)]
+
+
+def test_concrete_bilinear_product_matches_triple_loop():
+    rng = random.Random(9)
+    tables = [_rebased(catalog.free_single_truncated(5), rng),
+              _rebased(catalog.example_not_train(), rng),
+              _rebased(catalog.shift_up_truncated(4), rng),
+              catalog.three_dim_alpha(F(3, 7))]
+    for table in tables:
+        for _ in range(12):
+            x = _rand_coords(rng, table.dim)
+            y = _rand_coords(rng, table.dim)
+            for a, b in ((x, y), (x, x), (y, x)):
+                got = bilinear_product(table, a, b, ZERO)
+                assert got == _triple_loop_product(table, a, b)
+                assert all(type(c) is Fraction for c in got)
+            xe, ye = table.element(x), table.element(y)
+            assert (xe * ye).coords == tuple(_triple_loop_product(table, x, y))
+            assert (xe * xe).coords == tuple(_triple_loop_product(table, x, x))
+    assert any(c.denominator > 1 for _, vec in tables[0].product_items()
+               for c in vec.values())

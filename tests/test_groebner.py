@@ -219,3 +219,18 @@ def test_associative_table_verify_names_first_failing_triple():
         assert str(info.value) == \
             "associativity fails on triple ({}, {}, {})".format(*triple)
     assert checked >= 8
+
+
+def test_normal_words_leave_no_reference_cycle():
+    # A cycle would keep the word lists alive until the cyclic garbage
+    # collector runs, which raises the peak memory of a long process.
+    import gc
+    state = kurosh_state()
+    gc.collect()
+    gc.disable()
+    try:
+        words = normal_words(state, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(words) == hilbert_counts(state, 8)[-1]

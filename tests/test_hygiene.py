@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never
+uses, and none uses floating point: no float or complex literal and no
+use of the names ``float`` and ``complex``."""
 
 import ast
 from pathlib import Path
@@ -28,3 +30,23 @@ def test_modules_have_no_unused_imports():
     unused = [f"{path.name}:{line}: {name}"
               for path in modules for line, name in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _float_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            out.append((node.lineno, node.id))
+    return sorted(out)
+
+
+def test_modules_use_no_floats():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{line}: {what}"
+             for path in modules for line, what in _float_uses(path)]
+    assert not found, "floating point in the package:\n" + "\n".join(found)

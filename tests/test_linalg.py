@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -256,3 +257,120 @@ def test_mat_mul_matches_dense_product():
         v = [F(rng.randint(-2, 2)) for _ in range(k)]
         assert linalg.mat_vec(a, v) == [sum((x * y for x, y in zip(row, v)),
                                             F(0)) for row in a]
+
+
+def big_family(rng):
+    """Vectors with large denominators, mixed with small integer
+    vectors, zero vectors, exact repeats and combinations of earlier
+    members."""
+    width = rng.randint(1, 6)
+    family = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if kind < 0.1:
+            family.append([F(0)] * width)
+        elif kind < 0.25 and family:
+            family.append(list(rng.choice(family)))
+        elif kind < 0.45 and family:
+            v = [F(0)] * width
+            for w in rng.sample(family, rng.randint(1, len(family))):
+                f = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                v = [x + f * y for x, y in zip(v, w)]
+            family.append(v)
+        elif kind < 0.6:
+            family.append([F(rng.randint(-2, 2)) for _ in range(width)])
+        else:
+            family.append([F(rng.randint(-10 ** 9, 10 ** 9),
+                             rng.randint(1, 10 ** 9))
+                           if rng.random() < 0.7 else F(0)
+                           for _ in range(width)])
+    return width, family
+
+
+def assert_canonical_rows(space):
+    """Each stored row is ints over a positive denominator, reduced."""
+    for row, den in space._rows.values():
+        assert type(den) is int and den > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(den, *row.values()) == 1
+
+
+def test_subspace_with_large_denominators_matches_reference():
+    rng = random.Random(36)
+    for _ in range(60):
+        width, family = big_family(rng)
+        space = linalg.Subspace()
+        grown = [i for i, v in enumerate(family) if space.add(v)]
+        assert grown == independent_positions(family)
+        assert_canonical_rows(space)
+        ref = ref_rref(family)
+        rows = space.rows()
+        assert rows == ref and space.rank == len(ref)
+        assert all(type(c) is Fraction for row in rows for c in row)
+        free = set(range(len(family))) - set(grown)
+        for _ in range(3):
+            inside = [F(0)] * width
+            for w in family:
+                f = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                inside = [x + f * y for x, y in zip(inside, w)]
+            outside = [F(rng.randint(-9, 9), rng.randint(1, 10 ** 6))
+                       for _ in range(width)]
+            members = [family[i] for i in grown[-1:]]
+            for target in [inside, outside] + members:
+                expected = len(ref_rref(family + [target])) == len(ref)
+                assert space.contains(target) == expected
+                coords = space.coords(target)
+                if not expected:
+                    assert coords is None
+                    continue
+                assert all(type(c) is Fraction for c in coords)
+                assert all(coords[i] == 0 for i in free)
+                total = [F(0)] * width
+                for c, v in zip(coords, family):
+                    total = [x + c * y for x, y in zip(total, v)]
+                assert total == target
+
+
+def test_subspace_polynomial_targets_with_large_denominators():
+    rng = random.Random(37)
+    s, t = MultiPoly.var("s"), MultiPoly.var("t")
+    zero = MultiPoly.zero()
+    for _ in range(40):
+        width, family = big_family(rng)
+        space = linalg.Subspace(family)
+        wanted = [zero] * len(family)
+        for i in independent_positions(family):
+            wanted[i] = (s * F(rng.randint(-10 ** 6, 10 ** 6),
+                               rng.randint(1, 10 ** 6))
+                         + t * F(rng.randint(-3, 3), 7)
+                         + MultiPoly.const(F(rng.randint(-2, 2), 5)))
+        target = [zero] * width
+        for p, v in zip(wanted, family):
+            target = [x + p * y for x, y in zip(target, v)]
+        assert space.coords(target, zero=zero) == wanted
+        assert space.contains(target)
+        mixed = [c.constant_value() if not c.variables() else c
+                 for c in target]
+        assert space.coords(mixed, zero=zero) == wanted
+
+
+def test_wrappers_return_fractions():
+    rng = random.Random(38)
+    for _ in range(20):
+        m = [[F(rng.randint(-9, 9), rng.randint(1, 10 ** 5))
+              for _ in range(3)] for _ in range(3)]
+        rows, pivots = linalg.rref(m)
+        assert rows[:len(pivots)] == ref_rref(m)
+        assert all(type(c) is Fraction for row in rows for c in row)
+        for v in linalg.kernel(m):
+            assert all(type(c) is Fraction for c in v)
+            assert not any(linalg.mat_vec(m, v))
+        b = [F(rng.randint(-9, 9), 11) for _ in range(3)]
+        x = linalg.solve(m, b)
+        if x is not None:
+            assert all(type(c) is Fraction for c in x)
+            assert linalg.mat_vec(m, x) == b
+        if linalg.rank(m) == 3:
+            inv = linalg.invert(m)
+            assert all(type(c) is Fraction for row in inv for c in row)
+            assert linalg.mat_mul(m, inv) == linalg.identity_matrix(3)

@@ -120,3 +120,23 @@ def test_generic_degree_bounds_element_degree():
         for _ in range(5):
             a = rand_element(table, rng)
             assert analyze_element(a).degree <= g
+
+
+def test_generic_degree_returns_full_point_rank_without_symbolic_work(
+        monkeypatch):
+    import time
+    import bernstein.symbolic as symbolic
+    calls = []
+    real_rank = symbolic.symbolic_rank
+    monkeypatch.setattr(symbolic, "symbolic_rank",
+                        lambda rows: calls.append(1) or real_rank(rows))
+    start = time.perf_counter()
+    assert generic_degree(catalog.free_single_truncated(8)) == 8
+    assert time.perf_counter() - start < 1
+    assert not calls
+    assert generic_degree(catalog.constant_algebra()) == 2
+    assert not calls
+    # Below the dimension the symbolic rank still decides.
+    assert generic_degree(catalog.elementary_algebra(1)) == 1
+    assert generic_degree(catalog.elementary_algebra(2)) == 1
+    assert len(calls) == 2

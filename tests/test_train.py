@@ -259,3 +259,24 @@ def test_tree_enumeration_cap():
         parenthesized_powers(x, MAX_ENUMERATED_LEAVES + 1)
     # Tree sums do not enumerate, so they are not capped.
     assert tree_power_sum(x, MAX_ENUMERATED_LEAVES + 2).is_zero()
+
+
+def test_peirce_decomposition_is_computed_once_per_table(monkeypatch):
+    import bernstein.structure as structure
+    from bernstein.train import operator_nilpotency_check, train_analysis
+    calls = []
+    real = structure.find_idempotent
+    monkeypatch.setattr(structure, "find_idempotent",
+                        lambda table: calls.append(1) or real(table))
+    table = catalog.free_single_truncated(6)
+    train_analysis(table)
+    operator_nilpotency_check(table, carrier="U")
+    assert len(calls) == 1
+    cached = structure.peirce(table)
+    fresh = structure.peirce(table, real(table))
+    assert cached.idempotent == fresh.idempotent
+    assert cached.u_basis == fresh.u_basis
+    assert cached.v_basis == fresh.v_basis
+    # Coordinates only: elements in the cache would refer to the table.
+    e, us, vs = table._cache["peirce"]
+    assert all(type(c) is Fraction for vec in (e, *us, *vs) for c in vec)
