@@ -1,7 +1,9 @@
 """Ready-made algebra tables and constructions: small named examples,
 shift truncations, singly generated models, idempotent adjunction,
-regular-word nil algebras, quotients and subalgebras, and the bridge
-from truncated associative algebras to Bernstein tables.
+regular-word nil algebras, quotients and subalgebras (both through
+``AlgebraTable.change_basis``), and the bridge from truncated
+associative algebras to Bernstein tables.  Subalgebras and the bridge
+close their spans with ``linalg.closure``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
-                   ZERO, HALF)
+                   bilinear_product, ideal_rows, ZERO, HALF)
 from .elements import analyze_element
 from .groebner import (NcPoly, Presentation, buchberger_truncated,
                        truncated_algebra_table)
@@ -254,34 +256,20 @@ def from_associative(assoc, s_indices, name=""):
 
     dim = assoc.dim
 
+    # Int 0 off the support keeps the zero tests below cheap.
     def product(va, vb):
-        acc = [ZERO] * dim
-        for i, ca in va.items():
-            for j, cb in vb.items():
-                for k, c in assoc.product(i, j).items():
-                    acc[k] += ca * cb * c
+        acc = [0] * dim
+        vb = [(j, cb) for j, cb in enumerate(vb) if cb]
+        for i, ca in enumerate(va):
+            if ca:
+                for j, cb in vb:
+                    for k, c in assoc.product(i, j).items():
+                        acc[k] += ca * cb * c
         return acc
 
-    span = linalg.Subspace()
-    basis = []
-
-    def grow(vec):
-        if span.add(vec):
-            basis.append({k: c for k, c in enumerate(vec) if c})
-
-    units = linalg.identity_matrix(dim)
-    for i in s_indices:
-        grow(units[i])
-    # Closure under products: every ordered pair of basis vectors found
-    # so far is multiplied once, when the later of the two is reached.
-    done = 0
-    while done < len(basis) and span.rank < dim:
-        v = basis[done]
-        for u in basis[:done + 1]:
-            grow(product(u, v))
-            if u is not v:
-                grow(product(v, u))
-        done += 1
+    span = linalg.closure([[int(k == i) for k in range(dim)]
+                           for i in s_indices],
+                          lambda u, v: (product(u, v), product(v, u)))
     if span.rank != dim:
         raise AlgebraError("S does not generate the associative algebra")
 
@@ -355,82 +343,30 @@ def kurosh_algebra(max_degree=12, truncate_at=6):
 def quotient(table, ideal_basis, name=""):
     """Quotient by the span of the given elements, which must be an
     ideal; with a weight present the ideal must lie in the weight
-    kernel so the weight can descend."""
-    ideal = linalg.Subspace(g.coords for g in ideal_basis)
-    vectors = ideal.rows()
-    span_elems = [table.element(v) for v in vectors]
-    for b in table.basis():
-        for g in span_elems:
-            if not ideal.contains((b * g).coords):
-                raise AlgebraError("the given span is not an ideal")
-    if table.has_weight:
-        for g in span_elems:
-            if g.weight():
-                raise AlgebraError(
-                    "ideal is not contained in the weight kernel")
-    # The ideal's echelon rows, then the unit vectors that complete them
-    # greedily in index order; a unit vector that adds nothing gets
-    # coordinate 0, so the kept ones sit at positions r + i.
-    full = linalg.Subspace(vectors)
-    r = full.size
-    kept = [i for i, e in enumerate(linalg.identity_matrix(table.dim))
-            if full.add(e)]
-
-    def project(el):
-        coords = full.coords(el.coords)
-        if coords is None:
-            raise InternalCheckError("projection failed on a basis vector")
-        return [coords[r + i] for i in kept]
-
-    labels = [table.labels[i] for i in kept]
-    products = {}
-    for a, i in enumerate(kept):
-        for b in range(a, len(kept)):
-            j = kept[b]
-            vec = project(table.basis_element(i) * table.basis_element(j))
-            entry = {labels[k]: c for k, c in enumerate(vec) if c}
-            if entry:
-                products[(labels[a], labels[b])] = entry
-    weight = None
-    if table.has_weight:
-        weight = {labels[a]: table.weight[i]
-                  for a, i in enumerate(kept) if table.weight[i]}
-    return AlgebraTable.build(labels, products, weight=weight,
-                              name=name or (f"{table.name}/ideal"
-                                            if table.name else "quotient"))
+    kernel so the weight can descend.  The quotient's basis consists of the
+    images of the unit vectors that complete the ideal's echelon rows
+    greedily in index order."""
+    vectors = ideal_rows(table, ideal_basis)
+    if vectors is None:
+        raise AlgebraError("the given span is not an ideal")
+    if table.has_weight and any(table.weight_of(v) for v in vectors):
+        raise AlgebraError("ideal is not contained in the weight kernel")
+    kept = linalg.extend_with_standard(vectors, table.dim)
+    return table.change_basis(
+        [table.basis_element(i).coords for i in kept],
+        [table.labels[i] for i in kept],
+        modulo=vectors,
+        name=name or (f"{table.name}/ideal" if table.name else "quotient"))
 
 
 def subalgebra(table, generators, name=""):
     """Smallest subalgebra containing the generators.  Returns the
     sub-table on an echelonised basis together with the list of ambient
     elements realising that basis."""
-    span = linalg.Subspace(g.coords for g in generators)
-    grew = True
-    while grew:
-        elems = [table.element(v) for v in span.rows()]
-        grew = False
-        for i, x in enumerate(elems):
-            for y in elems[i:]:
-                grew |= span.add((x * y).coords)
+    span = linalg.closure(
+        [g.coords for g in generators],
+        lambda u, v: (bilinear_product(table, u, v, ZERO),))
     vectors = span.rows()
-    echelon = linalg.Subspace(vectors)
-    basis_elems = [table.element(v) for v in vectors]
     labels = [f"b{k + 1}" for k in range(len(vectors))]
-    products = {}
-    for i, x in enumerate(basis_elems):
-        for b in range(i, len(basis_elems)):
-            p = x * basis_elems[b]
-            coords = echelon.coords(p.coords)
-            if coords is None:
-                raise InternalCheckError("closure produced a non-member")
-            entry = {labels[k]: c for k, c in enumerate(coords) if c}
-            if entry:
-                products[(labels[i], labels[b])] = entry
-    weight = None
-    if table.has_weight:
-        wvals = [table.weight_of(v) for v in vectors]
-        if any(wvals):
-            weight = {labels[k]: w for k, w in enumerate(wvals) if w}
-    sub = AlgebraTable.build(labels, products, weight=weight,
-                             name=name or "subalgebra")
-    return sub, basis_elems
+    sub = table.change_basis(vectors, labels, name=name or "subalgebra")
+    return sub, [table.element(v) for v in vectors]

@@ -3,9 +3,11 @@
 An :class:`AlgebraTable` presents a finite-dimensional commutative
 algebra by its basis labels and the products of unordered basis pairs.
 An optional weight row makes it a baric algebra; multiplicativity of
-the weight is checked on construction.  Elements, left-multiplication
-operators and univariate polynomials (used with zero constant term for
-evaluation at elements) live here as well.
+the weight is checked on construction, where scalars are coerced.
+``AlgebraTable.change_basis`` is the one routine that rebuilds a table
+on a new basis, or on a basis of a quotient.  Elements,
+left-multiplication operators and univariate polynomials (used with
+zero constant term for evaluation at elements) live here as well.
 
 Elements keep Fraction coordinates, but the product works on integers:
 the structure constants are cleared of denominators once per table
@@ -141,13 +143,12 @@ class AlgebraTable:
 
         table = {}
         for (a, b), vec in products.items():
-            table[(look(a), look(b))] = {look(k): as_scalar(c)
-                                         for k, c in vec.items()}
+            table[(look(a), look(b))] = {look(k): c for k, c in vec.items()}
         wrow = None
         if weight is not None:
             wrow = [ZERO] * len(labels)
             for lab, c in weight.items():
-                wrow[look(lab)] = as_scalar(c)
+                wrow[look(lab)] = c
         return cls(labels, table, weight=wrow, name=name, notes=notes)
 
     @property
@@ -212,6 +213,36 @@ class AlgebraTable:
         vecs = linalg.kernel([list(self.weight)])
         return [Element(self, tuple(v)) for v in vecs]
 
+    def change_basis(self, vectors, labels, modulo=(), name="", notes=()):
+        """The table on the basis ``vectors`` (coordinate lists in this
+        one) with the given labels; with ``modulo``, a basis of an ideal,
+        the quotient table on the images of ``vectors``.  Raises
+        AlgebraError when ``modulo + vectors`` is dependent or a product
+        of two vectors leaves its span.  The weight carries over as
+        ``weight_of(v)`` per vector, dropped when all of those vanish."""
+        vectors = list(vectors)
+        skip = len(modulo)
+        space = linalg.Subspace(list(modulo) + vectors)
+        if space.rank != space.size:
+            raise AlgebraError("basis vectors are linearly dependent")
+        products = {}
+        for a, x in enumerate(vectors):
+            for b in range(a, len(vectors)):
+                coords = space.coords(
+                    bilinear_product(self, x, vectors[b], ZERO))
+                if coords is None:
+                    raise AlgebraError(
+                        "a product leaves the span of the basis vectors")
+                products[(a, b)] = {k: c for k, c in
+                                    enumerate(coords[skip:]) if c}
+        weight = None
+        if self.weight is not None:
+            weight = [self.weight_of(v) for v in vectors]
+            if not any(weight):
+                weight = None
+        return AlgebraTable(labels, products, weight=weight, name=name,
+                            notes=notes)
+
     def _integer_rows(self):
         """(rows, den): rows[i][j] lists the (k, den * s_ijk) of the
         nonzero structure constants, all integers; cached."""
@@ -243,6 +274,16 @@ class AlgebraTable:
     def __repr__(self):
         tag = self.name or "algebra"
         return f"<AlgebraTable {tag} dim={self.dim}>"
+
+
+def ideal_rows(table, elements):
+    """Echelon rows of the span of the elements, or None when some basis
+    vector times some row leaves that span, so it is not an ideal."""
+    space = linalg.Subspace(g.coords for g in elements)
+    rows = space.rows()
+    closed = all(space.contains(bilinear_product(table, b, g, ZERO))
+                 for b in linalg.identity_matrix(table.dim) for g in rows)
+    return rows if closed else None
 
 
 def bilinear_product(table, xcoords, ycoords, zero):

@@ -14,8 +14,9 @@ family again: a caller with many questions about one family builds one
 ``Subspace`` and reuses it.  Results come back as Fractions.  Targets
 of ``contains`` and ``coords`` may have entries in any commutative
 ring with a Fraction action (``MultiPoly``); they reduce against the
-same integer rows, divided by the row denominator.  The functions
-below wrap one ``Subspace`` per call.
+same integer rows, divided by the row denominator.  ``closure`` grows
+one ``Subspace`` until it is closed under a product; the functions
+below it wrap one ``Subspace`` per call.
 """
 
 from __future__ import annotations
@@ -186,6 +187,25 @@ class Subspace:
                     row[c] = Fraction(x, den)
             out.append(row)
         return out
+
+
+def closure(vectors, multiply):
+    """The Subspace spanned by ``vectors`` and closed under ``multiply``.
+
+    ``multiply(u, v)`` returns an iterable of product vectors; it is
+    called once for each pair of spanning vectors, u found no later
+    than v, so a noncommutative product returns both u v and v u.  The
+    loop stops at full rank.  Only the span of the result is meaningful:
+    its ``size`` counts every product tried."""
+    space = Subspace()
+    found = [v for v in vectors if space.add(v)]
+    done = 0
+    while done < len(found) and space.rank < space.width:
+        v = found[done]
+        for u in found[:done + 1]:
+            found.extend(p for p in multiply(u, v) if space.add(p))
+        done += 1
+    return space
 
 
 def identity_matrix(n):

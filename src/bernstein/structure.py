@@ -4,16 +4,18 @@ classification flags and the annihilator ideal of the U component.
 A baric algebra (A, w) is Bernstein when (x^2)^2 = w(x)^2 x^2 holds
 identically.  Relative to an idempotent e of weight 1 the weight
 kernel N splits as U + V with U the 1/2-eigenspace and V the kernel
-of left multiplication by e.
+of left multiplication by e; ``zero_v_squared`` rebuilds a table on the
+adapted basis e, U, V with ``AlgebraTable.change_basis``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   ZERO, ONE, HALF)
+                   left_mult_operator, ZERO, ONE, HALF)
 from .multipoly import MultiPoly
 from .symbolic import IdentityCheck, check_identity
 
@@ -53,35 +55,23 @@ class PeirceDecomposition:
     idempotent: Element
     u_basis: list
     v_basis: list
-    _adapted_inverse: list = None
 
     @property
     def type_pair(self):
         return (1 + len(self.u_basis), len(self.v_basis))
 
-    def _inverse(self):
-        if self._adapted_inverse is None:
-            cols = [list(self.idempotent.coords)]
-            cols += [list(u.coords) for u in self.u_basis]
-            cols += [list(v.coords) for v in self.v_basis]
-            self._adapted_inverse = linalg.invert(linalg.transpose(cols))
-        return self._adapted_inverse
+    @cached_property
+    def _adapted_space(self):
+        return linalg.Subspace(
+            b.coords for b in [self.idempotent, *self.u_basis, *self.v_basis])
 
     def adapted_coords(self, element):
         """(e-coordinate, U-coordinates, V-coordinates) of an element;
         works for polynomial coordinates as well."""
-        inv = self._inverse()
-        coords = list(element.coords)
-        out = []
-        for row in inv:
-            acc = None
-            for f, c in zip(row, coords):
-                if not f or not c:
-                    continue
-                acc = f * c if acc is None else acc + f * c
-            out.append(acc if acc is not None else _zero_like(coords))
+        coords = self._adapted_space.coords(
+            element.coords, zero=_zero_like(element.coords))
         r = len(self.u_basis)
-        return out[0], out[1:1 + r], out[1 + r:]
+        return coords[0], coords[1:1 + r], coords[1 + r:]
 
     def in_u(self, element):
         alpha, _, vc = self.adapted_coords(element)
@@ -135,15 +125,8 @@ def peirce(table, e=None):
     nbasis = table.barideal_basis()
     if not nbasis:
         return PeirceDecomposition(table, e, [], [])
-    nspace = linalg.Subspace(b.coords for b in nbasis)
-    images = []
-    for b in nbasis:
-        coords = nspace.coords((e * b).coords)
-        if coords is None:
-            raise AlgebraError("weight kernel is not invariant under the idempotent")
-        images.append(coords)
+    m = left_mult_operator(e, nbasis).matrix
     n = len(nbasis)
-    m = [[images[j][i] for j in range(n)] for i in range(n)]
     mu = [[m[i][j] - (HALF if i == j else ZERO) for j in range(n)]
           for i in range(n)]
     ucoords = linalg.kernel(mu, ncols=n)
@@ -253,40 +236,21 @@ def zero_v_squared(table, dec=None):
     is verified to be Bernstein."""
     if dec is None:
         dec = peirce(table)
-    adapted = [dec.idempotent] + list(dec.u_basis) + list(dec.v_basis)
-
-    pure = _pure_basis_positions(table, dec)
-    if pure is not None:
-        vset = {i for i, kind in enumerate(pure) if kind == "v"}
-        products = {}
-        for (i, j), vec in table.product_items():
-            if i in vset and j in vset:
-                continue
-            products[(i, j)] = dict(vec)
-        out = AlgebraTable(table.labels, products, weight=table.weight,
-                           name=table.name + "/V2=0" if table.name else "")
-    else:
-        labels = ["e"]
-        labels += [f"u{i + 1}" for i in range(len(dec.u_basis))]
-        labels += [f"v{i + 1}" for i in range(len(dec.v_basis))]
-        nv = len(dec.v_basis)
-        vstart = 1 + len(dec.u_basis)
-        space = linalg.Subspace(a.coords for a in adapted)
-        products = {}
-        for i in range(len(adapted)):
-            for j in range(i, len(adapted)):
-                if i >= vstart and j >= vstart:
-                    continue
-                prod = adapted[i] * adapted[j]
-                coords = space.coords(prod.coords)
-                if coords is None:
-                    raise InternalCheckError("adapted basis does not span a subalgebra")
-                vec = {k: c for k, c in enumerate(coords) if c}
-                if vec:
-                    products[(i, j)] = vec
-        weight = [ONE] + [ZERO] * (len(labels) - 1)
-        out = AlgebraTable(labels, products, weight=weight,
-                           name=table.name + "/V2=0" if table.name else "")
+    base = table
+    kinds = _pure_basis_positions(table, dec)
+    if kinds is None:
+        nu, nv = len(dec.u_basis), len(dec.v_basis)
+        labels = ["e"] + [f"u{i + 1}" for i in range(nu)]
+        labels += [f"v{i + 1}" for i in range(nv)]
+        base = table.change_basis(
+            [b.coords for b in [dec.idempotent, *dec.u_basis, *dec.v_basis]],
+            labels)
+        kinds = ["e"] + ["u"] * nu + ["v"] * nv
+    vset = {i for i, kind in enumerate(kinds) if kind == "v"}
+    products = {(i, j): vec for (i, j), vec in base.product_items()
+                if i not in vset or j not in vset}
+    out = AlgebraTable(base.labels, products, weight=base.weight,
+                       name=table.name + "/V2=0" if table.name else "")
     verdict = is_bernstein(out)
     if not verdict:
         raise AlgebraError(

@@ -23,7 +23,7 @@ import random
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
-                   ZERO, ONE, HALF)
+                   ideal_rows, ZERO, ONE, HALF)
 from .elements import train_polynomial
 from .multipoly import MultiPoly
 from .structure import is_bernstein, lyubich_ideal, peirce
@@ -537,12 +537,10 @@ def ideal_power_chain(table, ideal_basis):
     """Dimensions of the ideal powers I^n = sum of I^i I^j (i+j = n)
     and of the plenary powers I^(1) = I^2, I^(n+1) = (I^(n))^2, with
     the first vanishing indexes when reached."""
-    ideal = linalg.Subspace(g.coords for g in ideal_basis)
-    span = [table.element(v) for v in ideal.rows()]
-    for b in table.basis():
-        for g in span:
-            if not ideal.contains((b * g).coords):
-                raise AlgebraError("basis does not span an ideal")
+    rows = ideal_rows(table, ideal_basis)
+    if rows is None:
+        raise AlgebraError("basis does not span an ideal")
+    span = [table.element(v) for v in rows]
 
     limit = 2 * table.dim + 4
     chains = [span]
