@@ -109,6 +109,7 @@ class AlgebraTable:
             if clean:
                 table[(i, j)] = clean
         self._products = table
+        self._cache = {}
 
         if weight is not None:
             weight = tuple(as_scalar(w) for w in weight)
@@ -116,18 +117,26 @@ class AlgebraTable:
                 raise AlgebraError("weight row has wrong length")
             if not any(weight):
                 raise AlgebraError("weight must be a nonzero functional")
-            for i in range(dim):
-                for j in range(i, dim):
-                    vec = table.get((i, j), _EMPTY)
-                    w = sum((c * weight[k] for k, c in vec.items()), ZERO)
-                    if w != weight[i] * weight[j]:
-                        raise AlgebraError(
-                            "weight is not multiplicative on pair "
-                            f"({labels[i]}, {labels[j]})")
+            # In integers W = d_w w and S = d s: a stored pair needs
+            # d_w sum_k S_ijk W_k = d W_i W_j, any other pair W_i W_j = 0.
+            rows, den = self._integer_rows()
+            dw = lcm(*(w.denominator for w in weight))
+            ws = [int(w * dw) for w in weight]
+            bad = [(i, j) for i, j in table
+                   if dw * sum(s * ws[k] for k, s in rows[i][j])
+                   != den * ws[i] * ws[j]]
+            support = [i for i, w in enumerate(ws) if w]
+            for pair in ((i, j) for a, i in enumerate(support)
+                         for j in support[a:] if (i, j) not in table):
+                bad.append(pair)
+                break
+            if bad:
+                i, j = min(bad)
+                raise AlgebraError("weight is not multiplicative on pair "
+                                   f"({labels[i]}, {labels[j]})")
         self.weight = weight
         self.name = str(name)
         self.notes = tuple(notes)
-        self._cache = {}
 
     @classmethod
     def build(cls, labels, products, weight=None, name="", notes=()):

@@ -4,8 +4,8 @@ classification flags and the annihilator ideal of the U component.
 A baric algebra (A, w) is Bernstein when (x^2)^2 = w(x)^2 x^2 holds
 identically.  Relative to an idempotent e of weight 1 the weight
 kernel N splits as U + V with U the 1/2-eigenspace and V the kernel
-of left multiplication by e; ``zero_v_squared`` rebuilds a table on the
-adapted basis e, U, V with ``AlgebraTable.change_basis``.
+of left multiplication by e.  The symbolic checks run on ``adapted_table``,
+the table rebuilt on the adapted basis e, U, V by ``change_basis``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,53 @@ from .symbolic import IdentityCheck, check_identity
 
 
 def is_bernstein(table):
-    """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table."""
+    """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table.
+
+    Run on ``adapted_table(table)`` when there is one (weight row with
+    several nonzero entries, a Peirce decomposition, not a relabelling);
+    a failure there is redone on the input basis for an input witness."""
     if table.weight is None:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
     if cached is not None:
         return cached
-    result = check_identity(
-        table, lambda x: (x ** 2) ** 2 - (x ** 2).scale(x.weight() ** 2))
+    adapted = adapted_table(table)
+    if adapted is not None and is_bernstein(adapted):
+        result = IdentityCheck(True)
+    else:
+        result = check_identity(
+            table, lambda x: (x ** 2) ** 2 - (x ** 2).scale(x.weight() ** 2))
+        if result and adapted is not None:
+            raise InternalCheckError(
+                "Bernstein check: input and adapted bases disagree")
     table._cache["bernstein"] = result
     return result
+
+
+def adapted_table(table):
+    """``table`` rebuilt on the basis e, u1.., v1.. of ``peirce(table)``,
+    or None; cached.  None when there is no Peirce decomposition or the
+    weight row has one nonzero entry: the basis is then split as K b_i + N
+    already, and only then can a rebuild be a mere relabelling, since N
+    is spanned by basis vectors only then."""
+    if "adapted" not in table._cache:
+        table._cache["adapted"] = None
+        if table.weight is not None and sum(1 for w in table.weight if w) > 1:
+            try:
+                dec = peirce(table)
+            except AlgebraError:
+                pass
+            else:
+                table._cache["adapted"] = _on_adapted_basis(table, dec)
+    return table._cache["adapted"]
+
+
+def _on_adapted_basis(table, dec):
+    labels = ["e"] + [f"u{i + 1}" for i in range(len(dec.u_basis))]
+    labels += [f"v{i + 1}" for i in range(len(dec.v_basis))]
+    return table.change_basis(
+        [b.coords for b in [dec.idempotent, *dec.u_basis, *dec.v_basis]],
+        labels, name=table.name)
 
 
 def find_idempotent(table):
@@ -201,11 +238,17 @@ def _jordan_by_peirce(table, dec):
 
 def classify(table):
     """Structure report: Bernstein, nuclear (U^2 = V), exceptional
-    (U^2 = 0), Jordan, the annihilator ideal of U and the type."""
+    (U^2 = 0), Jordan, the annihilator ideal of U and the type.
+
+    The Bernstein and Jordan checks run on ``adapted_table(table)`` if any
+    (weight row with several nonzero entries, a Peirce decomposition, not a
+    relabelling); coordinates and witnesses are on the input basis."""
     bern = is_bernstein(table)
     if not bern:
         return StructureReport(False, bernstein_witness=bern)
     dec = peirce(table)
+    jtable = adapted_table(table) or table
+    jdec = dec if jtable is table else peirce(jtable)
     usq = [ui * uj
            for i, ui in enumerate(dec.u_basis) for uj in dec.u_basis[i:]]
     usq_vectors = [list(p.coords) for p in usq if p]
@@ -213,8 +256,8 @@ def classify(table):
     nuclear = linalg.span_equal(usq_vectors, v_vectors)
     exceptional = not usq_vectors
 
-    jid = bool(_jordan_by_identity(table))
-    jpe = _jordan_by_peirce(table, dec)
+    jid = bool(_jordan_by_identity(jtable))
+    jpe = _jordan_by_peirce(jtable, jdec)
     if jid != jpe:
         raise InternalCheckError(
             "Jordan identity and Peirce criterion disagree")
@@ -239,13 +282,8 @@ def zero_v_squared(table, dec=None):
     base = table
     kinds = _pure_basis_positions(table, dec)
     if kinds is None:
-        nu, nv = len(dec.u_basis), len(dec.v_basis)
-        labels = ["e"] + [f"u{i + 1}" for i in range(nu)]
-        labels += [f"v{i + 1}" for i in range(nv)]
-        base = table.change_basis(
-            [b.coords for b in [dec.idempotent, *dec.u_basis, *dec.v_basis]],
-            labels)
-        kinds = ["e"] + ["u"] * nu + ["v"] * nv
+        base = _on_adapted_basis(table, dec)
+        kinds = ["e"] + ["u"] * len(dec.u_basis) + ["v"] * len(dec.v_basis)
     vset = {i for i, kind in enumerate(kinds) if kind == "v"}
     products = {(i, j): vec for (i, j), vec in base.product_items()
                 if i not in vset or j not in vset}

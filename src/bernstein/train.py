@@ -26,7 +26,7 @@ from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
                    ideal_rows, ZERO, ONE, HALF)
 from .elements import train_polynomial
 from .multipoly import MultiPoly
-from .structure import is_bernstein, lyubich_ideal, peirce
+from .structure import adapted_table, is_bernstein, lyubich_ideal, peirce
 from .symbolic import SymbolicElement, generic_element
 
 LEAF = "x"
@@ -329,9 +329,15 @@ def _train_gamma_formula(rank):
 def train_analysis(table):
     """Train verdict by three routes that must agree: nilpotency of the
     generic barideal element, the f_r identity sweep on a fully generic
-    element, and nilpotency of generic multiplication operators V -> U."""
+    element, and nilpotency of generic multiplication operators V -> U.
+
+    All three run on ``adapted_table(table)`` if any (weight row with
+    several nonzero entries, a Peirce decomposition, not a relabelling);
+    the report holds no coordinates."""
     if not is_bernstein(table):
         raise AlgebraError("train analysis needs a Bernstein algebra")
+    if (adapted := adapted_table(table)) is not None:
+        return train_analysis(adapted)
     nbasis = table.barideal_basis()
     nil_bound = len(nbasis) + 2
     nil_index = generic_nil_index(table, nbasis, bound=nil_bound)
@@ -478,7 +484,13 @@ class EngelYagzhevReport:
 
 def engel_yagzhev_report(table, carrier=None):
     """Bounded nil index, Engel index and tree-sum verification on a
-    carrier with (x^2)^2 = 0; the three verdicts must agree."""
+    carrier with (x^2)^2 = 0; the three verdicts must agree.
+
+    With the default carrier it runs on ``adapted_table(table)`` if any
+    (weight row with several nonzero entries, a Peirce decomposition, not a
+    relabelling); the report holds no coordinates."""
+    if carrier is None and (adapted := adapted_table(table)) is not None:
+        return engel_yagzhev_report(adapted)
     carrier = _default_carrier(table, carrier)
     bounds = {"nil_search_bound": len(carrier) + 2,
               "engel_search_bound": len(carrier),

@@ -78,14 +78,15 @@ def non_bernstein_table():
         weight={"e": 1}, name="non_bernstein")
 
 
-def bernstein_pool(rng, max_dim=None):
-    """A random parameterized Bernstein algebra from the catalog."""
+def pool_builders(rng):
+    """The builders ``bernstein_pool`` draws from; each draws its
+    parameters from rng when called."""
     def free_with_betas():
         n = rng.randint(4, 6)
         return catalog.free_single_truncated(
             n, [rand_scalar(rng, 2) for _ in range(n - 2)])
 
-    choices = [
+    return [
         lambda: catalog.elementary_algebra(rng.randint(0, 3)),
         catalog.constant_algebra,
         lambda: catalog.three_dim_alpha(rand_scalar(rng)),
@@ -99,6 +100,11 @@ def bernstein_pool(rng, max_dim=None):
         nuclear_table,
         mixed_table,
     ]
+
+
+def bernstein_pool(rng, max_dim=None):
+    """A random parameterized Bernstein algebra from the catalog."""
+    choices = pool_builders(rng)
     while True:
         table = rng.choice(choices)()
         if max_dim is None or table.dim <= max_dim:

@@ -1,0 +1,105 @@
+"""Symbolic verdicts on the Peirce-adapted table (``structure.adapted_table``).
+
+A twin is a table rebuilt on a seeded unimodular basis; it is isomorphic
+to its native table, so every verdict must agree, and its weight row has
+several nonzero entries, so the verdicts run on its adapted table.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from bernstein import catalog, linalg, structure
+from bernstein.core import InternalCheckError
+from bernstein.elements import analyze_element
+from bernstein.structure import adapted_table, classify, is_bernstein
+from bernstein.symbolic import IdentityCheck, check_identity
+from bernstein.train import engel_yagzhev_report, train_analysis
+
+from conftest import pool_builders
+from test_cli_golden import _native, _twin
+
+
+def _verdicts(table, coords):
+    report = classify(table)
+    train = train_analysis(table)
+    engel = engel_yagzhev_report(table)
+    element = analyze_element(table.element(coords))
+    return (bool(is_bernstein(table)), report.is_nuclear,
+            report.is_exceptional, report.is_jordan, report.type_pair,
+            len(report.lyubich_basis), train.is_train, train.rank,
+            train.train_coeffs, train.train_poly, train.nil_index_N,
+            train.is_locally_train, train.bounds,
+            engel.satisfies_sq_sq_zero, engel.nil_bounded_index,
+            engel.engel_index, engel.yagzhev_verified_upto, engel.bounds,
+            element.degree, element.minimal_poly)
+
+
+def _single_entry_weight(table):
+    return sum(1 for w in table.weight if w) == 1
+
+
+def test_verdicts_do_not_depend_on_the_basis():
+    for seed in (3, 4):
+        for build in pool_builders(random.Random(seed)):
+            native = build()
+            coords = [Fraction(1)] + [Fraction(k % 3 - 1, 1 + k % 2)
+                                      for k in range(1, native.dim)]
+            twin, p = _twin(native, seed)
+            want = _verdicts(native, coords)
+            assert _verdicts(twin, linalg.express(p, coords)) == want, \
+                native.name
+            assert native._cache["adapted"] is None
+            adapted = twin._cache["adapted"]
+            assert _single_entry_weight(adapted)
+            assert adapted._cache["adapted"] is None
+
+
+def test_native_tables_skip_the_peirce_decomposition():
+    # the engel and element routes never need peirce on a native table
+    for table in (catalog.free_single_truncated(6),
+                  catalog.elementary_algebra(2)):
+        assert engel_yagzhev_report(table).satisfies_sq_sq_zero
+        assert analyze_element(table.basis_element(0)).degree == 1
+        assert table._cache["adapted"] is None
+        assert "peirce" not in table._cache
+
+
+def test_dense_free_single_ten():
+    twin, _ = _twin(catalog.free_single_truncated(10), 1)
+    assert not _single_entry_weight(twin)
+    assert adapted_table(twin).labels == \
+        ("e",) + tuple(f"u{i}" for i in range(1, 9)) + ("v1",)
+    assert train_analysis(twin).rank == 11
+    assert classify(twin).type_pair == (9, 1)
+
+
+def test_refuted_identity_gets_the_input_basis_witness():
+    # u1 u1 = u2 breaks the identity but keeps a Peirce decomposition,
+    # and on this basis the idempotent search succeeds
+    native = _native(lambda: catalog.free_single_truncated(4),
+                     ("u1", "u1", "u2"))
+    twin, _ = _twin(native, 15)
+    assert adapted_table(twin) is not None
+    result = is_bernstein(twin)
+    assert not result
+    assert result == check_identity(
+        twin, lambda x: (x ** 2) ** 2 - (x ** 2).scale(x.weight() ** 2))
+    assert result.witness_value.algebra is twin
+    assert not classify(twin).is_bernstein
+
+
+def test_bases_that_disagree_raise(monkeypatch):
+    twin, _ = _twin(catalog.free_single_truncated(5), 5)
+    assert adapted_table(twin) is not None
+    real = structure.check_identity
+
+    def adapted_fails(table, expr, **kwargs):
+        if table is not twin:
+            return IdentityCheck(False)
+        return real(table, expr, **kwargs)
+
+    monkeypatch.setattr(structure, "check_identity", adapted_fails)
+    with pytest.raises(InternalCheckError, match="adapted"):
+        is_bernstein(twin)

@@ -49,6 +49,25 @@ def test_build_validation():
         AlgebraTable.build(("e",), {("e", "e"): {"e": 1}}, weight={"x": 1})
 
 
+def test_weight_check_reports_the_first_bad_pair():
+    # (a, b) has no stored product but w(a) w(b) = 1/6; the stored
+    # product b c = a fails later
+    with pytest.raises(AlgebraError) as err:
+        AlgebraTable(("a", "b", "c"), {(0, 0): {0: HALF}, (1, 2): {0: 1}},
+                     weight=(HALF, F(1, 3), ZERO))
+    assert str(err.value) == "weight is not multiplicative on pair (a, b)"
+    # the stored product e u = e fails first; (e, v) has no stored
+    # product and fails later
+    with pytest.raises(AlgebraError) as err:
+        AlgebraTable(("e", "u", "v"),
+                     {(0, 0): {0: 1}, (0, 1): {0: 1}, (2, 2): {2: 1}},
+                     weight=(ONE, ZERO, ONE))
+    assert str(err.value) == "weight is not multiplicative on pair (e, u)"
+    table = AlgebraTable(("e", "u"), {(0, 0): {0: F(3, 2)}, (0, 1): {1: 5}},
+                         weight=(F(3, 2), ZERO))
+    assert table.weight == (F(3, 2), ZERO)
+
+
 def test_table_accessors():
     table = catalog.example_not_train()
     assert table.dim == 3
