@@ -12,8 +12,8 @@ from .multipoly import MultiPoly
 from .structure import (PeirceDecomposition, StructureReport, classify,
                         find_idempotent, idempotent_family, is_bernstein,
                         lyubich_ideal, peirce, zero_v_squared)
-from .symbolic import (IdentityCheck, SymbolicElement, check_identity,
-                       generic_degree, generic_element, symbolic_rank)
+from .symbolic import (IdentityCheck, check_identity, generic_degree,
+                       generic_element, symbolic_rank)
 from .train import (EngelYagzhevReport, PowerChainReport, TrainReport,
                     check_lx_power_splitting, engel_check,
                     engel_yagzhev_report, full_trees, generic_nil_index,
@@ -27,11 +27,11 @@ __all__ = [
     "AlgebraError", "AlgebraTable", "Element", "ElementAnalysis",
     "EngelYagzhevReport", "IdentityCheck", "InternalCheckError", "MultiPoly",
     "Operator", "PeirceDecomposition", "PowerChainReport", "StructureReport",
-    "SymbolicElement", "TrainReport", "UnivariatePoly", "analyze_element",
-    "catalog", "check_identity", "check_lx_power_splitting", "classify",
-    "engel_check", "engel_yagzhev_report", "fileformat", "find_idempotent",
-    "full_trees", "generic_degree", "generic_element", "generic_nil_index",
-    "groebner", "ideal_power_chain", "idempotent_family", "is_bernstein",
+    "TrainReport", "UnivariatePoly", "analyze_element", "catalog",
+    "check_identity", "check_lx_power_splitting", "classify", "engel_check",
+    "engel_yagzhev_report", "fileformat", "find_idempotent", "full_trees",
+    "generic_degree", "generic_element", "generic_nil_index", "groebner",
+    "ideal_power_chain", "idempotent_family", "is_bernstein",
     "left_mult_operator", "linalg", "locally_train_analysis", "lyubich_ideal",
     "minimal_poly_form_check", "operator_nilpotency_check",
     "parenthesized_powers", "peirce", "poly_eval", "principal_powers",

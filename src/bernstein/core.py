@@ -9,11 +9,13 @@ on a new basis, or on a basis of a quotient.  Elements,
 left-multiplication operators and univariate polynomials (used with
 zero constant term for evaluation at elements) live here as well.
 
-Elements keep Fraction coordinates, but the product works on integers:
-the structure constants are cleared of denominators once per table
-(``AlgebraTable._integer_rows``), rational factors once per product,
-and ``bilinear_product`` accumulates in Python ints before it builds
-one Fraction per nonzero output coordinate.
+``Element`` is the one element class, over Q or over Q[t...]: its
+coordinates are all Fractions or all MultiPolys, and a product with a
+symbolic side lifts the concrete side once.  The product works on
+integers: the structure constants are cleared of denominators once per
+table (``AlgebraTable._integer_rows``), rational factors once per
+product, and ``bilinear_product`` accumulates in Python ints before it
+builds one Fraction per nonzero output coordinate.
 """
 
 from __future__ import annotations
@@ -329,7 +331,10 @@ def bilinear_product(table, xcoords, ycoords, zero):
 
 
 class Element:
-    """Element of an AlgebraTable, held as exact rational coordinates."""
+    """Element of an AlgebraTable.  Its coordinates are all Fractions
+    (a concrete element) or all MultiPolys (a symbolic element over
+    Q[t...]); arithmetic keeps them of one type, so the first one tells
+    the ring."""
 
     __slots__ = ("algebra", "coords")
 
@@ -340,6 +345,13 @@ class Element:
     def _check_same(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraError("elements live in different algebras")
+
+    def is_symbolic(self):
+        return isinstance(self.coords[0], MultiPoly)
+
+    def ring_zero(self):
+        """The zero of the coordinate ring."""
+        return MultiPoly.zero() if self.is_symbolic() else ZERO
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -359,20 +371,26 @@ class Element:
         return Element(self.algebra, tuple(-a for a in self.coords))
 
     def scale(self, c):
-        c = as_scalar(c)
+        """Multiply by a rational or a MultiPoly scalar."""
+        if not isinstance(c, MultiPoly):
+            c = as_scalar(c)
         return Element(self.algebra, tuple(c * a for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
+            x, y = self.coords, other.coords
+            if isinstance(x[0], MultiPoly) or isinstance(y[0], MultiPoly):
+                return Element(self.algebra, tuple(bilinear_product(
+                    self.algebra, _lifted(x), _lifted(y), MultiPoly.zero())))
             return Element(self.algebra, tuple(bilinear_product(
-                self.algebra, self.coords, other.coords, ZERO)))
-        if isinstance(other, (int, Fraction)):
+                self.algebra, x, y, ZERO)))
+        if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         return NotImplemented
 
@@ -386,7 +404,8 @@ class Element:
         return acc
 
     def weight(self):
-        return self.algebra.weight_of(self.coords)
+        """w(x), in the coordinate ring."""
+        return self.ring_zero() + self.algebra.weight_of(self.coords)
 
     def is_zero(self):
         return not any(self.coords)
@@ -405,9 +424,29 @@ class Element:
     def __hash__(self):
         return hash(self.coords)
 
+    def variables(self):
+        """Sorted names of the indeterminates in the coordinates."""
+        if not self.is_symbolic():
+            return []
+        names = set()
+        for c in self.coords:
+            names.update(c.variables())
+        return sorted(names)
+
+    def evaluate(self, assignment):
+        """The concrete element with scalars substituted for all
+        variables of the coordinates; a concrete element is itself."""
+        if not self.is_symbolic():
+            return self
+        return Element(self.algebra, tuple(
+            c.evaluate(assignment) if c else ZERO for c in self.coords))
+
     def __repr__(self):
         if self.is_zero():
             return "0"
+        if self.is_symbolic():
+            return " + ".join(f"({c})*{lab}" for c, lab
+                              in zip(self.coords, self.algebra.labels) if c)
         parts = []
         for lab, c in zip(self.algebra.labels, self.coords):
             if not c:
@@ -425,9 +464,16 @@ class Element:
         return text
 
 
+def _lifted(coords):
+    """Polynomial coordinates, lifting rational ones."""
+    if isinstance(coords[0], MultiPoly):
+        return coords
+    return [MultiPoly.const(c) for c in coords]
+
+
 def principal_powers(x, k_max):
-    """[x, x^2, ..., x^k_max] with right powers; works for symbolic
-    elements as well."""
+    """[x, x^2, ..., x^k_max] with right powers; x is an Element over Q
+    or over Q[t...], the one element class."""
     if k_max < 1:
         return []
     powers = [x]
@@ -487,7 +533,8 @@ class Operator:
 
 
 def left_mult_operator(x, carrier):
-    """Matrix of left multiplication by x on the span of ``carrier``.
+    """Matrix of left multiplication by x on the span of ``carrier``,
+    with polynomial entries when x is symbolic.
 
     The carrier must be linearly independent and invariant under the
     operator; both are checked.
@@ -499,7 +546,7 @@ def left_mult_operator(x, carrier):
     cols = []
     for c in carrier:
         image = x * c
-        coords = space.coords(image.coords)
+        coords = space.coords(image.coords, zero=image.ring_zero())
         if coords is None:
             raise AlgebraError("carrier is not invariant under the operator")
         cols.append(coords)
@@ -667,7 +714,7 @@ def poly_eval(x, poly):
     if poly.constant_term:
         raise AlgebraError("polynomial has a nonzero constant term")
     if poly.is_zero():
-        return x.algebra.zero() if isinstance(x, Element) else x - x
+        return x - x
     powers = principal_powers(x, poly.degree)
     acc = None
     for k in range(1, poly.degree + 1):

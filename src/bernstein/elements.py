@@ -186,10 +186,15 @@ def singly_generated_subalgebra(a):
     for _ in range(n - 3):
         u.append(v1 * u[-1])
     family = [e] + u + [v1]
-    vectors = [list(x.coords) for x in family]
-    if not linalg.independent(vectors):
-        raise InternalCheckError("canonical family is linearly dependent")
+    labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
+    try:
+        out = table.change_basis([x.coords for x in family], labels,
+                                 name="alg(a)")
+    except AlgebraError as exc:
+        raise InternalCheckError(f"canonical family: {exc}") from None
 
+    # the canonical form, checked on the computed products
+    e, *u, v1 = out.basis()
     if e * v1:
         raise InternalCheckError("e v1 is nonzero in the canonical family")
     for i, ui in enumerate(u):
@@ -198,33 +203,15 @@ def singly_generated_subalgebra(a):
         for uj in u[i:]:
             if ui * uj:
                 raise InternalCheckError("U part fails to square to zero")
-
+        if i + 1 < len(u) and v1 * ui != u[i + 1]:
+            raise InternalCheckError("v1 u_i is not u_(i+1)")
     top = v1 * u[-1]
-    betas = linalg.express([list(x.coords) for x in u], list(top.coords))
-    if betas is None:
+    if top.coords[0] or top.coords[-1]:
         raise InternalCheckError("v1 u_(n-2) left the span of the U part")
-
-    labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
-    products = {("e", "e"): {"e": 1}}
-    for i in range(n - 2):
-        products[("e", f"u{i + 1}")] = {f"u{i + 1}": HALF}
-    for i in range(n - 3):
-        products[(f"u{i + 1}", "v1")] = {f"u{i + 2}": 1}
-    products[(f"u{n - 2}", "v1")] = {f"u{i + 1}": b
-                                     for i, b in enumerate(betas) if b}
-
     if n == 3:
-        c = betas[0]
-        alpha = c + Fraction(3, 2)
-        expected = u[0].scale(4 * (1 - alpha))
-        if v1 * v1 != expected:
+        alpha = top.coords[1] + Fraction(3, 2)
+        if v1 * v1 != u[0].scale(4 * (1 - alpha)):
             raise InternalCheckError("three-dimensional canonical form mismatch")
-        if 4 * (1 - alpha):
-            products[("v1", "v1")] = {"u1": 4 * (1 - alpha)}
-    else:
-        if v1 * v1 != u[0].scale(-2) + u[1].scale(-4):
-            raise InternalCheckError("v1^2 is not -2u1 - 4u2")
-        products[("v1", "v1")] = {"u1": -2, "u2": -4}
-
-    out = AlgebraTable.build(labels, products, weight={"e": 1}, name="alg(a)")
+    elif v1 * v1 != u[0].scale(-2) + u[1].scale(-4):
+        raise InternalCheckError("v1^2 is not -2u1 - 4u2")
     return out, family

@@ -16,7 +16,6 @@ from functools import cached_property
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
                    left_mult_operator, ZERO, ONE, HALF)
-from .multipoly import MultiPoly
 from .symbolic import IdentityCheck, check_identity
 
 
@@ -106,7 +105,7 @@ class PeirceDecomposition:
         """(e-coordinate, U-coordinates, V-coordinates) of an element;
         works for polynomial coordinates as well."""
         coords = self._adapted_space.coords(
-            element.coords, zero=_zero_like(element.coords))
+            element.coords, zero=element.ring_zero())
         r = len(self.u_basis)
         return coords[0], coords[1:1 + r], coords[1 + r:]
 
@@ -117,13 +116,6 @@ class PeirceDecomposition:
     def in_v(self, element):
         alpha, uc, _ = self.adapted_coords(element)
         return not alpha and not any(uc)
-
-
-def _zero_like(coords):
-    for c in coords:
-        if isinstance(c, MultiPoly):
-            return MultiPoly.zero()
-    return ZERO
 
 
 def _combination(table, coeffs, elements):

@@ -1,7 +1,8 @@
-"""Symbolic elements with polynomial coordinates and identity checking.
+"""Generic elements and identity checking.
 
-A generic element carries one fresh indeterminate per coordinate (or
-per vector of a restricting subspace basis).  An identity holds on the
+A generic element is a ``core.Element`` over Q[t...], the one element
+class: it carries one fresh indeterminate per coordinate (or per
+vector of a restricting subspace basis).  An identity holds on the
 algebra iff every coordinate of the symbolically expanded difference
 is the zero polynomial; that is an exact statement over the rationals,
 not a sampling argument.  On failure a concrete counterexample is
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import (AlgebraError, Element, InternalCheckError, bilinear_product,
-                   principal_powers)
+from .core import AlgebraError, Element, InternalCheckError, principal_powers
 from .multipoly import MultiPoly
 
 import random
@@ -23,107 +23,12 @@ import random
 ZERO = Fraction(0)
 
 
-class SymbolicElement:
-    """Element whose coordinates are multivariate polynomials."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = tuple(coords)
-
-    def _check_same(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraError("elements live in different algebras")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return SymbolicElement(self.algebra,
-                               (a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return SymbolicElement(self.algebra,
-                               (a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return SymbolicElement(self.algebra, (-a for a in self.coords))
-
-    def scale(self, c):
-        """Multiply by a Fraction or a polynomial scalar."""
-        return SymbolicElement(self.algebra, (c * a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, SymbolicElement):
-            self._check_same(other)
-            return SymbolicElement(self.algebra, bilinear_product(
-                self.algebra, self.coords, other.coords, MultiPoly.zero()))
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 1:
-            raise AlgebraError("principal powers need an integer exponent >= 1")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
-
-    def weight(self):
-        if self.algebra.weight is None:
-            raise AlgebraError("algebra has no weight")
-        acc = MultiPoly.zero()
-        for c, w in zip(self.coords, self.algebra.weight):
-            if w and c:
-                acc = acc + c * w
-        return acc
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, SymbolicElement):
-            return (self.algebra == other.algebra
-                    and self.coords == other.coords)
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def variables(self):
-        names = set()
-        for c in self.coords:
-            names.update(c.variables())
-        return sorted(names)
-
-    def evaluate(self, assignment):
-        """Concrete Element obtained by substituting scalars for all
-        variables appearing in the coordinates."""
-        return Element(self.algebra, tuple(
-            c.evaluate(assignment) if c else ZERO for c in self.coords))
-
-    def __repr__(self):
-        parts = [f"({c})*{lab}" for c, lab in zip(self.coords, self.algebra.labels) if c]
-        return " + ".join(parts) if parts else "0"
-
-
 def generic_element(table, prefix="t", restrict_to=None):
     """Fully generic element of the algebra, or of the span of
     ``restrict_to``, with fresh variables prefix1, prefix2, ..."""
     if restrict_to is None:
-        coords = [MultiPoly.var(f"{prefix}{i + 1}") for i in range(table.dim)]
-        return SymbolicElement(table, coords)
+        return Element(table, tuple(MultiPoly.var(f"{prefix}{i + 1}")
+                                    for i in range(table.dim)))
     basis = list(restrict_to)
     coords = [MultiPoly.zero()] * table.dim
     for i, b in enumerate(basis):
@@ -131,7 +36,7 @@ def generic_element(table, prefix="t", restrict_to=None):
         for k, c in enumerate(b.coords):
             if c:
                 coords[k] = coords[k] + c * t
-    return SymbolicElement(table, coords)
+    return Element(table, tuple(coords))
 
 
 @dataclass
@@ -194,7 +99,7 @@ def check_identity(table, expr, arity=1, restrict=None,
     gens = [generic_element(table, prefixes[i], restrict_to=restrict[i])
             for i in range(arity)]
     delta = expr(*gens)
-    if not isinstance(delta, SymbolicElement):
+    if not isinstance(delta, Element) or not delta.is_symbolic():
         raise AlgebraError("identity expression must return a symbolic element")
     if delta.is_zero():
         return IdentityCheck(True)

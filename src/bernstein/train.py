@@ -23,11 +23,11 @@ import random
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
-                   ideal_rows, ZERO, ONE, HALF)
+                   ideal_rows, left_mult_operator, ZERO, ONE, HALF)
 from .elements import train_polynomial
 from .multipoly import MultiPoly
 from .structure import adapted_table, is_bernstein, lyubich_ideal, peirce
-from .symbolic import SymbolicElement, generic_element
+from .symbolic import IdentityCheck, check_identity, generic_element
 
 LEAF = "x"
 
@@ -175,20 +175,6 @@ def tree_power_sum(a, q, carrier=None):
     return total
 
 
-def _symbolic_matrix(table, x, carrier):
-    """Matrix of left multiplication by the symbolic x on the carrier."""
-    space = linalg.Subspace(c.coords for c in carrier)
-    cols = []
-    for c in carrier:
-        image = x * SymbolicElement(table, [MultiPoly.const(v) for v in c.coords])
-        coords = space.coords(image.coords, zero=MultiPoly.zero())
-        if coords is None:
-            raise InternalCheckError("carrier is not invariant under the operator")
-        cols.append(coords)
-    n = len(carrier)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def _matrix_is_zero(m):
     return not any(any(row) for row in m)
 
@@ -266,7 +252,7 @@ def operator_nilpotency_check(table, dec=None, carrier="U"):
     if not dec.v_basis:
         return 1
     v = generic_element(table, "v", restrict_to=dec.v_basis)
-    matrix = _symbolic_matrix(table, v, basis)
+    matrix = left_mult_operator(v, basis).matrix
     return _nilpotency_index_of_matrix(matrix, len(basis))
 
 
@@ -284,7 +270,7 @@ def engel_check(table, carrier=None):
             if not space.contains((ci * cj).coords):
                 raise AlgebraError("carrier is not closed under multiplication")
     x = generic_element(table, "g", restrict_to=carrier)
-    matrix = _symbolic_matrix(table, x, carrier)
+    matrix = left_mult_operator(x, carrier).matrix
     return _nilpotency_index_of_matrix(matrix, len(carrier))
 
 
@@ -359,7 +345,7 @@ def train_analysis(table):
     dec = peirce(table)
     if dec.u_basis and dec.v_basis:
         v = generic_element(table, "v", restrict_to=dec.v_basis)
-        matrix = _symbolic_matrix(table, v, dec.u_basis)
+        matrix = left_mult_operator(v, dec.u_basis).matrix
         names = [f"v{i + 1}" for i in range(len(dec.v_basis))]
         lv_nilpotent = _generic_operator_nilpotent(table, matrix, names)
     else:
@@ -410,7 +396,6 @@ def check_lx_power_splitting(table, k_max=4):
     """Check L_x^(k+3) = L_v^k L_x^3 on the weight kernel for generic
     x = u + v, for k = 0..k_max.  Returns the first failing check or a
     passing one."""
-    from .symbolic import check_identity, IdentityCheck
     dec = peirce(table)
     nbasis = table.barideal_basis()
     if not nbasis:
@@ -444,7 +429,6 @@ def _one_sided_splitting(table, dec, nbasis, k):
     """Splitting check when one Peirce summand is zero: with V = 0 the
     right side collapses to zero for k >= 1, with U = 0 the identity is
     L_v^(k+3) = L_v^k L_v^3."""
-    from .symbolic import check_identity
     if dec.u_basis:
         def expr(u, y, _k=k):
             lhs = y

@@ -11,8 +11,9 @@ from bernstein.core import (AlgebraError, AlgebraTable, Element, Operator,
                             poly_eval, principal_powers, HALF, ONE, ZERO)
 from bernstein import catalog, linalg
 from bernstein.multipoly import MultiPoly
+from bernstein.symbolic import generic_element
 
-from conftest import rand_element, rand_scalar
+from conftest import bernstein_pool, rand_element, rand_scalar
 
 F = Fraction
 
@@ -310,3 +311,113 @@ def test_concrete_bilinear_product_matches_triple_loop():
             assert (xe * xe).coords == tuple(_triple_loop_product(table, x, x))
     assert any(c.denominator > 1 for _, vec in tables[0].product_items()
                for c in vec.values())
+
+
+def _one_ring_tables(seed):
+    """Pool algebras and their ``_rebased`` twins, seeded."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(4):
+        table = bernstein_pool(rng, max_dim=6)
+        out += [table, _rebased(table, rng)]
+    return rng, out
+
+
+def _lift(x):
+    return Element(x.algebra, tuple(MultiPoly.const(c) for c in x.coords))
+
+
+def _coord_types(x):
+    return {type(c) for c in x.coords}
+
+
+def _elements_of_both_rings(table, rng):
+    """Two concrete elements and two symbolic ones, one of them a
+    generic element of the span of two concrete vectors."""
+    c, d = rand_element(table, rng), rand_element(table, rng)
+    g = generic_element(table, "t")
+    h = generic_element(table, "s", restrict_to=[d, table.basis_element(0)])
+    return c, d, g, h
+
+
+def test_mixed_arithmetic_keeps_one_coordinate_type():
+    for seed in (61, 62):
+        rng, tables = _one_ring_tables(seed)
+        for table in tables:
+            c, d, g, h = _elements_of_both_rings(table, rng)
+            p = MultiPoly.var("t1") + rand_scalar(rng)
+            for x in (g, h, c * g, g * c, c + g, g - c, h * d, d - h,
+                      c.scale(p), p * c, g.scale(rand_scalar(rng)),
+                      g.scale(0), c * h * c, (h - h) * c):
+                assert x.is_symbolic() and _coord_types(x) == {MultiPoly}
+            for x in (c * d, c + d, c.scale(rand_scalar(rng)), c ** 3):
+                assert not x.is_symbolic() and _coord_types(x) == {Fraction}
+
+
+def test_product_with_concrete_side_equals_product_with_lifted_side():
+    for seed in (63, 64):
+        rng, tables = _one_ring_tables(seed)
+        for table in tables:
+            c, d, g, h = _elements_of_both_rings(table, rng)
+            for x in (c, g, h):
+                assert x * d == x * _lift(d) and d * x == _lift(d) * x
+            # the concrete kernel against the polynomial one
+            assert (c * d).coords == (_lift(c) * _lift(d)).coords
+
+
+def test_evaluate_commutes_with_products():
+    for seed in (65, 66):
+        rng, tables = _one_ring_tables(seed)
+        for table in tables:
+            c, d, g, h = _elements_of_both_rings(table, rng)
+            names = sorted(set(g.variables()) | set(h.variables()))
+            assert c.variables() == [] and c.evaluate({}) is c
+            for _ in range(2):
+                point = {n: rand_scalar(rng) for n in names}
+                for x, y in ((g, h), (g, g), (h, c), (c, g), (c, d)):
+                    assert (x * y).evaluate(point) == \
+                        x.evaluate(point) * y.evaluate(point)
+                    assert (x + y).evaluate(point) == \
+                        x.evaluate(point) + y.evaluate(point)
+                if table.weight is not None:
+                    assert g.weight().evaluate(point) == \
+                        g.evaluate(point).weight()
+
+
+def test_left_mult_operator_of_symbolic_element_matches_products():
+    for seed in (67, 68):
+        rng, tables = _one_ring_tables(seed)
+        for table in tables:
+            _, _, g, h = _elements_of_both_rings(table, rng)
+            basis = table.basis()
+            for x in (g, h):
+                matrix = left_mult_operator(x, basis).matrix
+                assert all(type(c) is MultiPoly for row in matrix for c in row)
+                columns = [(x * b).coords for b in basis]
+                assert matrix == tuple(zip(*columns))
+            if table.weight is None:
+                continue
+            nbasis = table.barideal_basis()
+            x = generic_element(table, "n", restrict_to=nbasis)
+            matrix = left_mult_operator(x, nbasis).matrix
+            for j, b in enumerate(nbasis):
+                image = table.zero()
+                for i, v in enumerate(nbasis):
+                    image = image + v.scale(matrix[i][j])
+                assert image == x * b
+
+
+def test_concrete_repr_is_unchanged():
+    rng = random.Random(31)
+    table = catalog.free_single_truncated(5)
+    got = [repr(rand_element(table, rng, span=2)) for _ in range(6)]
+    assert got == ["-e - u1 - 1/3*u2 - 2*u3 - 2/3*v1",
+                   "-1/3*e - u1 - 2/3*u2 - 2*u3 - 1/3*v1",
+                   "1/3*e + u1 + 2*u2 - 2*u3 + 1/2*v1",
+                   "-e - u3 - 1/2*v1", "2/3*e + 2*u1 - 2*u2 - v1",
+                   "e - 2/3*u1 + u2 - u3 + 1/3*v1"]
+    assert repr(table.element_from({"e": 1, "u1": -2, "v1": "1/3"})) == \
+        "e - 2*u1 + 1/3*v1"
+    x = generic_element(catalog.example_not_train(), "t")
+    assert repr(x) == "(t1)*e + (t2)*u + (t3)*v"
+    assert repr(x - x) == "0"

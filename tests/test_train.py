@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, UnivariatePoly
+from bernstein.core import AlgebraError, AlgebraTable, UnivariatePoly, HALF
 from bernstein.elements import train_polynomial
 from bernstein.symbolic import generic_element
 from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
@@ -134,6 +134,19 @@ def test_operator_nilpotency():
     assert operator_nilpotency_check(not_train, carrier="L(A)") is None
     with pytest.raises(AlgebraError):
         operator_nilpotency_check(not_train, carrier="W")
+
+
+def test_operator_nilpotency_rejects_a_non_invariant_carrier():
+    # not Bernstein, but peirce succeeds: e u = u/2, u v = v, so L_v
+    # maps U = span(u) and L(A) = span(u) out of themselves; that is
+    # bad input, not a failed internal check
+    table = AlgebraTable.build(
+        ("e", "u", "v"),
+        {("e", "e"): {"e": 1}, ("e", "u"): {"u": HALF}, ("u", "v"): {"v": 1}},
+        weight={"e": 1})
+    for carrier in ("U", "L(A)"):
+        with pytest.raises(AlgebraError, match="not invariant"):
+            operator_nilpotency_check(table, carrier=carrier)
 
 
 def test_engel_check():
