@@ -3,7 +3,7 @@ algebras over the rationals."""
 
 from . import catalog, fileformat, groebner, linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   Operator, UnivariatePoly, left_mult_operator, poly_eval,
+                   UnivariatePoly, left_mult_operator, poly_eval,
                    principal_powers)
 from .elements import (ElementAnalysis, analyze_element,
                        minimal_poly_form_check, singly_generated_subalgebra,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError", "AlgebraTable", "Element", "ElementAnalysis",
     "EngelYagzhevReport", "IdentityCheck", "InternalCheckError", "MultiPoly",
-    "Operator", "PeirceDecomposition", "PowerChainReport", "StructureReport",
+    "PeirceDecomposition", "PowerChainReport", "StructureReport",
     "TrainReport", "UnivariatePoly", "analyze_element", "catalog",
     "check_identity", "check_lx_power_splitting", "classify", "engel_check",
     "engel_yagzhev_report", "fileformat", "find_idempotent", "full_trees",

@@ -6,8 +6,9 @@ An optional weight row makes it a baric algebra; multiplicativity of
 the weight is checked on construction, where scalars are coerced.
 ``AlgebraTable.change_basis`` is the one routine that rebuilds a table
 on a new basis, or on a basis of a quotient.  Elements,
-left-multiplication operators and univariate polynomials (used with
-zero constant term for evaluation at elements) live here as well.
+``left_mult_operator`` (the matrix of L_x on a carrier) and univariate
+polynomials (used with zero constant term for evaluation at elements)
+live here as well.
 
 ``Element`` is the one element class, over Q or over Q[t...]: its
 coordinates are all Fractions or all MultiPolys, and a product with a
@@ -482,62 +483,15 @@ def principal_powers(x, k_max):
     return powers
 
 
-class Operator:
-    """Linear operator on a coordinate space, stored as a dense matrix
-    acting on column vectors."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = tuple(tuple(row) for row in matrix)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(linalg.identity_matrix(n))
-
-    @property
-    def dim(self):
-        return len(self.matrix)
-
-    def apply(self, coords):
-        return linalg.mat_vec(self.matrix, list(coords))
-
-    def compose(self, other):
-        return Operator(linalg.mat_mul(self.matrix, other.matrix))
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise AlgebraError("operator powers need an integer exponent >= 0")
-        acc = Operator.identity(self.dim)
-        for _ in range(k):
-            acc = acc.compose(self)
-        return acc
-
-    def __sub__(self, other):
-        return Operator(tuple(tuple(a - b for a, b in zip(ra, rb))
-                              for ra, rb in zip(self.matrix, other.matrix)))
-
-    def is_zero(self):
-        return not any(any(row) for row in self.matrix)
-
-    def __eq__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"<Operator dim={self.dim}>"
-
-
 def left_mult_operator(x, carrier):
-    """Matrix of left multiplication by x on the span of ``carrier``,
-    with polynomial entries when x is symbolic.
+    """Matrix of L_x, left multiplication by x, on the span of
+    ``carrier``, as a tuple of row tuples acting on column vectors of
+    carrier coordinates; its entries are polynomials when x is symbolic.
 
     The carrier must be linearly independent and invariant under the
-    operator; both are checked.
+    operator; both are checked.  Nilpotency of this matrix is decided in
+    ``train`` by symbolic matrix powers, one exact route with no random
+    points.
     """
     carrier = list(carrier)
     space = linalg.Subspace(c.coords for c in carrier)
@@ -551,7 +505,7 @@ def left_mult_operator(x, carrier):
             raise AlgebraError("carrier is not invariant under the operator")
         cols.append(coords)
     n = len(carrier)
-    return Operator([[cols[j][i] for j in range(n)] for i in range(n)])
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 class UnivariatePoly:

@@ -96,13 +96,19 @@ def save_algebra(table, path):
         fh.write("\n")
 
 
-def load_algebra(path):
+def _read_json(path):
+    """Parsed JSON of the file at path; a file that is not UTF-8, not
+    JSON, or nested past the parser's recursion limit is an input
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise AlgebraError(f"{path}: not valid JSON ({exc})")
-    return table_from_json(data)
+
+
+def load_algebra(path):
+    return table_from_json(_read_json(path))
 
 
 def element_to_json(element):
@@ -197,9 +203,4 @@ def save_presentation(presentation, path):
 
 
 def load_presentation(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraError(f"{path}: not valid JSON ({exc})")
-    return presentation_from_json(data)
+    return presentation_from_json(_read_json(path))

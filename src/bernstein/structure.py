@@ -154,7 +154,7 @@ def peirce(table, e=None):
     nbasis = table.barideal_basis()
     if not nbasis:
         return PeirceDecomposition(table, e, [], [])
-    m = left_mult_operator(e, nbasis).matrix
+    m = left_mult_operator(e, nbasis)
     n = len(nbasis)
     mu = [[m[i][j] - (HALF if i == j else ZERO) for j in range(n)]
           for i in range(n)]

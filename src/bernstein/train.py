@@ -5,7 +5,10 @@ The central verdicts here are symbolic: a generic element of the
 carrier gets one indeterminate per carrier basis vector, so "x^k = 0
 for all x in N" and "L_v is nilpotent for all v in V" are decided
 exactly, not by sampling.  Independent routes to the same verdict are
-always cross-checked against each other.
+always cross-checked against each other.  Operator nilpotency has one
+route, symbolic matrix powers up to the carrier dimension: exact,
+since a nilpotent n x n matrix has index at most n, and free of random
+points.
 
 Tree sums S_q (the sum of all full binary trees with q leaves evaluated
 at x) come from the bilinear recursion S_1 = x, S_q = sum of
@@ -19,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-import random
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
                    ideal_rows, left_mult_operator, ZERO, ONE, HALF)
 from .elements import train_polynomial
-from .multipoly import MultiPoly
 from .structure import adapted_table, is_bernstein, lyubich_ideal, peirce
 from .symbolic import IdentityCheck, check_identity, generic_element
 
@@ -194,48 +195,6 @@ def _nilpotency_index_of_matrix(m, bound):
     return None
 
 
-def _char_coeffs(m):
-    """Faddeev-LeVerrier characteristic coefficients c_1..c_n; all zero
-    iff the matrix is nilpotent (Cayley-Hamilton)."""
-    n = len(m)
-    coeffs = []
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        trace = mk[0][0]
-        for i in range(1, n):
-            trace = trace + mk[i][i]
-        ck = trace / k if isinstance(trace, MultiPoly) else Fraction(trace, k)
-        coeffs.append(ck)
-        if k < n:
-            shifted = [[mk[i][j] - ck if i == j else mk[i][j]
-                        for j in range(n)] for i in range(n)]
-            mk = linalg.mat_mul(m, shifted)
-    return coeffs
-
-
-def _generic_operator_nilpotent(table, matrix, var_names):
-    """Decide nilpotency of a symbolic matrix exactly.
-
-    Small matrices use characteristic coefficients; larger ones probe
-    rational points first (a non-nilpotent point is a sound refutation)
-    and then take symbolic powers, which terminate quickly in the
-    nilpotent case.
-    """
-    n = len(matrix)
-    if n == 0:
-        return True
-    if n <= 12:
-        return all(not c for c in _char_coeffs(matrix))
-    rng = random.Random(11)
-    for _ in range(3):
-        assignment = {name: Fraction(rng.randint(-9, 9)) for name in var_names}
-        concrete = [[c.evaluate(assignment) if isinstance(c, MultiPoly) else c
-                     for c in row] for row in matrix]
-        if _nilpotency_index_of_matrix(concrete, n) is None:
-            return False
-    return _nilpotency_index_of_matrix(matrix, n) is not None
-
-
 def operator_nilpotency_check(table, dec=None, carrier="U"):
     """Least p with L_v^p = 0 on the chosen carrier ("U" or "L(A)")
     for a generic element v of V, or None within the dimension bound."""
@@ -252,7 +211,7 @@ def operator_nilpotency_check(table, dec=None, carrier="U"):
     if not dec.v_basis:
         return 1
     v = generic_element(table, "v", restrict_to=dec.v_basis)
-    matrix = left_mult_operator(v, basis).matrix
+    matrix = left_mult_operator(v, basis)
     return _nilpotency_index_of_matrix(matrix, len(basis))
 
 
@@ -270,7 +229,7 @@ def engel_check(table, carrier=None):
             if not space.contains((ci * cj).coords):
                 raise AlgebraError("carrier is not closed under multiplication")
     x = generic_element(table, "g", restrict_to=carrier)
-    matrix = left_mult_operator(x, carrier).matrix
+    matrix = left_mult_operator(x, carrier)
     return _nilpotency_index_of_matrix(matrix, len(carrier))
 
 
@@ -342,14 +301,7 @@ def train_analysis(table):
                 break
             cur = y * cur - cur.scale(HALF * w)
 
-    dec = peirce(table)
-    if dec.u_basis and dec.v_basis:
-        v = generic_element(table, "v", restrict_to=dec.v_basis)
-        matrix = left_mult_operator(v, dec.u_basis).matrix
-        names = [f"v{i + 1}" for i in range(len(dec.v_basis))]
-        lv_nilpotent = _generic_operator_nilpotent(table, matrix, names)
-    else:
-        lv_nilpotent = True
+    lv_nilpotent = operator_nilpotency_check(table) is not None
 
     verdicts = {nil_index is not None, rank is not None, lv_nilpotent}
     if len(verdicts) != 1:
@@ -394,13 +346,13 @@ def locally_train_analysis(table):
 
 def check_lx_power_splitting(table, k_max=4):
     """Check L_x^(k+3) = L_v^k L_x^3 on the weight kernel for generic
-    x = u + v, for k = 0..k_max.  Returns the first failing check or a
-    passing one."""
+    x = u + v, for k = 0..k_max; an empty Peirce summand gives the zero
+    element.  Returns the first failing check or a passing one."""
     dec = peirce(table)
     nbasis = table.barideal_basis()
     if not nbasis:
         return IdentityCheck(True)
-    restrict = [dec.u_basis or None, dec.v_basis or None, nbasis]
+    restrict = [dec.u_basis, dec.v_basis, nbasis]
 
     for k in range(k_max + 1):
         def expr(u, v, y, _k=k):
@@ -415,46 +367,11 @@ def check_lx_power_splitting(table, k_max=4):
                 rhs = v * rhs
             return lhs - rhs
 
-        if dec.u_basis and dec.v_basis:
-            res = check_identity(table, expr, arity=3,
-                                 restrict=restrict, prefixes=("p", "q", "r"))
-        else:
-            res = _one_sided_splitting(table, dec, nbasis, k)
+        res = check_identity(table, expr, arity=3,
+                             restrict=restrict, prefixes=("p", "q", "r"))
         if not res:
             return res
     return IdentityCheck(True)
-
-
-def _one_sided_splitting(table, dec, nbasis, k):
-    """Splitting check when one Peirce summand is zero: with V = 0 the
-    right side collapses to zero for k >= 1, with U = 0 the identity is
-    L_v^(k+3) = L_v^k L_v^3."""
-    if dec.u_basis:
-        def expr(u, y, _k=k):
-            lhs = y
-            for _ in range(_k + 3):
-                lhs = u * lhs
-            if _k == 0:
-                rhs = y
-                for _ in range(3):
-                    rhs = u * rhs
-                return lhs - rhs
-            return lhs
-        return check_identity(table, expr, arity=2,
-                              restrict=[dec.u_basis, nbasis],
-                              prefixes=("p", "r"))
-
-    def expr(v, y, _k=k):
-        lhs = y
-        for _ in range(_k + 3):
-            lhs = v * lhs
-        rhs = y
-        for _ in range(_k + 3):
-            rhs = v * rhs
-        return lhs - rhs
-    return check_identity(table, expr, arity=2,
-                          restrict=[dec.v_basis, nbasis],
-                          prefixes=("q", "r"))
 
 
 @dataclass

@@ -186,6 +186,19 @@ def test_missing_file_is_input_error(capsys):
     assert rc == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("command", [("check",), ("groebner", "--max-deg", "3")],
+                         ids=["check", "groebner"])
+def test_malformed_file_is_input_error(tmp_path, capsys, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert err.endswith(")\n") and err.count("\n") == 1
+
+
 def test_internal_check_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "nt.json"
     save_algebra(catalog.example_not_train(), path)

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never
-uses, and none uses floating point: no float or complex literal and no
-use of the names ``float`` and ``complex``."""
+uses, none uses floating point (no float or complex literal and no use
+of the names ``float`` and ``complex``), and only ``symbolic`` imports
+``random``, for the seeded point of ``generic_degree``."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,24 @@ def test_modules_use_no_floats():
     found = [f"{path.name}:{line}: {what}"
              for path in modules for line, what in _float_uses(path)]
     assert not found, "floating point in the package:\n" + "\n".join(found)
+
+
+def _imports_random(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "random"
+                   for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "random":
+            return True
+    return False
+
+
+def test_only_symbolic_imports_random():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [path.name for path in modules
+             if path.name != "symbolic.py" and _imports_random(path)]
+    assert not found, "random imported outside symbolic.py: " + ", ".join(found)

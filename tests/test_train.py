@@ -149,6 +149,21 @@ def test_operator_nilpotency_rejects_a_non_invariant_carrier():
             operator_nilpotency_check(table, carrier=carrier)
 
 
+def test_operator_nilpotency_beyond_twelve_dimensional_u():
+    # U of dimension 13 and 14: the operator route takes symbolic powers
+    # up to dim U, and all three train routes must agree
+    for table in (catalog.shift_up_truncated(14),
+                  catalog.shift_down_truncated(14)):
+        report = train_analysis(table)
+        assert report.is_train and report.rank == 15
+        assert operator_nilpotency_check(table) == 14
+    for table in (catalog.free_single_truncated(16, [0] * 13 + [1]),
+                  catalog.free_single_truncated(15, [1] + [0] * 12)):
+        report = train_analysis(table)
+        assert not report.is_train and report.rank is None
+        assert operator_nilpotency_check(table) is None
+
+
 def test_engel_check():
     assert engel_check(catalog.zhevlakov_bernstein(4, 4)) == 3
     assert engel_check(catalog.shift_up_truncated(3)) == 3
@@ -186,6 +201,19 @@ def test_lx_power_splitting():
         assert check_lx_power_splitting(table, k_max=3)
     assert check_lx_power_splitting(catalog.constant_algebra())  # U = 0
     assert check_lx_power_splitting(catalog.elementary_algebra(2))  # V = 0
+
+
+def test_lx_power_splitting_fails_with_v_zero():
+    # not Bernstein, but peirce succeeds with U = span(u), V = 0; u^2 = u
+    # gives L_x^4 y = u for x = u, y = u, while L_v^1 L_x^3 y = 0
+    table = AlgebraTable.build(
+        ("e", "u"),
+        {("e", "e"): {"e": 1}, ("e", "u"): {"u": HALF}, ("u", "u"): {"u": 1}},
+        weight={"e": 1})
+    res = check_lx_power_splitting(table)
+    assert not res
+    assert res.witness_assignment == {"p1": 1, "r1": 1}
+    assert res.witness_value == table.element_from({"u": 1})
 
 
 def test_ideal_power_chain():
