@@ -15,8 +15,7 @@ from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
                    bilinear_product, ideal_rows, ZERO, HALF)
 from .elements import analyze_element
-from .groebner import (NcPoly, Presentation, buchberger_truncated,
-                       truncated_algebra_table)
+from .groebner import NcPoly, Presentation
 from .structure import is_bernstein
 
 
@@ -326,20 +325,6 @@ def kurosh_presentation():
     return nil_power_presentation(2, 3)
 
 
-def kurosh_algebra(max_degree=12, truncate_at=6):
-    """Full pipeline: complete the two-generator cube-zero relations,
-    truncate the quotient, and adjoin the baric structure with V
-    spanned by the generators.  Returns (state, assoc_table, algebra).
-    """
-    presentation = kurosh_presentation()
-    state = buchberger_truncated(presentation, max_degree)
-    ctable = truncated_algebra_table(state, truncate_at)
-    s_indices = [i for i, w in enumerate(ctable.words) if len(w) == 1]
-    algebra = from_associative(ctable, s_indices,
-                               name=f"kurosh(deg<={truncate_at})")
-    return state, ctable, algebra
-
-
 def quotient(table, ideal_basis, name=""):
     """Quotient by the span of the given elements, which must be an
     ideal; with a weight present the ideal must lie in the weight
@@ -351,7 +336,9 @@ def quotient(table, ideal_basis, name=""):
         raise AlgebraError("the given span is not an ideal")
     if table.has_weight and any(table.weight_of(v) for v in vectors):
         raise AlgebraError("ideal is not contained in the weight kernel")
-    kept = linalg.extend_with_standard(vectors, table.dim)
+    space = linalg.Subspace(vectors)
+    kept = [i for i, e in enumerate(linalg.identity_matrix(table.dim))
+            if space.add(e)]
     return table.change_basis(
         [table.basis_element(i).coords for i in kept],
         [table.labels[i] for i in kept],

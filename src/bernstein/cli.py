@@ -280,122 +280,83 @@ def cmd_groebner(args):
     return 0
 
 
-def cmd_kurosh_demo(args):
-    max_deg, trunc = args.max_deg, args.trunc
-    lines = []
-    payload = {"command": "kurosh_demo", "max_deg": max_deg, "trunc": trunc}
-    failed = False
+def _kurosh_steps(max_deg, trunc):
+    """The steps of ``kurosh-demo`` in order, each yielding (ok, detail,
+    extra); an AlgebraError ends the pipeline at the step that raised."""
+    state = groebner.buchberger_truncated(catalog.kurosh_presentation(),
+                                          max_deg)
+    yield state.is_groebner_as_given, (
+        f"{len(state.basis)} relations close below degree "
+        f"{state.complete_below} with {state.new_elements} new elements"), \
+        {"basis_size": len(state.basis)}
 
-    def step(label, fn):
-        nonlocal failed
-        if failed:
-            return None
+    x = groebner.NcPoly.word((0,))
+    y = groebner.NcPoly.word((1,))
+    cubes = groebner.nil_span_check(state, [x, y], 3)
+    squares = groebner.nil_span_check(state, [x, y], 2)
+    yield cubes and not squares, ("every element of span(x, y) cubes to "
+                                  "zero; squares do not all vanish"), \
+        {"cubes": cubes, "squares": squares}
+
+    counts = groebner.hilbert_counts(state, max_deg)
+    expected = [2 if d == 1 else (4 if d % 2 else 5) if d >= 3 else 4
+                for d in range(1, max_deg + 1)]
+    ok = counts == expected and all(
+        groebner.is_normal_word(state, (0, 1) * t)
+        for t in range(1, trunc + 1) if 2 * t < state.complete_below)
+    yield ok, (f"normal word counts {counts} match the alternating "
+               "pattern and (xy)^t stays normal"), {"counts": counts}
+
+    ctable = groebner.truncated_algebra_table(state, trunc)
+    ok = ctable.dim == sum(groebner.hilbert_counts(state, trunc))
+    yield ok, f"truncated algebra has dimension {ctable.dim}", \
+        {"dim": ctable.dim}
+
+    s_indices = [i for i, w in enumerate(ctable.words) if len(w) == 1]
+    algebra = catalog.from_associative(ctable, s_indices,
+                                       name=f"kurosh(deg<={trunc})")
+    dec = structure.peirce(algebra)
+    ok = algebra.dim == 1 + ctable.dim + len(s_indices) \
+        and dec.type_pair == (1 + ctable.dim, len(s_indices))
+    yield ok, (f"baric extension has dimension {algebra.dim} and "
+               f"type {dec.type_pair}"), {"dim": algebra.dim,
+                                          "type": list(dec.type_pair)}
+
+    report = train_mod.train_analysis(algebra)
+    expected = (1, parse_scalar("-3/2"), parse_scalar("1/2"),
+                parse_scalar("0"))
+    ok = (report.is_train and report.rank == 4
+          and report.train_coeffs == expected
+          and report.nil_index_N == 4 and report.operator_index == 3)
+    coeffs = [format_scalar(c) for c in report.train_coeffs]
+    yield ok, (f"train rank {report.rank} with coefficients "
+               f"({', '.join(coeffs)}); weight kernel nil index "
+               f"{report.nil_index_N}, operator index "
+               f"{report.operator_index}"), \
+        {"rank": report.rank, "coefficients": coeffs,
+         "nil_index": report.nil_index_N,
+         "operator_index": report.operator_index}
+
+
+def cmd_kurosh_demo(args):
+    lines = []
+    payload = {"command": "kurosh_demo", "max_deg": args.max_deg,
+               "trunc": args.trunc}
+    steps = _kurosh_steps(args.max_deg, args.trunc)
+    for label in ("completion", "nil_span", "hilbert", "truncation",
+                  "baric", "train"):
         try:
-            ok, detail, extra = fn()
+            ok, detail, extra = next(steps)
         except AlgebraError as exc:
             lines.append(f"FAIL {label}: {exc}")
             payload[label] = {"ok": False, "error": str(exc)}
-            failed = True
-            return None
+            break
         lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
         payload[label] = {"ok": ok, **extra}
         if not ok:
-            failed = True
-        return extra.get("value")
-
-    presentation = catalog.kurosh_presentation()
-
-    state_box = {}
-
-    def run_completion():
-        state = groebner.buchberger_truncated(presentation, max_deg)
-        state_box["state"] = state
-        ok = state.is_groebner_as_given
-        return ok, (f"{len(state.basis)} relations close below degree "
-                    f"{state.complete_below} with {state.new_elements} "
-                    "new elements"), {"basis_size": len(state.basis)}
-
-    step("completion", run_completion)
-
-    def run_nil_span():
-        state = state_box["state"]
-        x = groebner.NcPoly.word((0,))
-        y = groebner.NcPoly.word((1,))
-        cubes = groebner.nil_span_check(state, [x, y], 3)
-        squares = groebner.nil_span_check(state, [x, y], 2)
-        ok = cubes and not squares
-        return ok, ("every element of span(x, y) cubes to zero; "
-                    "squares do not all vanish"), {"cubes": cubes,
-                                                   "squares": squares}
-
-    step("nil_span", run_nil_span)
-
-    def run_hilbert():
-        state = state_box["state"]
-        counts = groebner.hilbert_counts(state, max_deg)
-        expected = [2 if d == 1 else (4 if d % 2 else 5) if d >= 3 else 4
-                    for d in range(1, max_deg + 1)]
-        ok = counts == expected
-        for t in range(1, trunc + 1):
-            if 2 * t >= state.complete_below:
-                break
-            if not groebner.is_normal_word(state, (0, 1) * t):
-                ok = False
-        return ok, (f"normal word counts {counts} match the alternating "
-                    "pattern and (xy)^t stays normal"), {"counts": counts}
-
-    step("hilbert", run_hilbert)
-
-    table_box = {}
-
-    def run_truncation():
-        state = state_box["state"]
-        ctable = groebner.truncated_algebra_table(state, trunc)
-        table_box["ctable"] = ctable
-        counts = groebner.hilbert_counts(state, trunc)
-        ok = ctable.dim == sum(counts)
-        return ok, f"truncated algebra has dimension {ctable.dim}", \
-            {"dim": ctable.dim}
-
-    step("truncation", run_truncation)
-
-    def run_baric():
-        ctable = table_box["ctable"]
-        s_indices = [i for i, w in enumerate(ctable.words) if len(w) == 1]
-        algebra = catalog.from_associative(ctable, s_indices,
-                                           name=f"kurosh(deg<={trunc})")
-        table_box["algebra"] = algebra
-        dec = structure.peirce(algebra)
-        ok = algebra.dim == 1 + ctable.dim + len(s_indices) \
-            and dec.type_pair == (1 + ctable.dim, len(s_indices))
-        return ok, (f"baric extension has dimension {algebra.dim} and "
-                    f"type {dec.type_pair}"), {"dim": algebra.dim,
-                                               "type": list(dec.type_pair)}
-
-    step("baric", run_baric)
-
-    def run_train():
-        algebra = table_box["algebra"]
-        report = train_mod.train_analysis(algebra)
-        op_index = train_mod.operator_nilpotency_check(algebra, carrier="U")
-        expected = (1, parse_scalar("-3/2"), parse_scalar("1/2"),
-                    parse_scalar("0"))
-        ok = (report.is_train and report.rank == 4
-              and report.train_coeffs == expected
-              and report.nil_index_N == 4 and op_index == 3)
-        coeff_text = ", ".join(format_scalar(c) for c in report.train_coeffs)
-        return ok, (f"train rank {report.rank} with coefficients "
-                    f"({coeff_text}); weight kernel nil index "
-                    f"{report.nil_index_N}, operator index {op_index}"), \
-            {"rank": report.rank,
-             "coefficients": [format_scalar(c) for c in report.train_coeffs],
-             "nil_index": report.nil_index_N,
-             "operator_index": op_index}
-
-    step("train", run_train)
-
+            break
     _emit(lines, payload, args.json)
-    return 1 if failed else 0
+    return 0 if payload[label]["ok"] else 1
 
 
 def build_parser():

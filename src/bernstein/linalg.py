@@ -15,8 +15,8 @@ family again: a caller with many questions about one family builds one
 of ``contains`` and ``coords`` may have entries in any commutative
 ring with a Fraction action (``MultiPoly``); they reduce against the
 same integer rows, divided by the row denominator.  ``closure`` grows
-one ``Subspace`` until it is closed under a product; the functions
-below it wrap one ``Subspace`` per call.
+one ``Subspace`` until it is closed under a product, and ``kernel``
+reads a nullspace basis off one ``Subspace``.
 """
 
 from __future__ import annotations
@@ -227,26 +227,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [row[0] for row in mat_mul(a, [[y] for y in v])]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def rref(m):
-    """Reduced row echelon form, zero rows last: (rows, pivot columns)."""
-    space = Subspace(m)
-    rows = space.rows()
-    rows += [[ZERO] * len(m[0]) for _ in range(len(m) - len(rows))]
-    return rows, sorted(space._rows)
-
-
-def rank(m):
-    return Subspace(m).rank
-
-
 def kernel(m, ncols=None):
     """Basis of the right nullspace of m, one vector per free column;
     ``ncols`` is needed only when m has no rows."""
@@ -263,46 +243,3 @@ def kernel(m, ncols=None):
                 v[p] = -row[f]
             basis.append(v)
     return basis
-
-
-def solve(m, b, zero=ZERO):
-    """One solution of m @ x = b, or None; free variables are set to
-    ``zero``, which also fixes the ring of the solution."""
-    return Subspace(transpose(m)).coords(b, zero=zero)
-
-
-def invert(m):
-    """Rows of m^-1: the coordinates of the unit vectors in the rows of m."""
-    space = Subspace(m)
-    if space.rank != len(m):
-        raise ValueError("matrix is singular")
-    return [space.coords(e) for e in identity_matrix(len(m))]
-
-
-def independent(vectors):
-    vectors = list(vectors)
-    return Subspace(vectors).rank == len(vectors)
-
-
-def express(basis_vectors, target, zero=ZERO):
-    """Coordinates of target in the given spanning family, or None; with
-    a dependent family, vectors that depend on earlier ones get 0."""
-    return Subspace(basis_vectors).coords(target, zero=zero)
-
-
-def span_contains(vectors, v):
-    return Subspace(vectors).contains(v)
-
-
-def span_equal(a, b):
-    return Subspace(a).rows() == Subspace(b).rows()
-
-
-def extend_with_standard(vectors, dim):
-    """Indices of standard basis vectors that complete the family to a
-    basis of the ambient space, chosen greedily in index order."""
-    space = Subspace(vectors)
-    added = [i for i, e in enumerate(identity_matrix(dim)) if space.add(e)]
-    if space.rank != dim:
-        raise ValueError("family does not extend to a basis")
-    return added

@@ -22,9 +22,8 @@ from .symbolic import IdentityCheck, check_identity
 def is_bernstein(table):
     """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table.
 
-    Run on ``adapted_table(table)`` when there is one (weight row with
-    several nonzero entries, a Peirce decomposition, not a relabelling);
-    a failure there is redone on the input basis for an input witness."""
+    Run on ``adapted_table(table)`` when there is one; a failure there
+    is redone on the input basis for an input witness."""
     if table.weight is None:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
@@ -45,13 +44,14 @@ def is_bernstein(table):
 
 def adapted_table(table):
     """``table`` rebuilt on the basis e, u1.., v1.. of ``peirce(table)``,
-    or None; cached.  None when there is no Peirce decomposition or the
-    weight row has one nonzero entry: the basis is then split as K b_i + N
-    already, and only then can a rebuild be a mere relabelling, since N
-    is spanned by basis vectors only then."""
+    or None; cached.  None when there is no Peirce decomposition, and
+    when the basis is adapted already, so that a rebuild would only
+    relabel it: the weight row is w_i at one position i, b_i b_i = w_i b_i
+    and each other b_i b_j is 0 or (w_i/2) b_j, so e = b_i/w_i and every
+    other basis vector lies in U or V.  That test reads dim products."""
     if "adapted" not in table._cache:
         table._cache["adapted"] = None
-        if table.weight is not None and sum(1 for w in table.weight if w) > 1:
+        if table.weight is not None and not _is_adapted(table):
             try:
                 dec = peirce(table)
             except AlgebraError:
@@ -59,6 +59,17 @@ def adapted_table(table):
             else:
                 table._cache["adapted"] = _on_adapted_basis(table, dec)
     return table._cache["adapted"]
+
+
+def _is_adapted(table):
+    support = [i for i, w in enumerate(table.weight) if w]
+    if len(support) != 1:
+        return False
+    i = support[0]
+    w = table.weight[i]
+    return table.product_vector(i, i) == {i: w} and all(
+        table.product_vector(i, j) in ({}, {j: w * HALF})
+        for j in range(table.dim) if j != i)
 
 
 def _on_adapted_basis(table, dec):
@@ -232,9 +243,8 @@ def classify(table):
     """Structure report: Bernstein, nuclear (U^2 = V), exceptional
     (U^2 = 0), Jordan, the annihilator ideal of U and the type.
 
-    The Bernstein and Jordan checks run on ``adapted_table(table)`` if any
-    (weight row with several nonzero entries, a Peirce decomposition, not a
-    relabelling); coordinates and witnesses are on the input basis."""
+    The Bernstein and Jordan checks run on ``adapted_table(table)`` if
+    any; coordinates and witnesses are on the input basis."""
     bern = is_bernstein(table)
     if not bern:
         return StructureReport(False, bernstein_witness=bern)
@@ -245,7 +255,8 @@ def classify(table):
            for i, ui in enumerate(dec.u_basis) for uj in dec.u_basis[i:]]
     usq_vectors = [list(p.coords) for p in usq if p]
     v_vectors = [list(v.coords) for v in dec.v_basis]
-    nuclear = linalg.span_equal(usq_vectors, v_vectors)
+    nuclear = linalg.Subspace(usq_vectors).rows() == \
+        linalg.Subspace(v_vectors).rows()
     exceptional = not usq_vectors
 
     jid = bool(_jordan_by_identity(jtable))

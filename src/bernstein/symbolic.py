@@ -179,7 +179,7 @@ def generic_degree(table, seed=0):
     for _ in range(5):
         assignment = {n: Fraction(rng.randint(-50, 50)) for n in names}
         concrete = [[c.evaluate(assignment) for c in row] for row in rows]
-        r_eval = linalg.rank(concrete)
+        r_eval = linalg.Subspace(concrete).rank
         if r_eval > r_sym:
             raise InternalCheckError("evaluation rank exceeds symbolic rank")
         if r_eval == r_sym:

@@ -242,12 +242,18 @@ def generic_nil_index(table, carrier, bound=None):
     if bound is None:
         bound = len(carrier) + 2
     x = generic_element(table, "n", restrict_to=carrier)
-    power = x
+    return _principal_chain(x, bound)[1]
+
+
+def _principal_chain(x, bound):
+    """([x, x^2, ..., x^k], k) for the least k in 2..bound with x^k = 0,
+    else ([x, x^2, ..., x^bound], None)."""
+    powers = [x]
     for k in range(2, bound + 1):
-        power = power * x
-        if power.is_zero():
-            return k
-    return None
+        powers.append(powers[-1] * x)
+        if powers[-1].is_zero():
+            return powers, k
+    return powers, None
 
 
 @dataclass
@@ -259,6 +265,7 @@ class TrainReport:
     nil_index_N: int | None
     is_locally_train: bool
     bounds: dict
+    operator_index: int | None = None
 
 
 def _train_gamma_formula(rank):
@@ -276,9 +283,8 @@ def train_analysis(table):
     generic barideal element, the f_r identity sweep on a fully generic
     element, and nilpotency of generic multiplication operators V -> U.
 
-    All three run on ``adapted_table(table)`` if any (weight row with
-    several nonzero entries, a Peirce decomposition, not a relabelling);
-    the report holds no coordinates."""
+    All three run on ``adapted_table(table)`` if any; the report holds
+    no coordinates."""
     if not is_bernstein(table):
         raise AlgebraError("train analysis needs a Bernstein algebra")
     if (adapted := adapted_table(table)) is not None:
@@ -301,14 +307,14 @@ def train_analysis(table):
                 break
             cur = y * cur - cur.scale(HALF * w)
 
-    lv_nilpotent = operator_nilpotency_check(table) is not None
+    op_index = operator_nilpotency_check(table)
 
-    verdicts = {nil_index is not None, rank is not None, lv_nilpotent}
+    verdicts = {nil_index is not None, rank is not None, op_index is not None}
     if len(verdicts) != 1:
         raise InternalCheckError(
             "train analysis routes disagree: "
             f"nil={nil_index is not None} rank={rank is not None} "
-            f"operators={lv_nilpotent}")
+            f"operators={op_index is not None}")
     is_train = nil_index is not None
 
     train_coeffs = None
@@ -335,6 +341,7 @@ def train_analysis(table):
         is_locally_train=is_train,
         bounds={"nil_search_bound": nil_bound,
                 "rank_search_bound": rank_bound},
+        operator_index=op_index,
     )
 
 
@@ -387,9 +394,8 @@ def engel_yagzhev_report(table, carrier=None):
     """Bounded nil index, Engel index and tree-sum verification on a
     carrier with (x^2)^2 = 0; the three verdicts must agree.
 
-    With the default carrier it runs on ``adapted_table(table)`` if any
-    (weight row with several nonzero entries, a Peirce decomposition, not a
-    relabelling); the report holds no coordinates."""
+    With the default carrier it runs on ``adapted_table(table)`` if any;
+    the report holds no coordinates."""
     if carrier is None and (adapted := adapted_table(table)) is not None:
         return engel_yagzhev_report(adapted)
     carrier = _default_carrier(table, carrier)
@@ -399,21 +405,18 @@ def engel_yagzhev_report(table, carrier=None):
     if not _sq_sq_zero(table, carrier):
         return EngelYagzhevReport(False, None, None, None, bounds)
 
-    nil_index = generic_nil_index(table, carrier)
+    x = generic_element(table, "n", restrict_to=carrier)
+    powers, nil_index = _principal_chain(x, len(carrier) + 2)
     engel_index = engel_check(table, carrier)
 
-    x = generic_element(table, "n", restrict_to=carrier)
     q_max = max(6, nil_index or 0)
     bounds["yagzhev_max_leaves"] = q_max
     sums = _tree_sums(x, q_max)
     yagzhev = None
     if nil_index is not None:
-        power = x
+        # x^q = 0 for every q from the nil index on
         for q in range(2, q_max + 1):
-            power = power * x
-            _check_tree_sum(sums[q - 1], power, q)
-            if q >= nil_index and power:
-                raise InternalCheckError("x^q nonzero at and beyond the nil index")
+            _check_tree_sum(sums[q - 1], powers[min(q, nil_index) - 1], q)
         yagzhev = q_max
     elif any(total.is_zero() for total in sums[1:]):
         raise InternalCheckError(

@@ -15,7 +15,7 @@ from bernstein.core import HALF, UnivariatePoly
 from bernstein.elements import (analyze_element, minimal_poly_form_check,
                                 singly_generated_subalgebra, train_polynomial)
 from bernstein.groebner import buchberger_truncated, is_normal_word
-from bernstein.linalg import span_contains
+from bernstein.linalg import Subspace
 from bernstein.structure import classify, idempotent_family, lyubich_ideal, peirce
 from bernstein.symbolic import generic_degree, generic_element
 from bernstein.train import (check_lx_power_splitting, engel_yagzhev_report,
@@ -173,9 +173,9 @@ def test_criterion_09_randomised_identity_suites():
         u2 = rand_combination(dec.u_basis, rng) if dec.u_basis else zero
         v1 = rand_combination(dec.v_basis, rng) if dec.v_basis else zero
         v2 = rand_combination(dec.v_basis, rng) if dec.v_basis else zero
-        assert span_contains(vvecs, list((u1 * u2).coords))
-        assert span_contains(uvecs, list((u1 * v1).coords))
-        assert span_contains(uvecs, list((v1 * v2).coords))
+        assert Subspace(vvecs).contains(list((u1 * u2).coords))
+        assert Subspace(uvecs).contains(list((u1 * v1).coords))
+        assert Subspace(uvecs).contains(list((v1 * v2).coords))
         assert (u1 * (u1 * u1)).is_zero()
         assert (u1 * (u1 * v1)).is_zero()
         assert ((u1 * u1) * (u1 * v1)).is_zero()

@@ -1,11 +1,13 @@
 """Symbolic verdicts on the Peirce-adapted table (``structure.adapted_table``).
 
 A twin is a table rebuilt on a seeded unimodular basis; it is isomorphic
-to its native table, so every verdict must agree, and its weight row has
-several nonzero entries, so the verdicts run on its adapted table.
+to its native table, so every verdict must agree, and its basis is not
+adapted to a Peirce decomposition, so the verdicts run on its adapted
+table.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,8 +50,8 @@ def test_verdicts_do_not_depend_on_the_basis():
                                       for k in range(1, native.dim)]
             twin, p = _twin(native, seed)
             want = _verdicts(native, coords)
-            assert _verdicts(twin, linalg.express(p, coords)) == want, \
-                native.name
+            mapped = linalg.Subspace(p).coords(coords)
+            assert _verdicts(twin, mapped) == want, native.name
             assert native._cache["adapted"] is None
             adapted = twin._cache["adapted"]
             assert _single_entry_weight(adapted)
@@ -73,6 +75,40 @@ def test_dense_free_single_ten():
         ("e",) + tuple(f"u{i}" for i in range(1, 9)) + ("v1",)
     assert train_analysis(twin).rank == 11
     assert classify(twin).type_pair == (9, 1)
+
+
+def _kernel_twin(native, seed):
+    """The native table on a seeded dense unimodular basis change of the
+    weight kernel, the first basis vector kept, and the matrix of that
+    basis: one nonzero weight entry, but kernel vectors that mix U and V."""
+    rng = random.Random(seed)
+    m = native.dim - 1
+    lower = [[1 if i == j else rng.choice((-2, -1, 1, 2)) if j < i else 0
+              for j in range(m)] for i in range(m)]
+    upper = [[1 if i == j else rng.choice((-2, -1, 1, 2)) if j > i else 0
+              for j in range(m)] for i in range(m)]
+    p = [[1] + [0] * m] + [
+        [0] + [sum(lower[i][t] * upper[t][j] for t in range(m))
+               for j in range(m)] for i in range(m)]
+    return native.change_basis(p, native.labels, name="twin"), p
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_weight_kernel_twins_use_the_adapted_table(n):
+    native = catalog.free_single_truncated(n)
+    twin, p = _kernel_twin(native, n)
+    assert _single_entry_weight(twin)
+    start = time.perf_counter()
+    train_analysis(twin)
+    elapsed = time.perf_counter() - start
+    assert twin._cache["adapted"] is not None
+    if n == 8:
+        assert elapsed < 1    # about 2 s on the input basis
+    coords = [Fraction(1)] + [Fraction(k % 3 - 1, 1 + k % 2)
+                              for k in range(1, n)]
+    mapped = linalg.Subspace(p).coords(coords)
+    assert _verdicts(twin, mapped) == _verdicts(native, coords)
+    assert native._cache["adapted"] is None
 
 
 def test_refuted_identity_gets_the_input_basis_witness():

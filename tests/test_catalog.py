@@ -184,8 +184,10 @@ def test_from_associative_truncated_power_algebras():
 
 
 def test_kurosh_pipeline():
-    state, ctable, algebra = catalog.kurosh_algebra(max_degree=12,
-                                                    truncate_at=6)
+    state = buchberger_truncated(catalog.kurosh_presentation(), 12)
+    ctable = truncated_algebra_table(state, 6)
+    s_indices = [i for i, w in enumerate(ctable.words) if len(w) == 1]
+    algebra = catalog.from_associative(ctable, s_indices)
     assert state.complete_below == 13
     assert ctable.dim == 24
     assert algebra.dim == 27

@@ -181,6 +181,95 @@ def test_kurosh_demo_shallow_bound_fails(capsys):
                            if line.startswith(("PASS", "FAIL"))]
 
 
+# kurosh-demo exit code and stdout, byte for byte: passing bounds, a
+# completion and a truncation that raise, and a train step that fails
+# without raising
+KUROSH_DEMO_RUNS = [
+    ((), 0, (
+        "PASS completion: 4 relations close below degree 13 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4, 5, 4, 5, 4, 5, 4, 5, "
+        "4, 5] match the alternating pattern and (xy)^t stays normal\n"
+        "PASS truncation: truncated algebra has dimension 24\n"
+        "PASS baric: baric extension has dimension 27 and type (25, 2)\n"
+        "PASS train: train rank 4 with coefficients (1, -3/2, 1/2, 0); "
+        "weight kernel nil index 4, operator index 3\n"
+    )),
+    (("--json",), 0, (
+        "PASS completion: 4 relations close below degree 13 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4, 5, 4, 5, 4, 5, 4, 5, "
+        "4, 5] match the alternating pattern and (xy)^t stays normal\n"
+        "PASS truncation: truncated algebra has dimension 24\n"
+        "PASS baric: baric extension has dimension 27 and type (25, 2)\n"
+        "PASS train: train rank 4 with coefficients (1, -3/2, 1/2, 0); "
+        "weight kernel nil index 4, operator index 3\n"
+        '{"baric": {"dim": 27, "ok": true, "type": [25, 2]}, "command": '
+        '"kurosh_demo", "completion": {"basis_size": 4, "ok": true}, '
+        '"hilbert": {"counts": [2, 4, 4, 5, 4, 5, 4, 5, 4, 5, 4, 5], '
+        '"ok": true}, "max_deg": 12, "nil_span": {"cubes": true, "ok": '
+        'true, "squares": false}, "train": {"coefficients": ["1", "-3/2", '
+        '"1/2", "0"], "nil_index": 4, "ok": true, "operator_index": 3, '
+        '"rank": 4}, "trunc": 6, "truncation": {"dim": 24, "ok": true}}\n'
+    )),
+    (("--max-deg", "2"), 1, (
+        "FAIL completion: degree bound 2 is below the relation degree 3\n"
+    )),
+    (("--max-deg", "3"), 1, (
+        "PASS completion: 4 relations close below degree 4 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4] match the alternating "
+        "pattern and (xy)^t stays normal\n"
+        "FAIL truncation: completeness bound insufficient for truncation "
+        "at 6 (complete below 4)\n"
+    )),
+    (("--max-deg", "5", "--trunc", "2", "--json"), 1, (
+        "PASS completion: 4 relations close below degree 6 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4, 5, 4] match the "
+        "alternating pattern and (xy)^t stays normal\n"
+        "PASS truncation: truncated algebra has dimension 6\n"
+        "PASS baric: baric extension has dimension 9 and type (7, 2)\n"
+        "FAIL train: train rank 3 with coefficients (1, -1, 0); weight "
+        "kernel nil index 3, operator index 2\n"
+        '{"baric": {"dim": 9, "ok": true, "type": [7, 2]}, "command": '
+        '"kurosh_demo", "completion": {"basis_size": 4, "ok": true}, '
+        '"hilbert": {"counts": [2, 4, 4, 5, 4], "ok": true}, "max_deg": '
+        '5, "nil_span": {"cubes": true, "ok": true, "squares": false}, '
+        '"train": {"coefficients": ["1", "-1", "0"], "nil_index": 3, '
+        '"ok": false, "operator_index": 2, "rank": 3}, "trunc": 2, '
+        '"truncation": {"dim": 6, "ok": true}}\n'
+    )),
+    (("--max-deg", "4", "--trunc", "3"), 0, (
+        "PASS completion: 4 relations close below degree 5 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4, 5] match the "
+        "alternating pattern and (xy)^t stays normal\n"
+        "PASS truncation: truncated algebra has dimension 10\n"
+        "PASS baric: baric extension has dimension 13 and type (11, 2)\n"
+        "PASS train: train rank 4 with coefficients (1, -3/2, 1/2, 0); "
+        "weight kernel nil index 4, operator index 3\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", KUROSH_DEMO_RUNS,
+                         ids=[" ".join(run[0]) or "default"
+                              for run in KUROSH_DEMO_RUNS])
+def test_kurosh_demo_output_is_pinned(capsys, argv, code, stdout):
+    assert run(capsys, "kurosh-demo", *argv) == (code, stdout, "")
+
+
 def test_missing_file_is_input_error(capsys):
     rc, _, err = run(capsys, "check", "/no/such/file.json")
     assert rc == 1 and "error:" in err

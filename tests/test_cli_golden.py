@@ -98,8 +98,8 @@ def cli_runs(workdir):
         commands = [["check"], ["train"], ["engel"]]
         for first in (1, 0):
             coords = [first] + [1] * (native.dim - 1)
-            commands.append(["element", _spec(twin.labels,
-                                              linalg.express(p, coords))])
+            commands.append(["element", _spec(
+                twin.labels, linalg.Subspace(p).coords(coords))])
         for command in commands:
             for extra in ([], ["--json"]):
                 argv = [command[0], path] + command[1:] + extra

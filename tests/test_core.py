@@ -157,7 +157,8 @@ def test_bilinear_product_matches_operator():
             bilinear_product(table, list(x.coords), list(y.coords), ZERO))
         assert direct == x * y
         op = left_mult_operator(x, carrier)
-        assert table.element(linalg.mat_vec(op, list(y.coords))) == x * y
+        assert table.element([row[0] for row in linalg.mat_mul(
+            op, [[c] for c in y.coords])]) == x * y
 
 
 def test_operator_algebra():
@@ -223,7 +224,8 @@ def _rebased(table, rng):
     for a in range(n):
         for b in range(a, n):
             image = list((basis[a] * basis[b]).coords)
-            products[(a, b)] = dict(enumerate(linalg.express(vectors, image)))
+            products[(a, b)] = dict(enumerate(
+                linalg.Subspace(vectors).coords(image)))
     return AlgebraTable(table.labels, products)
 
 

@@ -1,10 +1,13 @@
 """Source hygiene: no module of the package imports a name it never
 uses, none uses floating point (no float or complex literal and no use
-of the names ``float`` and ``complex``), and only ``symbolic`` imports
-``random``, for the seeded point of ``generic_degree``."""
+of the names ``float`` and ``complex``), only ``symbolic`` imports
+``random``, for the seeded point of ``generic_degree``, and every public
+function has a caller in the package or is exported."""
 
 import ast
 from pathlib import Path
+
+import bernstein
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bernstein"
 
@@ -72,3 +75,29 @@ def test_only_symbolic_imports_random():
     found = [path.name for path in modules
              if path.name != "symbolic.py" and _imports_random(path)]
     assert not found, "random imported outside symbolic.py: " + ", ".join(found)
+
+
+# Documented entry points that the package itself never calls.
+ENTRY_POINTS = {"catalog.quotient", "catalog.subalgebra",
+                "fileformat.save_presentation"}
+
+
+def test_public_functions_are_used_or_exported():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = [f"{module}.{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and node.name not in referenced
+              and node.name not in bernstein.__all__
+              and f"{module}.{node.name}" not in ENTRY_POINTS]
+    assert not unused, "public functions without a caller:\n" + \
+        "\n".join(unused)

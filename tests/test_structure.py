@@ -139,10 +139,11 @@ def test_lyubich_containments():
         if dec.v_basis:
             v1 = rand_combination(dec.v_basis, rng)
             v2 = rand_combination(dec.v_basis, rng)
-            assert linalg.span_contains(lvecs, list((v1 * v2).coords))
+            assert linalg.Subspace(lvecs).contains(list((v1 * v2).coords))
             if dec.u_basis:
                 u = rand_combination(dec.u_basis, rng)
-                assert linalg.span_contains(lvecs, list((v1 * (v1 * u)).coords))
+                assert linalg.Subspace(lvecs).contains(
+                    list((v1 * (v1 * u)).coords))
 
 
 def test_quotient_by_lyubich_is_jordan():
