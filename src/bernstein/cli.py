@@ -113,7 +113,7 @@ def cmd_element(args):
                      + ("expected for the degree" if form_ok else "unexpected"))
         payload["minimal_poly_shape_ok"] = form_ok
         if w:
-            rank = elements.train_element_rank(a)
+            rank = analysis.train_rank()
             if rank is None:
                 lines.append("train equation: none within the search bound")
             else:

@@ -22,6 +22,7 @@ builds one Fraction per nonzero output coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from . import linalg
@@ -399,10 +400,7 @@ class Element:
         """Principal (right) power: x^(k+1) = x^k * x."""
         if not isinstance(k, int) or k < 1:
             raise AlgebraError("principal powers need an integer exponent >= 1")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+        return next(islice(_power_chain(self), k - 1, None))
 
     def weight(self):
         """w(x), in the coordinate ring."""
@@ -472,15 +470,19 @@ def _lifted(coords):
     return [MultiPoly.const(c) for c in coords]
 
 
+def _power_chain(x):
+    """x, x^2, x^3, ... with right powers x^(k+1) = x^k * x, one product
+    each and none before it is asked for; the caller decides where the
+    chain stops.  x is an Element over Q or over Q[t...]."""
+    power = x
+    while True:
+        yield power
+        power = power * x
+
+
 def principal_powers(x, k_max):
-    """[x, x^2, ..., x^k_max] with right powers; x is an Element over Q
-    or over Q[t...], the one element class."""
-    if k_max < 1:
-        return []
-    powers = [x]
-    for _ in range(k_max - 1):
-        powers.append(powers[-1] * x)
-    return powers
+    """[x, x^2, ..., x^k_max] with right powers."""
+    return list(islice(_power_chain(x), max(k_max, 0)))
 
 
 def left_mult_operator(x, carrier):

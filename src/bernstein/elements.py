@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   UnivariatePoly, ZERO, ONE, HALF)
+                   UnivariatePoly, _power_chain, ZERO, ONE, HALF)
 from .structure import is_bernstein
 
 
@@ -27,6 +28,31 @@ class ElementAnalysis:
     @property
     def is_right_nilpotent(self):
         return self.right_nil_index is not None
+
+    def train_rank(self):
+        """Least m in 3..dim + 2 with f_m(a) = 0, or None.
+
+        When found and deg(a) >= 2, the minimal polynomial is checked to
+        equal the expanded train form; for smaller degrees it must divide
+        it.
+        """
+        a = self.element
+        w = a.weight()
+        if not w:
+            raise AlgebraError("train element analysis needs nonzero weight")
+        forms = islice(_train_forms(a), 1, None)
+        rank = next((m for m, f in zip(range(3, a.algebra.dim + 3), forms)
+                     if f.is_zero()), None)
+        if rank is not None and _gamma1_applies(a.algebra):
+            expected = train_polynomial(rank, w)
+            if self.degree >= 2:
+                if self.minimal_poly != expected:
+                    raise InternalCheckError(
+                        "train element minimal polynomial mismatch")
+            elif not expected.divisible_by(self.minimal_poly):
+                raise InternalCheckError(
+                    "train form is not a multiple of the minimal polynomial")
+        return rank
 
 
 def _gamma1_applies(table):
@@ -43,15 +69,14 @@ def analyze_element(a):
     table = a.algebra
     if a.is_zero():
         return ElementAnalysis(a, 0, UnivariatePoly.x(), [], 2)
-    powers = [a]
-    space = linalg.Subspace([a.coords])
-    while True:
-        nxt = powers[-1] * a
-        if not space.add(nxt.coords):
-            # nxt is the last input and dependent, so its coordinate is 0
-            coords = space.coords(nxt.coords)[:-1]
+    powers = []
+    space = linalg.Subspace()
+    for power in _power_chain(a):
+        if not space.add(power.coords):
+            # power is the last input and dependent, so its coordinate is 0
+            coords = space.coords(power.coords)[:-1]
             break
-        powers.append(nxt)
+        powers.append(power)
         if len(powers) > table.dim:
             raise InternalCheckError("power independence beyond the dimension")
     m = len(powers)
@@ -96,16 +121,25 @@ def minimal_poly_form_check(analysis):
     return p.divisible_by(cubic)
 
 
+def _train_forms(a):
+    """f_2(a), f_3(a), f_4(a), ... with f_2 = a^2 - w a, f_3 = a f_2 and
+    f_(k+1) = a f_k - (w/2) f_k, one product each and none before it is
+    asked for.  By commutativity a f_2 = a^3 - w a^2 exactly."""
+    w = a.weight()
+    form = a * a - a.scale(w)
+    yield form
+    form = a * form
+    while True:
+        yield form
+        form = a * form - form.scale(HALF * w)
+
+
 def train_f(a, k):
     """f_3(x) = x^3 - w(x) x^2 and f_(k+1)(x) = x f_k(x) - w(x)/2 f_k(x);
     accepts concrete and symbolic elements."""
     if not isinstance(k, int) or k < 3:
         raise AlgebraError("train polynomials start at k = 3")
-    w = a.weight()
-    cur = a ** 3 - (a ** 2).scale(w)
-    for _ in range(k - 3):
-        cur = a * cur - cur.scale(HALF * w)
-    return cur
+    return next(islice(_train_forms(a), k - 2, None))
 
 
 def train_polynomial(rank, w=ONE):
@@ -117,34 +151,10 @@ def train_polynomial(rank, w=ONE):
     return (x ** 3 - w * x ** 2) * (x - UnivariatePoly([HALF * w])) ** (rank - 3)
 
 
-def train_element_rank(a, search_bound=None):
-    """Least m >= 3 with f_m(a) = 0, or None below the search bound.
-
-    When found and deg(a) >= 2, the minimal polynomial is checked to
-    equal the expanded train form; for smaller degrees it must divide
-    it.
-    """
-    w = a.weight()
-    if not w:
-        raise AlgebraError("train element analysis needs nonzero weight")
-    bound = a.algebra.dim + 2 if search_bound is None else search_bound
-    cur = train_f(a, 3)
-    for m in range(3, bound + 1):
-        if cur.is_zero():
-            if _gamma1_applies(a.algebra):
-                analysis = analyze_element(a)
-                expected = train_polynomial(m, w)
-                if analysis.degree >= 2:
-                    if analysis.minimal_poly != expected:
-                        raise InternalCheckError(
-                            "train element minimal polynomial mismatch")
-                elif not expected.divisible_by(analysis.minimal_poly):
-                    raise InternalCheckError(
-                        "train form is not a multiple of the minimal "
-                        "polynomial")
-            return m
-        cur = a * cur - cur.scale(HALF * w)
-    return None
+def train_element_rank(a):
+    """Least m in 3..dim + 2 with f_m(a) = 0, or None; see
+    ``ElementAnalysis.train_rank``."""
+    return analyze_element(a).train_rank()
 
 
 def singly_generated_subalgebra(a):
@@ -162,14 +172,15 @@ def singly_generated_subalgebra(a):
         raise AlgebraError("generator must have weight 1")
     if not is_bernstein(table):
         raise AlgebraError("ambient algebra is not Bernstein")
-    n = analyze_element(a).degree
+    analysis = analyze_element(a)
+    n = analysis.degree
 
     if n == 1:
         out = AlgebraTable.build(("e",), {("e", "e"): {"e": 1}},
                                  weight={"e": 1}, name="alg(a)")
         return out, [a]
 
-    e = a ** 2
+    e = analysis.power_basis[1]
     if n == 2:
         v1 = a - e
         for claim, value in ((  # sanity on the ambient products
@@ -180,7 +191,7 @@ def singly_generated_subalgebra(a):
                                  weight={"e": 1}, name="alg(a)")
         return out, [e, v1]
 
-    a3 = a ** 3
+    a3 = analysis.power_basis[2]
     u = [a3 - e]
     v1 = a + e - a3.scale(2)
     for _ in range(n - 3):

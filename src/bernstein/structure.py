@@ -62,14 +62,21 @@ def adapted_table(table):
 
 
 def _is_adapted(table):
+    """Each basis vector's kind, "e" (one of them), "u" or "v", when the
+    basis is adapted; else None."""
     support = [i for i, w in enumerate(table.weight) if w]
     if len(support) != 1:
-        return False
+        return None
     i = support[0]
     w = table.weight[i]
-    return table.product_vector(i, i) == {i: w} and all(
-        table.product_vector(i, j) in ({}, {j: w * HALF})
-        for j in range(table.dim) if j != i)
+    if table.product_vector(i, i) != {i: w}:
+        return None
+    kinds = []
+    for j in range(table.dim):
+        p = table.product_vector(i, j)
+        kinds.append("e" if j == i else "v" if not p
+                     else "u" if p == {j: w * HALF} else None)
+    return None if None in kinds else kinds
 
 
 def _on_adapted_basis(table, dec):
@@ -276,17 +283,16 @@ def classify(table):
     )
 
 
-def zero_v_squared(table, dec=None):
+def zero_v_squared(table):
     """The same multiplication with every V x V product replaced by
-    zero, rebuilt on a basis adapted to the decomposition; the result
-    is verified to be Bernstein."""
-    if dec is None:
-        dec = peirce(table)
-    base = table
-    kinds = _pure_basis_positions(table, dec)
+    zero, on ``adapted_table(table)`` or, when the basis is adapted
+    already, on the input basis; the result is verified to be
+    Bernstein."""
+    base = adapted_table(table) or table
+    kinds = _is_adapted(base) if base.weight is not None else None
     if kinds is None:
-        base = _on_adapted_basis(table, dec)
-        kinds = ["e"] + ["u"] * len(dec.u_basis) + ["v"] * len(dec.v_basis)
+        peirce(table)  # raises when there is no Peirce decomposition
+        raise InternalCheckError("adapted table fails the adaptedness test")
     vset = {i for i, kind in enumerate(kinds) if kind == "v"}
     products = {(i, j): vec for (i, j), vec in base.product_items()
                 if i not in vset or j not in vset}
@@ -298,16 +304,3 @@ def zero_v_squared(table, dec=None):
             "zeroing V x V products did not leave a Bernstein algebra")
     return out
 
-
-def _pure_basis_positions(table, dec):
-    """If every basis vector lies in Ke, U or V, return its kind per
-    position ("e"/"u"/"v"); otherwise None."""
-    kinds = []
-    for i in range(table.dim):
-        b = table.basis_element(i)
-        alpha, uc, vc = dec.adapted_coords(b)
-        flags = (bool(alpha), any(uc), any(vc))
-        if sum(flags) != 1:
-            return None
-        kinds.append("e" if flags[0] else ("u" if flags[1] else "v"))
-    return kinds

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import AlgebraError, Element, InternalCheckError, principal_powers
+from .core import (AlgebraError, Element, InternalCheckError, _power_chain,
+                   principal_powers)
 from .multipoly import MultiPoly
 
 import random
@@ -148,10 +149,9 @@ def _point_degree(table, rng):
     x = table.element([Fraction(rng.randint(-50, 50))
                        for _ in range(table.dim)])
     space = linalg.Subspace()
-    power = x
-    while space.add(power.coords) and space.rank < table.dim:
-        power = power * x
-    return space.rank
+    for power in _power_chain(x):
+        if not space.add(power.coords) or space.rank == table.dim:
+            return space.rank
 
 
 def generic_degree(table, seed=0):

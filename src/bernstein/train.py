@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
-                   ideal_rows, left_mult_operator, ZERO, ONE, HALF)
-from .elements import train_polynomial
+                   _power_chain, ideal_rows, left_mult_operator, ZERO, ONE)
+from .elements import _train_forms, train_polynomial
 from .structure import adapted_table, is_bernstein, lyubich_ideal, peirce
 from .symbolic import IdentityCheck, check_identity, generic_element
 
@@ -109,8 +110,15 @@ def _sq_sq_zero(table, carrier):
     return cached
 
 
-def _in_span(carrier, element):
-    return linalg.Subspace(c.coords for c in carrier).contains(element.coords)
+def _check_carrier(a, carrier):
+    """Check that the carrier (default: the barideal) satisfies
+    (x^2)^2 = 0 and that its span contains a."""
+    table = a.algebra
+    carrier = _default_carrier(table, carrier)
+    if not _sq_sq_zero(table, carrier):
+        raise AlgebraError("carrier does not satisfy (x^2)^2 = 0")
+    if not linalg.Subspace(c.coords for c in carrier).contains(a.coords):
+        raise AlgebraError("element is not in the carrier span")
 
 
 def parenthesized_powers(a, m, carrier=None):
@@ -122,12 +130,7 @@ def parenthesized_powers(a, m, carrier=None):
     evaluate to zero.  m is capped at MAX_ENUMERATED_LEAVES.
     """
     trees = full_trees(m)
-    table = a.algebra
-    carrier = _default_carrier(table, carrier)
-    if not _sq_sq_zero(table, carrier):
-        raise AlgebraError("carrier does not satisfy (x^2)^2 = 0")
-    if not _in_span(carrier, a):
-        raise AlgebraError("element is not in the carrier span")
+    _check_carrier(a, carrier)
     cache = {}
     out = {}
     for tree in trees:
@@ -165,12 +168,7 @@ def tree_power_sum(a, q, carrier=None):
     power a^q is the independent route it is checked against."""
     if not isinstance(q, int) or q < 2:
         raise AlgebraError("tree power sums start at q = 2")
-    table = a.algebra
-    carrier = _default_carrier(table, carrier)
-    if not _sq_sq_zero(table, carrier):
-        raise AlgebraError("carrier does not satisfy (x^2)^2 = 0")
-    if not _in_span(carrier, a):
-        raise AlgebraError("element is not in the carrier span")
+    _check_carrier(a, carrier)
     total = _tree_sums(a, q)[-1]
     _check_tree_sum(total, a ** q, q)
     return total
@@ -195,11 +193,10 @@ def _nilpotency_index_of_matrix(m, bound):
     return None
 
 
-def operator_nilpotency_check(table, dec=None, carrier="U"):
+def operator_nilpotency_check(table, carrier="U"):
     """Least p with L_v^p = 0 on the chosen carrier ("U" or "L(A)")
     for a generic element v of V, or None within the dimension bound."""
-    if dec is None:
-        dec = peirce(table)
+    dec = peirce(table)
     if carrier == "U":
         basis = dec.u_basis
     elif carrier == "L(A)":
@@ -217,43 +214,35 @@ def operator_nilpotency_check(table, dec=None, carrier="U"):
 
 def engel_check(table, carrier=None):
     """Least p with L_x^p = 0 on the carrier for a generic carrier
-    element x, or None; the carrier must be closed under products."""
+    element x, or None; the carrier must be closed under products.
+
+    ``left_mult_operator`` checks that the carrier is independent and
+    invariant under L_x; for generic x = sum t_i c_i that invariance is
+    closure, since x c_j lies in the span for all t exactly when every
+    c_i c_j does."""
     carrier = _default_carrier(table, carrier)
     if not carrier:
         return 0
-    space = linalg.Subspace(c.coords for c in carrier)
-    if space.rank != len(carrier):
-        raise AlgebraError("carrier basis is linearly dependent")
-    for i, ci in enumerate(carrier):
-        for cj in carrier[i:]:
-            if not space.contains((ci * cj).coords):
-                raise AlgebraError("carrier is not closed under multiplication")
     x = generic_element(table, "g", restrict_to=carrier)
-    matrix = left_mult_operator(x, carrier)
+    try:
+        matrix = left_mult_operator(x, carrier)
+    except AlgebraError as exc:
+        if "invariant" not in str(exc):
+            raise
+        raise AlgebraError(
+            "carrier is not closed under multiplication") from None
     return _nilpotency_index_of_matrix(matrix, len(carrier))
 
 
-def generic_nil_index(table, carrier, bound=None):
-    """Least k >= 2 with x^k = 0 for the generic carrier element, or
-    None within the bound (default dim carrier + 2)."""
+def generic_nil_index(table, carrier):
+    """Least k in 2..dim carrier + 2 with x^k = 0 for the generic
+    carrier element, or None."""
     carrier = list(carrier)
     if not carrier:
         return 2
-    if bound is None:
-        bound = len(carrier) + 2
     x = generic_element(table, "n", restrict_to=carrier)
-    return _principal_chain(x, bound)[1]
-
-
-def _principal_chain(x, bound):
-    """([x, x^2, ..., x^k], k) for the least k in 2..bound with x^k = 0,
-    else ([x, x^2, ..., x^bound], None)."""
-    powers = [x]
-    for k in range(2, bound + 1):
-        powers.append(powers[-1] * x)
-        if powers[-1].is_zero():
-            return powers, k
-    return powers, None
+    powers = islice(_power_chain(x), 1, len(carrier) + 2)
+    return next((k for k, p in enumerate(powers, 2) if p.is_zero()), None)
 
 
 @dataclass
@@ -291,21 +280,12 @@ def train_analysis(table):
         return train_analysis(adapted)
     nbasis = table.barideal_basis()
     nil_bound = len(nbasis) + 2
-    nil_index = generic_nil_index(table, nbasis, bound=nil_bound)
+    nil_index = generic_nil_index(table, nbasis)
 
     rank_bound = table.dim + 2
-    y = generic_element(table, "t")
-    w = y.weight()
-    rank = None
-    if (y * y - y.scale(w)).is_zero():
-        rank = 2
-    else:
-        cur = y ** 3 - (y ** 2).scale(w)
-        for r in range(3, rank_bound + 1):
-            if cur.is_zero():
-                rank = r
-                break
-            cur = y * cur - cur.scale(HALF * w)
+    forms = _train_forms(generic_element(table, "t"))
+    rank = next((r for r, f in zip(range(2, rank_bound + 1), forms)
+                 if f.is_zero()), None)
 
     op_index = operator_nilpotency_check(table)
 
@@ -406,7 +386,12 @@ def engel_yagzhev_report(table, carrier=None):
         return EngelYagzhevReport(False, None, None, None, bounds)
 
     x = generic_element(table, "n", restrict_to=carrier)
-    powers, nil_index = _principal_chain(x, len(carrier) + 2)
+    powers, nil_index = [], None
+    for k, power in enumerate(islice(_power_chain(x), len(carrier) + 2), 1):
+        powers.append(power)
+        if k > 1 and power.is_zero():
+            nil_index = k
+            break
     engel_index = engel_check(table, carrier)
 
     q_max = max(6, nil_index or 0)

@@ -89,6 +89,25 @@ def test_element_command(tmp_path, capsys):
     assert rc == 1 and "unknown basis label" in err
 
 
+def test_element_command_analyses_once(tmp_path, capsys, monkeypatch):
+    # the train rank is read from the analysis the command already holds
+    import bernstein.elements as elements
+    calls = []
+    analyze = elements.analyze_element
+
+    def counted(a):
+        calls.append(a)
+        return analyze(a)
+
+    monkeypatch.setattr(elements, "analyze_element", counted)
+    path = tmp_path / "free5.json"
+    save_algebra(catalog.free_single_truncated(5), path)
+    rc, out, _ = run(capsys, "element", str(path), "e + 2u1 + v1", "--json")
+    assert rc == 0
+    assert last_json(out)["train_rank"] == 6
+    assert len(calls) == 1
+
+
 def test_train_command(tmp_path, capsys):
     path = tmp_path / "free4.json"
     save_algebra(catalog.free_single_truncated(4), path)

@@ -11,6 +11,7 @@ from bernstein.core import (AlgebraError, UnivariatePoly, poly_eval, HALF,
 from bernstein.elements import (analyze_element, minimal_poly_form_check,
                                 singly_generated_subalgebra, train_element_rank,
                                 train_f, train_polynomial)
+from bernstein.symbolic import generic_element
 from bernstein import catalog
 
 from conftest import (bernstein_pool, mixed_table, nuclear_table,
@@ -81,6 +82,15 @@ def test_train_f_matches_closed_form():
         for k in range(3, 7):
             direct = poly_eval(x, train_polynomial(k, x.weight()))
             assert train_f(x, k) == direct
+    # a generic element over Q[t]: f_3 in closed form, and every f_k at
+    # an integer point
+    y = generic_element(table, "t")
+    assert train_f(y, 3) == y ** 3 - (y ** 2).scale(y.weight())
+    point = {v: F(rng.randint(-5, 5)) for v in y.variables()}
+    x = y.evaluate(point)
+    for k in range(3, 7):
+        direct = poly_eval(x, train_polynomial(k, x.weight()))
+        assert train_f(y, k).evaluate(point) == direct
     with pytest.raises(AlgebraError):
         train_f(x, 2)
     with pytest.raises(AlgebraError):

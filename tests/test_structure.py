@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from bernstein.core import AlgebraError, AlgebraTable, HALF
-from bernstein.structure import (classify, find_idempotent, idempotent_family,
-                                 is_bernstein, lyubich_ideal, peirce,
-                                 zero_v_squared)
+from bernstein.structure import (adapted_table, classify, find_idempotent,
+                                 idempotent_family, is_bernstein,
+                                 lyubich_ideal, peirce, zero_v_squared)
 from bernstein import catalog, linalg
 
 from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
@@ -212,6 +212,22 @@ def test_zero_v_squared_pure_basis():
     assert out.product_vector(1, 2) == table.product_vector(1, 2)
     assert is_bernstein(out)
     assert peirce(out).type_pair == (2, 1)
+
+    # the same algebra on an adapted basis whose e is not the first label
+    moved = AlgebraTable.build(
+        ("v", "u", "e"),
+        {("e", "e"): {"e": 1}, ("e", "u"): {"u": HALF},
+         ("u", "v"): {"u": F(7, 2)}, ("v", "v"): {"u": -16}},
+        weight={"e": 1})
+    assert adapted_table(moved) is None
+    out = zero_v_squared(moved)
+    assert out.labels == moved.labels
+    assert out.product_items() == [pair for pair in moved.product_items()
+                                   if pair[0] != (0, 0)]
+    assert is_bernstein(out)
+
+    with pytest.raises(AlgebraError, match="Peirce"):
+        zero_v_squared(non_bernstein_table())
 
 
 def test_zero_v_squared_adapted_basis():
