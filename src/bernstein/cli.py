@@ -29,10 +29,6 @@ def _poly_json(poly):
     return [format_scalar(c) for c in poly.coeffs]
 
 
-def _element_json(element):
-    return fileformat.element_to_json(element)
-
-
 def _emit(lines, payload, as_json):
     for line in lines:
         print(line)
@@ -46,8 +42,9 @@ def _witness_json(check):
     return {
         "assignment": {k: format_scalar(v)
                        for k, v in sorted(check.witness_assignment.items())},
-        "elements": [_element_json(el) for el in check.witness_elements],
-        "value": _element_json(check.witness_value),
+        "elements": [fileformat.element_to_json(el)
+                     for el in check.witness_elements],
+        "value": fileformat.element_to_json(check.witness_value),
     }
 
 
@@ -74,7 +71,7 @@ def cmd_check(args):
         lines.append(f"annihilator ideal dimension: {len(report.lyubich_basis)}")
         payload.update({
             "type": list(report.type_pair),
-            "idempotent": _element_json(report.idempotent),
+            "idempotent": fileformat.element_to_json(report.idempotent),
             "nuclear": report.is_nuclear,
             "exceptional": report.is_exceptional,
             "jordan": report.is_jordan,
@@ -96,7 +93,7 @@ def cmd_element(args):
              f"degree: {analysis.degree}",
              f"minimal polynomial: {analysis.minimal_poly}"]
     payload = {"command": "element",
-               "element": _element_json(a),
+               "element": fileformat.element_to_json(a),
                "degree": analysis.degree,
                "minimal_poly": _poly_json(analysis.minimal_poly)}
     if analysis.right_nil_index is not None:

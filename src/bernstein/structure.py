@@ -4,14 +4,14 @@ classification flags and the annihilator ideal of the U component.
 A baric algebra (A, w) is Bernstein when (x^2)^2 = w(x)^2 x^2 holds
 identically.  Relative to an idempotent e of weight 1 the weight
 kernel N splits as U + V with U the 1/2-eigenspace and V the kernel
-of left multiplication by e.  The symbolic checks run on ``adapted_table``,
-the table rebuilt on the adapted basis e, U, V by ``change_basis``.
+of left multiplication by e.  The checks run on ``adapted_table``, the
+table rebuilt on the adapted basis e, U, V by ``change_basis``, where U
+and V are basis vectors and their products are structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
@@ -33,13 +33,17 @@ def is_bernstein(table):
     if adapted is not None and is_bernstein(adapted):
         result = IdentityCheck(True)
     else:
-        result = check_identity(
-            table, lambda x: (x ** 2) ** 2 - (x ** 2).scale(x.weight() ** 2))
+        result = check_identity(table, _bernstein_identity)
         if result and adapted is not None:
             raise InternalCheckError(
                 "Bernstein check: input and adapted bases disagree")
     table._cache["bernstein"] = result
     return result
+
+
+def _bernstein_identity(x):
+    square = x * x
+    return square * square - square.scale(x.weight() ** 2)
 
 
 def adapted_table(table):
@@ -79,6 +83,20 @@ def _is_adapted(table):
     return None if None in kinds else kinds
 
 
+def _components(table):
+    """(base, u, v): ``adapted_table(table) or table`` and the positions
+    of its U and V basis vectors.  Position k of u is
+    ``peirce(table).u_basis[k]`` on the input basis, and likewise for v.
+    Raises peirce's AlgebraError when there is no Peirce decomposition."""
+    base = adapted_table(table) or table
+    kinds = _is_adapted(base) if base.weight is not None else None
+    if kinds is None:
+        peirce(table)  # raises when there is no Peirce decomposition
+        raise InternalCheckError("adapted table fails the adaptedness test")
+    return (base, [i for i, kind in enumerate(kinds) if kind == "u"],
+            [i for i, kind in enumerate(kinds) if kind == "v"])
+
+
 def _on_adapted_basis(table, dec):
     labels = ["e"] + [f"u{i + 1}" for i in range(len(dec.u_basis))]
     labels += [f"v{i + 1}" for i in range(len(dec.v_basis))]
@@ -113,27 +131,6 @@ class PeirceDecomposition:
     @property
     def type_pair(self):
         return (1 + len(self.u_basis), len(self.v_basis))
-
-    @cached_property
-    def _adapted_space(self):
-        return linalg.Subspace(
-            b.coords for b in [self.idempotent, *self.u_basis, *self.v_basis])
-
-    def adapted_coords(self, element):
-        """(e-coordinate, U-coordinates, V-coordinates) of an element;
-        works for polynomial coordinates as well."""
-        coords = self._adapted_space.coords(
-            element.coords, zero=element.ring_zero())
-        r = len(self.u_basis)
-        return coords[0], coords[1:1 + r], coords[1 + r:]
-
-    def in_u(self, element):
-        alpha, _, vc = self.adapted_coords(element)
-        return not alpha and not any(vc)
-
-    def in_v(self, element):
-        alpha, uc, _ = self.adapted_coords(element)
-        return not alpha and not any(uc)
 
 
 def _combination(table, coeffs, elements):
@@ -188,8 +185,8 @@ def peirce(table, e=None):
 
 def idempotent_family(table, e, u):
     """The idempotent e + u + u^2 attached to u in U (checked)."""
-    dec = peirce(table, e)
-    if not dec.in_u(u):
+    peirce(table, e)  # raises unless e is an idempotent of weight 1
+    if u.weight() or e * u != u.scale(HALF):
         raise AlgebraError("element is not in the U component")
     f = e + u + u * u
     if f * f != f:
@@ -197,20 +194,23 @@ def idempotent_family(table, e, u):
     return f
 
 
-def lyubich_ideal(table, dec=None):
-    """Basis of {u in U : uU = 0}, the annihilator of U inside U."""
-    if dec is None:
-        dec = peirce(table)
-    ub = dec.u_basis
-    if not ub:
-        return []
+def _lyubich_kernel(base, u):
+    """Reduced kernel basis, as coefficients over the U positions u of
+    ``base``, of c -> (sum of c_i u_i) U: structure constants only."""
     rows = []
-    for j, uj in enumerate(ub):
-        prods = [ui * uj for ui in ub]
-        for k in range(table.dim):
-            rows.append([p.coords[k] for p in prods])
-    coords = linalg.kernel(rows, ncols=len(ub))
-    return [_combination(table, cs, ub) for cs in coords]
+    for j in u:
+        prods = [base.product_vector(i, j) for i in u]
+        for k in sorted(set().union(*prods)):
+            rows.append([p.get(k, ZERO) for p in prods])
+    return linalg.kernel(rows, ncols=len(u))
+
+
+def lyubich_ideal(table):
+    """Basis of {u in U : uU = 0}, the annihilator of U inside U, as
+    combinations of ``peirce(table).u_basis``."""
+    base, u, _ = _components(table)
+    ub = peirce(table).u_basis
+    return [_combination(table, cs, ub) for cs in _lyubich_kernel(base, u)]
 
 
 @dataclass
@@ -232,42 +232,46 @@ def _jordan_by_identity(table):
         table, lambda x, y: x * (x * x * y) - (x * x) * (x * y), arity=2)
 
 
-def _jordan_by_peirce(table, dec):
-    vsq_zero = all(not (vi * vj)
-                   for i, vi in enumerate(dec.v_basis)
-                   for vj in dec.v_basis[i:])
-    if not vsq_zero:
+def _products(base, positions):
+    """The nonzero products of basis vectors at ``positions``, one per
+    unordered pair, as dense coordinate lists."""
+    out = []
+    for a, i in enumerate(positions):
+        for j in positions[a:]:
+            p = base.product_vector(i, j)
+            if p:
+                out.append([p.get(k, ZERO) for k in range(base.dim)])
+    return out
+
+
+def _jordan_by_peirce(base, u, v):
+    """V^2 = 0 and (UV)V = 0 on an adapted table."""
+    if _products(base, v):
         return False
-    if not dec.u_basis or not dec.v_basis:
-        return True
-    uv_v = check_identity(table, lambda u, v: (u * v) * v, arity=2,
-                          restrict=[dec.u_basis, dec.v_basis],
-                          prefixes=("s", "t"))
-    return bool(uv_v)
+    restrict = [[base.basis_element(i) for i in pos] for pos in (u, v)]
+    return not u or not v or bool(check_identity(
+        base, lambda s, t: (s * t) * t, arity=2, restrict=restrict,
+        prefixes=("s", "t")))
 
 
 def classify(table):
     """Structure report: Bernstein, nuclear (U^2 = V), exceptional
     (U^2 = 0), Jordan, the annihilator ideal of U and the type.
 
-    The Bernstein and Jordan checks run on ``adapted_table(table)`` if
-    any; coordinates and witnesses are on the input basis."""
+    Every check runs on ``adapted_table(table)`` if any, where U and V
+    are basis vectors; coordinates and witnesses are on the input basis."""
     bern = is_bernstein(table)
     if not bern:
         return StructureReport(False, bernstein_witness=bern)
     dec = peirce(table)
-    jtable = adapted_table(table) or table
-    jdec = dec if jtable is table else peirce(jtable)
-    usq = [ui * uj
-           for i, ui in enumerate(dec.u_basis) for uj in dec.u_basis[i:]]
-    usq_vectors = [list(p.coords) for p in usq if p]
-    v_vectors = [list(v.coords) for v in dec.v_basis]
-    nuclear = linalg.Subspace(usq_vectors).rows() == \
-        linalg.Subspace(v_vectors).rows()
-    exceptional = not usq_vectors
+    base, u, v = _components(table)
+    usq = _products(base, u)
+    nuclear = linalg.Subspace(usq).rows() == \
+        [list(base.basis_element(i).coords) for i in v]
+    exceptional = not usq
 
-    jid = bool(_jordan_by_identity(jtable))
-    jpe = _jordan_by_peirce(jtable, jdec)
+    jid = bool(_jordan_by_identity(base))
+    jpe = _jordan_by_peirce(base, u, v)
     if jid != jpe:
         raise InternalCheckError(
             "Jordan identity and Peirce criterion disagree")
@@ -277,7 +281,7 @@ def classify(table):
         is_nuclear=nuclear,
         is_exceptional=exceptional,
         is_jordan=jid,
-        lyubich_basis=lyubich_ideal(table, dec),
+        lyubich_basis=lyubich_ideal(table),
         type_pair=dec.type_pair,
         idempotent=dec.idempotent,
     )
@@ -288,12 +292,8 @@ def zero_v_squared(table):
     zero, on ``adapted_table(table)`` or, when the basis is adapted
     already, on the input basis; the result is verified to be
     Bernstein."""
-    base = adapted_table(table) or table
-    kinds = _is_adapted(base) if base.weight is not None else None
-    if kinds is None:
-        peirce(table)  # raises when there is no Peirce decomposition
-        raise InternalCheckError("adapted table fails the adaptedness test")
-    vset = {i for i, kind in enumerate(kinds) if kind == "v"}
+    base, _, v = _components(table)
+    vset = set(v)
     products = {(i, j): vec for (i, j), vec in base.product_items()
                 if i not in vset or j not in vset}
     out = AlgebraTable(base.labels, products, weight=base.weight,

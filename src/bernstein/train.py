@@ -28,7 +28,8 @@ from . import linalg
 from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
                    _power_chain, ideal_rows, left_mult_operator, ZERO, ONE)
 from .elements import _train_forms, train_polynomial
-from .structure import adapted_table, is_bernstein, lyubich_ideal, peirce
+from .structure import (_combination, _components, _lyubich_kernel,
+                        adapted_table, is_bernstein, peirce)
 from .symbolic import IdentityCheck, check_identity, generic_element
 
 LEAF = "x"
@@ -100,14 +101,10 @@ def _default_carrier(table, carrier):
 
 
 def _sq_sq_zero(table, carrier):
-    """Cached symbolic check of (x^2)^2 = 0 on the span of carrier."""
-    key = ("sqsq", tuple(tuple(c.coords) for c in carrier))
-    cached = table._cache.get(key)
-    if cached is None:
-        x = generic_element(table, "q", restrict_to=carrier)
-        cached = ((x ** 2) ** 2).is_zero()
-        table._cache[key] = cached
-    return cached
+    """Symbolic check of (x^2)^2 = 0 on the span of carrier."""
+    x = generic_element(table, "q", restrict_to=carrier)
+    square = x * x
+    return (square * square).is_zero()
 
 
 def _check_carrier(a, carrier):
@@ -195,19 +192,23 @@ def _nilpotency_index_of_matrix(m, bound):
 
 def operator_nilpotency_check(table, carrier="U"):
     """Least p with L_v^p = 0 on the chosen carrier ("U" or "L(A)")
-    for a generic element v of V, or None within the dimension bound."""
-    dec = peirce(table)
+    for a generic element v of V, or None within the dimension bound;
+    on ``adapted_table(table)`` if any, where U and V are basis vectors."""
+    base, u, v = _components(table)
+    u_basis = [base.basis_element(i) for i in u]
     if carrier == "U":
-        basis = dec.u_basis
+        basis = u_basis
     elif carrier == "L(A)":
-        basis = lyubich_ideal(table, dec)
+        basis = [_combination(base, cs, u_basis)
+                 for cs in _lyubich_kernel(base, u)]
     else:
         raise AlgebraError(f"unknown carrier {carrier!r}")
     if not basis:
         return 0
-    if not dec.v_basis:
+    if not v:
         return 1
-    v = generic_element(table, "v", restrict_to=dec.v_basis)
+    v = generic_element(base, "v",
+                        restrict_to=[base.basis_element(i) for i in v])
     matrix = left_mult_operator(v, basis)
     return _nilpotency_index_of_matrix(matrix, len(basis))
 

@@ -17,7 +17,8 @@ from bernstein.core import InternalCheckError
 from bernstein.elements import analyze_element
 from bernstein.structure import adapted_table, classify, is_bernstein
 from bernstein.symbolic import IdentityCheck, check_identity
-from bernstein.train import engel_yagzhev_report, train_analysis
+from bernstein.train import (engel_yagzhev_report, operator_nilpotency_check,
+                             train_analysis)
 
 from conftest import pool_builders
 from test_cli_golden import _native, _twin
@@ -35,7 +36,9 @@ def _verdicts(table, coords):
             train.is_locally_train, train.bounds,
             engel.satisfies_sq_sq_zero, engel.nil_bounded_index,
             engel.engel_index, engel.yagzhev_verified_upto, engel.bounds,
-            element.degree, element.minimal_poly)
+            element.degree, element.minimal_poly,
+            operator_nilpotency_check(table, carrier="U"),
+            operator_nilpotency_check(table, carrier="L(A)"))
 
 
 def _single_entry_weight(table):
@@ -66,6 +69,24 @@ def test_native_tables_skip_the_peirce_decomposition():
         assert analyze_element(table.basis_element(0)).degree == 1
         assert table._cache["adapted"] is None
         assert "peirce" not in table._cache
+
+
+def test_adapted_tables_are_never_decomposed_again(monkeypatch):
+    # U and V are basis vectors of the adapted table, read off its
+    # structure constants, so it needs no Peirce decomposition of its own
+    twin, _ = _twin(catalog.free_single_truncated(6), 2)
+    classify(twin)
+    train_analysis(twin)
+    assert "peirce" not in adapted_table(twin)._cache
+
+    calls = []
+    real = structure.find_idempotent
+    monkeypatch.setattr(structure, "find_idempotent",
+                        lambda table: calls.append(1) or real(table))
+    for carrier in ("U", "L(A)"):
+        table = catalog.free_single_truncated(6)
+        assert operator_nilpotency_check(table, carrier=carrier) == 4
+    assert calls == []
 
 
 def test_dense_free_single_ten():

@@ -65,25 +65,6 @@ def test_peirce_eigenspaces_and_types():
         assert 1 + len(dec.u_basis) + len(dec.v_basis) == table.dim
 
 
-def test_adapted_coords_round_trip():
-    rng = random.Random(32)
-    for _ in range(6):
-        table = bernstein_pool(rng, max_dim=8)
-        dec = peirce(table)
-        x = rand_element(table, rng)
-        alpha, uc, vc = dec.adapted_coords(x)
-        acc = dec.idempotent.scale(alpha)
-        for c, u in zip(uc, dec.u_basis):
-            acc = acc + u.scale(c)
-        for c, v in zip(vc, dec.v_basis):
-            acc = acc + v.scale(c)
-        assert acc == x
-        if dec.u_basis:
-            assert dec.in_u(rand_combination(dec.u_basis, rng))
-        if dec.v_basis:
-            assert dec.in_v(rand_combination(dec.v_basis, rng))
-
-
 def test_idempotent_family_and_component_transform():
     rng = random.Random(33)
     table = catalog.zhevlakov_bernstein(3, 3)
@@ -103,6 +84,8 @@ def test_idempotent_family_and_component_transform():
             assert (f * vp).is_zero()
     with pytest.raises(AlgebraError):
         idempotent_family(table, e, dec.v_basis[0])
+    with pytest.raises(AlgebraError, match="U component"):
+        idempotent_family(table, e, e)  # nonzero weight
 
 
 def test_type_is_idempotent_invariant():
@@ -128,7 +111,7 @@ def test_lyubich_containments():
     for _ in range(6):
         table = bernstein_pool(rng, max_dim=9)
         dec = peirce(table)
-        lyu = lyubich_ideal(table, dec)
+        lyu = lyubich_ideal(table)
         lvecs = [list(b.coords) for b in lyu]
         if dec.u_basis and lyu:
             ell = rand_combination(lyu, rng)

@@ -312,7 +312,7 @@ def test_peirce_decomposition_is_computed_once_per_table(monkeypatch):
     table = catalog.free_single_truncated(6)
     train_analysis(table)
     operator_nilpotency_check(table, carrier="U")
-    assert len(calls) == 1
+    assert len(calls) == 0  # a native table's basis is adapted already
     cached = structure.peirce(table)
     fresh = structure.peirce(table, real(table))
     assert cached.idempotent == fresh.idempotent
