@@ -12,7 +12,7 @@ live here as well.
 
 ``Element`` is the one element class, over Q or over Q[t...]: its
 coordinates are all Fractions or all MultiPolys, and a product with a
-symbolic side lifts the concrete side once.  The product works on
+symbolic side reads rationals as constants in place.  The product works on
 integers: the structure constants are cleared of denominators once per
 table (``AlgebraTable._integer_rows``), rational factors once per
 product, and ``bilinear_product`` accumulates in Python ints before it
@@ -301,7 +301,7 @@ def ideal_rows(table, elements):
 
 def bilinear_product(table, xcoords, ycoords, zero):
     """Bilinear extension of the structure constants; works for Fraction
-    and for polynomial coordinates (``zero`` a MultiPoly).
+    and for polynomial coordinates on either side (``zero`` a MultiPoly).
 
     Both run on the table's structure constants cleared of denominators
     (``_integer_rows``).  Rational x and y are cleared of denominators
@@ -381,12 +381,10 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            x, y = self.coords, other.coords
-            if isinstance(x[0], MultiPoly) or isinstance(y[0], MultiPoly):
-                return Element(self.algebra, tuple(bilinear_product(
-                    self.algebra, _lifted(x), _lifted(y), MultiPoly.zero())))
+            zero = (MultiPoly.zero()
+                    if self.is_symbolic() or other.is_symbolic() else ZERO)
             return Element(self.algebra, tuple(bilinear_product(
-                self.algebra, x, y, ZERO)))
+                self.algebra, self.coords, other.coords, zero)))
         if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         return NotImplemented
@@ -461,13 +459,6 @@ class Element:
         for term in parts[1:]:
             text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return text
-
-
-def _lifted(coords):
-    """Polynomial coordinates, lifting rational ones."""
-    if isinstance(coords[0], MultiPoly):
-        return coords
-    return [MultiPoly.const(c) for c in coords]
 
 
 def _power_chain(x):

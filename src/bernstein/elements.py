@@ -34,7 +34,8 @@ class ElementAnalysis:
 
         When found and deg(a) >= 2, the minimal polynomial is checked to
         equal the expanded train form; for smaller degrees it must divide
-        it.
+        it.  Only a failed comparison asks whether the algebra is
+        Bernstein, where the check applies.
         """
         a = self.element
         w = a.weight()
@@ -43,13 +44,15 @@ class ElementAnalysis:
         forms = islice(_train_forms(a), 1, None)
         rank = next((m for m, f in zip(range(3, a.algebra.dim + 3), forms)
                      if f.is_zero()), None)
-        if rank is not None and _gamma1_applies(a.algebra):
+        if rank is not None:
             expected = train_polynomial(rank, w)
             if self.degree >= 2:
-                if self.minimal_poly != expected:
+                if self.minimal_poly != expected \
+                        and _gamma1_applies(a.algebra):
                     raise InternalCheckError(
                         "train element minimal polynomial mismatch")
-            elif not expected.divisible_by(self.minimal_poly):
+            elif not expected.divisible_by(self.minimal_poly) \
+                    and _gamma1_applies(a.algebra):
                 raise InternalCheckError(
                     "train form is not a multiple of the minimal polynomial")
         return rank
@@ -85,7 +88,7 @@ def analyze_element(a):
     for k, c in enumerate(coords):
         cs[k + 1] = -c
     poly = UnivariatePoly(cs)
-    if m >= 2 and _gamma1_applies(table) and poly.coeff(1):
+    if m >= 2 and poly.coeff(1) and _gamma1_applies(table):
         raise InternalCheckError(
             "minimal polynomial of a degree >= 2 element has a linear term")
     nil_index = m + 1 if not any(coords) else None

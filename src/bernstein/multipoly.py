@@ -57,22 +57,15 @@ class MultiPoly:
     def var(cls, name):
         return cls({((str(name), 1),): 1})
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(other)
-        return None
-
     def _combined(self, other, sign):
-        other = self._coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
+        other_terms, other_den = parts
+        den = lcm(self.den, other_den)
+        fa, fb = den // self.den, sign * (den // other_den)
         terms = {k: c * fa for k, c in self.terms.items()}
-        for key, c in other.terms.items():
+        for key, c in other_terms.items():
             terms[key] = terms.get(key, 0) + fb * c
         return MultiPoly(terms, den)
 
@@ -129,10 +122,10 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self.den == other.den and self.terms == other.terms
+        return parts == (self.terms, self.den)
 
     def __hash__(self):
         if not self.terms or (len(self.terms) == 1 and () in self.terms):
@@ -217,8 +210,19 @@ class MultiPoly:
         return text
 
 
+def _parts(c):
+    """(terms, den) of a MultiPoly, or of an int or Fraction read in place
+    as a constant polynomial (a Fraction is reduced); None otherwise."""
+    if isinstance(c, MultiPoly):
+        return c.terms, c.den
+    if isinstance(c, (int, Fraction)):
+        return ({(): c.numerator} if c else {}), c.denominator
+    return None
+
+
 def _bilinear(rows, den, xcoords, ycoords, zero):
-    """Coordinates of the bilinear product of two polynomial vectors.
+    """Coordinates of the bilinear product of two vectors whose entries
+    are MultiPolys or rationals, in any mix, read through ``_parts``.
 
     ``rows[i]`` maps j to the ((k, s_ijk * den), ...) of the nonzero
     structure constants s_ijk, all integers.  Computes
@@ -226,19 +230,19 @@ def _bilinear(rows, den, xcoords, ycoords, zero):
     one common denominator and builds a MultiPoly only for the output
     coordinates that are touched; the others stay ``zero``.
     """
-    xs = [(i, c) for i, c in enumerate(xcoords) if c]
-    ys = [(j, c) for j, c in enumerate(ycoords) if c]
+    xs = [(i, *_parts(c)) for i, c in enumerate(xcoords) if c]
+    ys = [(j, *_parts(c)) for j, c in enumerate(ycoords) if c]
     out = [zero] * len(rows)
     if not xs or not ys:
         return out
-    dx = lcm(*(c.den for _, c in xs))
-    dy = lcm(*(c.den for _, c in ys))
-    ys = [(j, c.terms if c.den == dy
-           else {m: v * (dy // c.den) for m, v in c.terms.items()})
-          for j, c in ys]
+    dx = lcm(*(d for _, _, d in xs))
+    dy = lcm(*(d for _, _, d in ys))
+    ys = [(j, terms if d == dy
+           else {m: v * (dy // d) for m, v in terms.items()})
+          for j, terms, d in ys]
     merged = {}
     acc = {}
-    for i, xi in xs:
+    for i, xterms, xden in xs:
         row = rows[i]
         inner = {}
         for j, yterms in ys:
@@ -253,8 +257,8 @@ def _bilinear(rows, den, xcoords, ycoords, zero):
                     w[m] = w.get(m, 0) + s * v
         if not inner:
             continue
-        f = dx // xi.den
-        for m1, c1 in xi.terms.items():
+        f = dx // xden
+        for m1, c1 in xterms.items():
             c1 *= f
             memo = merged.get(m1)
             if memo is None:

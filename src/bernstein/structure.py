@@ -61,7 +61,12 @@ def adapted_table(table):
             except AlgebraError:
                 pass
             else:
-                table._cache["adapted"] = _on_adapted_basis(table, dec)
+                us, vs = dec.u_basis, dec.v_basis
+                table._cache["adapted"] = table.change_basis(
+                    [b.coords for b in [dec.idempotent, *us, *vs]],
+                    ["e"] + [f"u{i + 1}" for i in range(len(us))]
+                    + [f"v{i + 1}" for i in range(len(vs))],
+                    name=table.name)
     return table._cache["adapted"]
 
 
@@ -95,14 +100,6 @@ def _components(table):
         raise InternalCheckError("adapted table fails the adaptedness test")
     return (base, [i for i, kind in enumerate(kinds) if kind == "u"],
             [i for i, kind in enumerate(kinds) if kind == "v"])
-
-
-def _on_adapted_basis(table, dec):
-    labels = ["e"] + [f"u{i + 1}" for i in range(len(dec.u_basis))]
-    labels += [f"v{i + 1}" for i in range(len(dec.v_basis))]
-    return table.change_basis(
-        [b.coords for b in [dec.idempotent, *dec.u_basis, *dec.v_basis]],
-        labels, name=table.name)
 
 
 def find_idempotent(table):

@@ -118,10 +118,10 @@ def check_identity(table, expr, arity=1, restrict=None,
 
 
 def symbolic_rank(rows):
-    """Exact rank of a matrix of polynomials, by fraction-free
-    elimination (cross-multiplication only, no division)."""
-    rows = [[c if isinstance(c, MultiPoly) else MultiPoly.const(c) for c in row]
-            for row in rows]
+    """Exact rank of a matrix of polynomials and rationals, in any mix,
+    by fraction-free elimination (cross-multiplication only, no
+    division)."""
+    rows = list(rows)
     if not rows:
         return 0
     ncols = len(rows[0])

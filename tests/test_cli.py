@@ -90,22 +90,32 @@ def test_element_command(tmp_path, capsys):
 
 
 def test_element_command_analyses_once(tmp_path, capsys, monkeypatch):
-    # the train rank is read from the analysis the command already holds
+    # the train rank is read from the analysis the command already holds,
+    # and the Bernstein verdict that backs its cross-checks is asked for
+    # only when a check fails, so no identity is proved here
     import bernstein.elements as elements
+    import bernstein.structure as structure
     calls = []
     analyze = elements.analyze_element
+    proofs = []
+    check = structure.check_identity
 
     def counted(a):
         calls.append(a)
         return analyze(a)
 
     monkeypatch.setattr(elements, "analyze_element", counted)
+    monkeypatch.setattr(structure, "check_identity",
+                        lambda *a, **k: proofs.append(a) or check(*a, **k))
     path = tmp_path / "free5.json"
     save_algebra(catalog.free_single_truncated(5), path)
     rc, out, _ = run(capsys, "element", str(path), "e + 2u1 + v1", "--json")
     assert rc == 0
     assert last_json(out)["train_rank"] == 6
     assert len(calls) == 1
+    rc, out, _ = run(capsys, "element", str(path), "e + 2u1 + v1")
+    assert rc == 0 and "f_6 vanishes (rank 6)" in out
+    assert proofs == []
 
 
 def test_train_command(tmp_path, capsys):

@@ -248,8 +248,16 @@ def test_symbolic_bilinear_product_matches_concrete():
     for _ in range(6):
         x = [rand_coord() for _ in range(table.dim)]
         y = [rand_coord() for _ in range(table.dim)]
+        # a concrete side, read in place: it must act as its lift
+        c = [rand_scalar(rng) if rng.random() < 0.7 else ZERO
+             for _ in range(table.dim)]
+        lifted = [MultiPoly.const(v) for v in c]
         xy = bilinear_product(table, x, y, zero)
         xx = bilinear_product(table, x, x, zero)
+        xc = bilinear_product(table, x, c, zero)
+        cy = bilinear_product(table, c, y, zero)
+        assert xc == bilinear_product(table, x, lifted, zero)
+        assert cy == bilinear_product(table, lifted, y, zero)
         for _ in range(4):
             point = {name: rand_scalar(rng) for name in names}
             xv = [c.evaluate(point) for c in x]
@@ -258,6 +266,14 @@ def test_symbolic_bilinear_product_matches_concrete():
                 bilinear_product(table, xv, yv, ZERO)
             assert [c.evaluate(point) for c in xx] == \
                 bilinear_product(table, xv, xv, ZERO)
+        # at integer points the mixed products are the concrete product
+        point = {name: F(rng.randint(-3, 3)) for name in names}
+        xv = [v.evaluate(point) for v in x]
+        yv = [v.evaluate(point) for v in y]
+        assert [v.evaluate(point) for v in xc] == \
+            bilinear_product(table, xv, c, ZERO)
+        assert [v.evaluate(point) for v in cy] == \
+            bilinear_product(table, c, yv, ZERO)
 
 
 def test_scalar_exponent_notation_rejected():

@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import (AlgebraError, UnivariatePoly, poly_eval, HALF,
-                            ONE, ZERO)
+from bernstein.core import (AlgebraError, InternalCheckError, UnivariatePoly,
+                            poly_eval, HALF, ONE, ZERO)
 from bernstein.elements import (analyze_element, minimal_poly_form_check,
                                 singly_generated_subalgebra, train_element_rank,
                                 train_f, train_polynomial)
 from bernstein.symbolic import generic_element
 from bernstein import catalog
 
-from conftest import (bernstein_pool, mixed_table, nuclear_table,
-                      rand_combination, rand_scalar, rand_unit_element)
+from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
+                      nuclear_table, rand_combination, rand_scalar,
+                      rand_unit_element)
 
 F = Fraction
 
@@ -119,6 +120,24 @@ def test_train_element_ranks():
     assert train_element_rank(three.element_from({"e": 1})) == 3
     const = catalog.constant_algebra()
     assert train_element_rank(const.element_from({"e": 1, "v": 1})) == 3
+
+
+def test_train_rank_cross_check_runs_on_bernstein_tables(monkeypatch):
+    import bernstein.elements as elements
+    free = catalog.free_single_truncated(5)
+    a = free.element_from({"e": 1, "u1": 2, "v1": 1})
+    e = free.element_from({"e": 1})
+    other = non_bernstein_table().element_from({"e": 1})
+    ranks = [analyze_element(x).train_rank() for x in (a, e, other)]
+    assert ranks == [6, 3, 3]
+    monkeypatch.setattr(elements, "train_polynomial",
+                        lambda rank, w=ONE: UnivariatePoly.x() ** 5)
+    with pytest.raises(InternalCheckError, match="mismatch"):
+        analyze_element(a).train_rank()
+    with pytest.raises(InternalCheckError, match="multiple"):
+        analyze_element(e).train_rank()
+    # not Bernstein: the comparison does not apply and nothing is raised
+    assert analyze_element(other).train_rank() == 3
 
 
 def test_not_train_has_no_train_elements_beyond_bound():

@@ -38,6 +38,17 @@ def test_constructors_and_equality():
     assert x - x == MultiPoly.zero()
     assert not (x - x)
     assert bool(x)
+    # rationals are read in place as constant polynomials
+    assert MultiPoly() == 0 and MultiPoly() == F(0)
+    p = x / 3 + 2 * MultiPoly.var("y") - 1
+    assert p + 0 == p and (p + 0).den == p.den
+    assert (p - F(1, 2)).terms == {(("x", 1),): 2, (("y", 1),): 12, (): -9}
+    assert (p - F(1, 2)).den == 6
+    assert F(1, 2) - p == -(p - F(1, 2))
+    assert p - F(1, 2) + F(1, 2) == p
+    assert not (p == "x") and p != "x"
+    with pytest.raises(TypeError):
+        p + "x"
 
 
 def test_ring_axioms_sampled():

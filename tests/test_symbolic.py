@@ -90,17 +90,39 @@ def test_check_identity_arity_guard():
 
 
 def test_symbolic_rank_matches_numeric():
+    from bernstein import linalg
     rng = random.Random(23)
+    t, s = MultiPoly.var("t"), MultiPoly.var("s")
+
+    def mixed_entry():
+        # a Fraction, a constant polynomial or a polynomial in t and s
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        kind = rng.random()
+        if kind < 0.5:
+            return c
+        if kind < 0.75:
+            return MultiPoly.const(c)
+        return c * t + rng.randint(-2, 2) * s * t + rng.randint(-1, 1)
+
+    def at(rows, point):
+        return [[c.evaluate(point) if isinstance(c, MultiPoly) else c
+                 for c in row] for row in rows]
+
     for _ in range(15):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         concrete = [[F(rng.randint(-4, 4)) for _ in range(ncols)]
                     for _ in range(nrows)]
         rows = [[MultiPoly.const(c) for c in row] for row in concrete]
-        from bernstein import linalg
         assert symbolic_rank(rows) == linalg.Subspace(concrete).rank
-    t = MultiPoly.var("t")
+        # Fractions are read in place, alone or mixed with polynomials
+        assert symbolic_rank(concrete) == linalg.Subspace(concrete).rank
+        mixed = [[mixed_entry() for _ in range(ncols)] for _ in range(nrows)]
+        point = {"t": F(rng.randint(-40, 40)), "s": F(rng.randint(-40, 40))}
+        assert symbolic_rank(mixed) == linalg.Subspace(at(mixed, point)).rank
     assert symbolic_rank([[t, t], [t, t]]) == 1
     assert symbolic_rank([[t, MultiPoly.const(F(1))], [t, t]]) == 2
+    assert symbolic_rank([[F(1), F(2)], [t, 2 * t]]) == 1
+    assert symbolic_rank([[F(1), F(2)], [t, t]]) == 2
 
 
 def test_generic_degree_low_dim_theorems():

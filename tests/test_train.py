@@ -164,6 +164,23 @@ def test_operator_nilpotency_beyond_twelve_dimensional_u():
         assert operator_nilpotency_check(table) is None
 
 
+def test_generic_operators_read_rational_carriers_in_place(monkeypatch):
+    # L_x of a generic x on a concrete carrier multiplies polynomial by
+    # rational coordinates; no rational is converted to a constant
+    # polynomial on the way
+    from bernstein.multipoly import MultiPoly
+    calls = []
+    const = MultiPoly.const.__func__
+    monkeypatch.setattr(MultiPoly, "const", classmethod(
+        lambda cls, c: calls.append(c) or const(cls, c)))
+    free = catalog.free_single_truncated(6)
+    shift = catalog.shift_up_truncated(5)
+    assert operator_nilpotency_check(free, "U") == 4
+    assert operator_nilpotency_check(free, "L(A)") == 4
+    assert engel_check(shift) == 5
+    assert calls == []
+
+
 def test_engel_check():
     assert engel_check(catalog.zhevlakov_bernstein(4, 4)) == 3
     assert engel_check(catalog.shift_up_truncated(3)) == 3
