@@ -246,7 +246,6 @@ def from_associative(assoc, s_indices, name=""):
     zero S component; U = C is a zero-multiplication subspace, so the
     result is an exceptional Bernstein algebra.
     """
-    assoc.verify()
     s_indices = list(s_indices)
     if len(set(s_indices)) != len(s_indices) or not s_indices:
         raise AlgebraError("S indices must be distinct and nonempty")

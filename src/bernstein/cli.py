@@ -78,7 +78,7 @@ def cmd_check(args):
             "annihilator_dim": len(report.lyubich_basis),
         })
     if args.generic_degree:
-        gdeg = generic_degree(table, seed=args.seed)
+        gdeg = generic_degree(table)
         lines.append(f"generic element degree: {gdeg}")
         payload["generic_degree"] = gdeg
     _emit(lines, payload, args.json)
@@ -360,8 +360,6 @@ def build_parser():
     parser = _Parser(prog="bernstein",
                      description="Exact tools for baric and Bernstein "
                                  "algebras over the rationals.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomised confirmations (default 0)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="structure report for an algebra file")

@@ -407,11 +407,12 @@ def nil_span_check(state, span_gens, power):
     return all(not reduce(p, state) for p in grouped.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssociativeTable:
     """Multiplication table of a truncated associative algebra on a
     normal-word basis.  Pairs whose concatenation exceeds the bound are
-    truncated to zero and recorded in overflow_pairs."""
+    truncated to zero and recorded in overflow_pairs.  Construction runs
+    ``verify``, which raises AlgebraError."""
 
     generators: tuple
     words: tuple
@@ -420,6 +421,9 @@ class AssociativeTable:
     up_to: int
     overflow_pairs: frozenset = field(default_factory=frozenset)
     name: str = ""
+
+    def __post_init__(self):
+        self.verify()
 
     @property
     def dim(self):
@@ -504,12 +508,11 @@ def truncated_algebra_table(state, up_to):
             if vec:
                 products[(i, j)] = vec
 
-    table = AssociativeTable(
-        generators=gens, words=tuple(words), labels=labels,
-        products=products, up_to=up_to, overflow_pairs=frozenset(overflow),
-        name=f"truncated(deg<={up_to})")
     try:
-        table.verify()
+        return AssociativeTable(
+            generators=gens, words=tuple(words), labels=labels,
+            products=products, up_to=up_to,
+            overflow_pairs=frozenset(overflow),
+            name=f"truncated(deg<={up_to})")
     except AlgebraError as exc:
         raise InternalCheckError(f"truncated table inconsistent: {exc}")
-    return table

@@ -143,9 +143,11 @@ def symbolic_rank(rows):
     return r
 
 
-def _point_degree(table, rng):
-    """Dimension of the span of the principal powers of one seeded
-    integer point: a lower bound on the generic degree."""
+def _point_degree(table):
+    """Dimension of the span of the principal powers of one fixed
+    integer point, the one ``random.Random(0)`` draws: a lower bound on
+    the generic degree."""
+    rng = random.Random(0)
     x = table.element([Fraction(rng.randint(-50, 50))
                        for _ in range(table.dim)])
     space = linalg.Subspace()
@@ -154,35 +156,26 @@ def _point_degree(table, rng):
             return space.rank
 
 
-def generic_degree(table, seed=0):
+def generic_degree(table):
     """Largest dimension of the subalgebra generated by one element.
 
-    The principal powers of one seeded rational point span a lower
-    bound, and the dimension is an upper bound, so when the point
-    reaches the dimension that is the answer.  Otherwise the degree is
-    the exact symbolic rank of the matrix of principal powers of a
-    fully generic element, confirmed by evaluating at pseudorandom
-    rational points.
+    Runs on ``adapted_table(table) or table``; the degree does not
+    depend on the basis.  The principal powers of one fixed rational
+    point span a lower bound, and the dimension is an upper bound, so
+    when the point reaches the dimension that is the answer.  Otherwise
+    the degree is the exact symbolic rank of the matrix of principal
+    powers of a fully generic element, which the point's rank must not
+    exceed.
     """
-    if _point_degree(table, random.Random(seed)) == table.dim:
-        return table.dim
+    # structure imports this module, so this import waits for the call.
+    from .structure import adapted_table
+    table = adapted_table(table) or table
+    lower = _point_degree(table)
+    if lower == table.dim:
+        return lower
     x = generic_element(table, "t")
-    powers = principal_powers(x, table.dim + 1)
-    rows = [list(p.coords) for p in powers]
-    r_sym = symbolic_rank(rows)
-    names = set()
-    for row in rows:
-        for c in row:
-            names.update(c.variables())
-    names = sorted(names)
-    rng = random.Random(seed)
-    for _ in range(5):
-        assignment = {n: Fraction(rng.randint(-50, 50)) for n in names}
-        concrete = [[c.evaluate(assignment) for c in row] for row in rows]
-        r_eval = linalg.Subspace(concrete).rank
-        if r_eval > r_sym:
-            raise InternalCheckError("evaluation rank exceeds symbolic rank")
-        if r_eval == r_sym:
-            return r_sym
-    raise InternalCheckError(
-        "could not confirm symbolic rank by rational evaluation")
+    rank = symbolic_rank([list(p.coords)
+                          for p in principal_powers(x, table.dim + 1)])
+    if lower > rank:
+        raise InternalCheckError("point rank exceeds symbolic rank")
+    return rank

@@ -336,20 +336,26 @@ def test_successive_calls_match_fresh_processes(tmp_path, capsys):
     from pathlib import Path
     path = tmp_path / "nt.json"
     save_algebra(catalog.example_not_train(), path)
+    pres = tmp_path / "kurosh.json"
+    save_presentation(catalog.kurosh_presentation(), pres)
     calls = [
         ["construct", "elementary", "--param", "nil_dim=3", "--json"],
         ["construct", "elementary", "--json"],
         ["construct", "free_single"],
-        ["--seed", "7", "check", str(path), "--generic-degree", "--json"],
+        ["groebner", str(pres), "--max-deg", "6", "--words-deg", "1"],
+        ["groebner", str(pres), "--max-deg", "6"],
         ["check", str(path), "--generic-degree", "--json"],
     ]
+    # No global --seed: an input error, with the same message in both.
+    seeded = ["--seed", "7", "check", str(path), "--generic-degree", "--json"]
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    for argv in calls:
+    for argv in [*calls, seeded]:
         fresh = subprocess.run([sys.executable, "-m", "bernstein.cli", *argv],
                                capture_output=True, text=True, env=env)
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
                                       fresh.stderr)
+    assert fresh.returncode == 1
     # The parser that main reuses still parses like a new one.
     for argv in calls:
         assert vars(cli._parser().parse_args(argv)) == \

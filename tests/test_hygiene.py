@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never
 uses, none uses floating point (no float or complex literal and no use
 of the names ``float`` and ``complex``), only ``symbolic`` imports
-``random``, for the seeded point of ``generic_degree``, and every public
-function has a caller in the package or is exported."""
+``random``, only to draw the one fixed point of ``generic_degree``
+(``random.Random(0)``), and every public function has a caller in the
+package or is exported."""
 
 import ast
 from pathlib import Path

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError
+from bernstein.core import AlgebraError, InternalCheckError
 from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import (check_identity, generic_element,
                                 generic_degree, symbolic_rank)
@@ -162,3 +162,35 @@ def test_generic_degree_returns_full_point_rank_without_symbolic_work(
     assert generic_degree(catalog.elementary_algebra(1)) == 1
     assert generic_degree(catalog.elementary_algebra(2)) == 1
     assert len(calls) == 2
+
+
+def test_generic_degree_of_dense_twins_runs_on_the_adapted_table():
+    import time
+    from test_cli_golden import _twin
+    for native in (catalog.shift_up_truncated(3),
+                   catalog.shift_up_truncated(4),
+                   catalog.shift_down_truncated(4),
+                   catalog.zhevlakov_bernstein(3, 3)):
+        twin, _ = _twin(native, 4)
+        assert generic_degree(twin) == generic_degree(native)
+    # On this twin's own basis the symbolic rank takes seconds.
+    twin, _ = _twin(catalog.shift_up_truncated(3), 1)
+    start = time.perf_counter()
+    assert generic_degree(twin) == 3
+    assert time.perf_counter() - start < 1
+
+
+def test_generic_degree_point_above_symbolic_rank_is_internal(monkeypatch):
+    import bernstein.symbolic as symbolic
+    monkeypatch.setattr(symbolic, "symbolic_rank", lambda rows: 0)
+    with pytest.raises(InternalCheckError, match="point rank"):
+        generic_degree(catalog.shift_up_truncated(3))
+
+
+def test_generic_degree_evaluates_no_polynomial(monkeypatch):
+    def evaluate(self, assignment):
+        raise AssertionError("generic_degree evaluated a polynomial")
+
+    monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
+    assert generic_degree(catalog.elementary_algebra(2)) == 1
+    assert generic_degree(catalog.shift_up_truncated(3)) == 3
