@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
-                   bilinear_product, ideal_rows, ZERO, HALF)
+                   ideal_rows, ZERO, HALF)
 from .elements import analyze_element
 from .groebner import NcPoly, Presentation
 from .structure import is_bernstein
@@ -349,9 +349,7 @@ def subalgebra(table, generators, name=""):
     """Smallest subalgebra containing the generators.  Returns the
     sub-table on an echelonised basis together with the list of ambient
     elements realising that basis."""
-    span = linalg.closure(
-        [g.coords for g in generators],
-        lambda u, v: (bilinear_product(table, u, v, ZERO),))
+    span = linalg.closure(generators, lambda u, v: (u * v,))
     vectors = span.rows()
     labels = [f"b{k + 1}" for k in range(len(vectors))]
     sub = table.change_basis(vectors, labels, name=name or "subalgebra")

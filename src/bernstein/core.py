@@ -10,23 +10,25 @@ on a new basis, or on a basis of a quotient.  Elements,
 polynomials (used with zero constant term for evaluation at elements)
 live here as well.
 
-``Element`` is the one element class, over Q or over Q[t...]: its
-coordinates are all Fractions or all MultiPolys, and a product with a
-symbolic side reads rationals as constants in place.  The product works on
-integers: the structure constants are cleared of denominators once per
-table (``AlgebraTable._integer_rows``), rational factors once per
-product, and ``bilinear_product`` accumulates in Python ints before it
-builds one Fraction per nonzero output coordinate.
+``Element`` is the one element class, over Q or over Q[t...], stored
+sparsely: a concrete element as int numerators over one denominator, a
+symbolic one as MultiPolys, and a product with a symbolic side reads
+rationals as constants in place.  Arithmetic works on integers: the
+structure constants are cleared of denominators once per table
+(``AlgebraTable._integer_rows``), and products, sums and scaling of
+concrete elements run in Python ints and build no Fraction; Fractions
+appear only where a caller asks for ``coords`` or a weight.
+``bilinear_product`` runs the same kernels on dense coordinate lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .multipoly import MultiPoly, _bilinear
+from .multipoly import MultiPoly, _bilinear, _parts
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -125,7 +127,7 @@ class AlgebraTable:
             # d_w sum_k S_ijk W_k = d W_i W_j, any other pair W_i W_j = 0.
             rows, den = self._integer_rows()
             dw = lcm(*(w.denominator for w in weight))
-            ws = [int(w * dw) for w in weight]
+            ws = [w.numerator * (dw // w.denominator) for w in weight]
             bad = [(i, j) for i, j in table
                    if dw * sum(s * ws[k] for k, s in rows[i][j])
                    != den * ws[i] * ws[j]]
@@ -138,6 +140,7 @@ class AlgebraTable:
                 i, j = min(bad)
                 raise AlgebraError("weight is not multiplicative on pair "
                                    f"({labels[i]}, {labels[j]})")
+            self._cache["integer_weight"] = (ws, dw)
         self.weight = weight
         self.name = str(name)
         self.notes = tuple(notes)
@@ -194,21 +197,17 @@ class AlgebraTable:
         return Element(self, coords)
 
     def element_from(self, parts):
-        coords = [ZERO] * self.dim
-        for lab, c in parts.items():
-            coords[self.index(lab)] = as_scalar(c)
-        return Element(self, tuple(coords))
+        return _rationals(self, {self.index(lab): as_scalar(c)
+                                 for lab, c in parts.items()})
 
     def basis_element(self, i):
-        coords = [ZERO] * self.dim
-        coords[i] = ONE
-        return Element(self, tuple(coords))
+        return _new(self, {range(self.dim)[i]: 1}, 1)
 
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
     def zero(self):
-        return Element(self, (ZERO,) * self.dim)
+        return _new(self, {}, 1)
 
     def weight_of(self, coords):
         if self.weight is None:
@@ -265,7 +264,8 @@ class AlgebraTable:
                         for c in vec.values()))
             rows = [{} for _ in self.labels]
             for (i, j), vec in self._products.items():
-                pairs = tuple((k, int(c * den)) for k, c in vec.items())
+                pairs = tuple((k, c.numerator * (den // c.denominator))
+                              for k, c in vec.items())
                 rows[i][j] = rows[j][i] = pairs
             cached = self._cache["integer_rows"] = (rows, den)
         return cached
@@ -292,31 +292,18 @@ class AlgebraTable:
 def ideal_rows(table, elements):
     """Echelon rows of the span of the elements, or None when some basis
     vector times some row leaves that span, so it is not an ideal."""
-    space = linalg.Subspace(g.coords for g in elements)
+    space = linalg.Subspace(elements)
     rows = space.rows()
-    closed = all(space.contains(bilinear_product(table, b, g, ZERO))
-                 for b in linalg.identity_matrix(table.dim) for g in rows)
+    gens = [Element(table, g) for g in rows]
+    closed = all(space.contains(b * g) for b in table.basis() for g in gens)
     return rows if closed else None
 
 
-def bilinear_product(table, xcoords, ycoords, zero):
-    """Bilinear extension of the structure constants; works for Fraction
-    and for polynomial coordinates on either side (``zero`` a MultiPoly).
-
-    Both run on the table's structure constants cleared of denominators
-    (``_integer_rows``).  Rational x and y are cleared of denominators
-    once, out_k = sum_i x_i (sum_j s_ijk y_j) is accumulated in ints,
-    and one Fraction is built per nonzero output coordinate; the others
-    stay ``zero``."""
-    rows, den = table._integer_rows()
-    if isinstance(zero, MultiPoly):
-        return _bilinear(rows, den, xcoords, ycoords, zero)
-    out = [zero] * len(rows)
-    xs, dx = linalg.integer_entries(xcoords)
-    ys, dy = linalg.integer_entries(ycoords)
-    if not xs or not ys:
-        return out
-    acc = [0] * len(rows)
+def _integer_product(rows, xs, ys):
+    """{k: sum_i x_i sum_j S_ijk y_j} for integer structure constants
+    ``rows`` (``_integer_rows``) and the nonzero integer entries xs, ys,
+    given as (index, int) pairs; values may be zero."""
+    acc = {}
     for i, xi in xs:
         row = rows[i]
         for j, yj in ys:
@@ -324,67 +311,201 @@ def bilinear_product(table, xcoords, ycoords, zero):
             if pairs is not None:
                 c = xi * yj
                 for k, s in pairs:
-                    acc[k] += c * s
-    total = den * dx * dy
-    for k, a in enumerate(acc):
-        if a:
-            out[k] = Fraction(a, total)
+                    acc[k] = acc.get(k, 0) + c * s
+    return acc
+
+
+def bilinear_product(table, xcoords, ycoords, zero):
+    """Coordinates of the product of the elements with the dense
+    coordinates xcoords and ycoords, rational or polynomial on either
+    side: the element product, one Fraction per nonzero rational output
+    coordinate, and ``zero`` (a MultiPoly for polynomial coordinates)
+    at the others."""
+    product = Element(table, xcoords) * Element(table, ycoords)
+    out = [zero] * table.dim
+    den = product.den
+    for k, c in product.num.items():
+        out[k] = c if den is None else Fraction(c, den)
     return out
 
 
-class Element:
-    """Element of an AlgebraTable.  Its coordinates are all Fractions
-    (a concrete element) or all MultiPolys (a symbolic element over
-    Q[t...]); arithmetic keeps them of one type, so the first one tells
-    the ring."""
+def _new(algebra, num, den):
+    """The element with the given canonical parts (see ``Element``)."""
+    x = object.__new__(Element)
+    x.algebra = algebra
+    x.num = num
+    x.den = den
+    x._coords = None
+    return x
 
-    __slots__ = ("algebra", "coords")
+
+def _concrete(algebra, num, den):
+    """The concrete element with int numerators ``num`` over den > 0;
+    zero numerators are dropped and the pair is reduced by its gcd."""
+    num = {k: a for k, a in num.items() if a}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: a // g for k, a in num.items()}
+            den //= g
+    return _new(algebra, num, den)
+
+
+def _rationals(algebra, values):
+    """The concrete element with coordinates {index: rational}.  Over
+    the lcm of the reduced denominators the pair is canonical already."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return _new(algebra, {k: c.numerator * (den // c.denominator)
+                          for k, c in values.items() if c}, den)
+
+
+def _triples(x):
+    """The nonzero coordinates of x as (index, terms, den) triples, the
+    form ``_bilinear`` reads."""
+    if x.den is None:
+        return [(i, *_parts(c)) for i, c in x.num.items()]
+    return [(i, {(): n}, x.den) for i, n in x.num.items()]
+
+
+def _as_polys(x):
+    """The nonzero coordinates of x as {index: MultiPoly or rational}."""
+    if x.den is None:
+        return x.num
+    return {i: MultiPoly({(): n}, x.den) for i, n in x.num.items()}
+
+
+def format_ratio(n, d):
+    """n/d in lowest terms as ``format_scalar`` writes it, with no
+    Fraction built."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+class Element:
+    """Element of an AlgebraTable, stored sparsely: ``num`` maps the
+    index of each nonzero coordinate to its value.
+
+    A concrete element, over Q, holds int numerators over one positive
+    int ``den``, in canonical form: no zero numerator and
+    ``gcd(den, *num.values()) == 1`` (the zero element has den 1).  That
+    is the form the product kernels and ``linalg.Subspace`` compute in,
+    and two concrete elements are equal exactly when their parts are.
+    A symbolic element, over Q[t...], holds MultiPolys and has ``den``
+    None, so a zero element keeps its ring.  ``coords`` is the dense
+    tuple of Fractions or MultiPolys, built when first asked for;
+    ``Element(table, coords)`` takes such a tuple."""
+
+    __slots__ = ("algebra", "num", "den", "_coords")
 
     def __init__(self, algebra, coords):
+        coords = tuple(coords)
         self.algebra = algebra
-        self.coords = coords
+        self._coords = None
+        if any(isinstance(c, MultiPoly) for c in coords):
+            self.num = {i: c for i, c in enumerate(coords) if c}
+            self.den = None
+        else:   # canonical already, as in ``_rationals``
+            entries, self.den = linalg.integer_entries(coords)
+            self.num = dict(entries)
+
+    @property
+    def coords(self):
+        """The dense coordinate tuple, built once."""
+        coords = self._coords
+        if coords is None:
+            if self.den is None:
+                zero = MultiPoly.zero()
+                out = [zero] * self.algebra.dim
+                for i, c in self.num.items():
+                    out[i] = c
+            else:
+                out = [ZERO] * self.algebra.dim
+                den = self.den
+                for i, n in self.num.items():
+                    out[i] = Fraction(n, den)
+            coords = self._coords = tuple(out)
+        return coords
+
+    def __len__(self):
+        """The number of coordinates, the dimension of the algebra."""
+        return self.algebra.dim
 
     def _check_same(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraError("elements live in different algebras")
 
     def is_symbolic(self):
-        return isinstance(self.coords[0], MultiPoly)
+        return self.den is None
 
     def ring_zero(self):
         """The zero of the coordinate ring."""
-        return MultiPoly.zero() if self.is_symbolic() else ZERO
+        return MultiPoly.zero() if self.den is None else ZERO
+
+    def _combined(self, other, sign):
+        if not isinstance(other, Element):
+            return NotImplemented
+        self._check_same(other)
+        if self.den is not None and other.den is not None:
+            dx, dy = self.den, other.den
+            den = dx if dx == dy else lcm(dx, dy)
+            fx, fy = den // dx, sign * (den // dy)
+            num = ({k: a * fx for k, a in self.num.items()} if fx != 1
+                   else dict(self.num))
+            for k, b in other.num.items():
+                num[k] = num.get(k, 0) + fy * b
+            return _concrete(self.algebra, num, den)
+        num = dict(_as_polys(self))
+        for k, b in _as_polys(other).items():
+            if sign < 0:
+                b = -b
+            prev = num.get(k)
+            c = b if prev is None else prev + b
+            if c:
+                num[k] = c
+            else:
+                num.pop(k, None)
+        return _new(self.algebra, num, None)
 
     def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_same(other)
-        return Element(self.algebra,
-                       tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_same(other)
-        return Element(self.algebra,
-                       tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combined(other, -1)
 
     def __neg__(self):
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        return _new(self.algebra, {k: -a for k, a in self.num.items()},
+                    self.den)
 
     def scale(self, c):
         """Multiply by a rational or a MultiPoly scalar."""
-        if not isinstance(c, MultiPoly):
-            c = as_scalar(c)
-        return Element(self.algebra, tuple(c * a for a in self.coords))
+        if isinstance(c, MultiPoly):
+            if self.den is None:
+                num = {k: a * c for k, a in self.num.items()}
+            else:
+                terms, d = c.terms, c.den * self.den
+                num = {k: MultiPoly({m: t * n for m, t in terms.items()}, d)
+                       for k, n in self.num.items()}
+            return _new(self.algebra, {k: a for k, a in num.items() if a},
+                        None)
+        c = as_scalar(c)
+        if self.den is None:
+            return _new(self.algebra, {k: a * c for k, a in self.num.items()}
+                        if c else {}, None)
+        p = c.numerator
+        return _concrete(self.algebra, {k: a * p for k, a in self.num.items()},
+                         self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            zero = (MultiPoly.zero()
-                    if self.is_symbolic() or other.is_symbolic() else ZERO)
-            return Element(self.algebra, tuple(bilinear_product(
-                self.algebra, self.coords, other.coords, zero)))
+            rows, den = self.algebra._integer_rows()
+            if self.den is not None and other.den is not None:
+                return _concrete(self.algebra, _integer_product(
+                    rows, self.num.items(), other.num.items()),
+                    den * self.den * other.den)
+            return _new(self.algebra,
+                        _bilinear(rows, den, _triples(self), _triples(other)), None)
         if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         return NotImplemented
@@ -402,18 +523,34 @@ class Element:
 
     def weight(self):
         """w(x), in the coordinate ring."""
-        return self.ring_zero() + self.algebra.weight_of(self.coords)
+        table = self.algebra
+        if table.weight is None:
+            raise AlgebraError("algebra has no weight")
+        if self.den is None:
+            acc = MultiPoly.zero()
+            for i, c in self.num.items():
+                w = table.weight[i]
+                if w:
+                    acc = acc + c * w
+            return acc
+        ws, dw = table._cache["integer_weight"]
+        return Fraction(sum(n * ws[i] for i, n in self.num.items()),
+                        self.den * dw)
 
     def is_zero(self):
-        return not any(self.coords)
+        return not self.num
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Element):
-            return (self.algebra == other.algebra
-                    and self.coords == other.coords)
+            if self.algebra is not other.algebra \
+                    and self.algebra != other.algebra:
+                return False
+            if (self.den is None) == (other.den is None):
+                return self.den == other.den and self.num == other.num
+            return self.coords == other.coords
         if other == 0:
             return self.is_zero()
         return NotImplemented
@@ -423,37 +560,37 @@ class Element:
 
     def variables(self):
         """Sorted names of the indeterminates in the coordinates."""
-        if not self.is_symbolic():
+        if self.den is not None:
             return []
         names = set()
-        for c in self.coords:
+        for c in self.num.values():
             names.update(c.variables())
         return sorted(names)
 
     def evaluate(self, assignment):
         """The concrete element with scalars substituted for all
         variables of the coordinates; a concrete element is itself."""
-        if not self.is_symbolic():
+        if self.den is not None:
             return self
-        return Element(self.algebra, tuple(
-            c.evaluate(assignment) if c else ZERO for c in self.coords))
+        return _rationals(self.algebra, {
+            k: c.evaluate(assignment) for k, c in self.num.items()})
 
     def __repr__(self):
         if self.is_zero():
             return "0"
-        if self.is_symbolic():
-            return " + ".join(f"({c})*{lab}" for c, lab
-                              in zip(self.coords, self.algebra.labels) if c)
+        labels = self.algebra.labels
+        if self.den is None:
+            return " + ".join(f"({self.num[i]})*{labels[i]}"
+                              for i in sorted(self.num))
         parts = []
-        for lab, c in zip(self.algebra.labels, self.coords):
-            if not c:
-                continue
-            if c == 1:
+        for i in sorted(self.num):
+            n, lab = self.num[i], labels[i]
+            if n == self.den:
                 term = lab
-            elif c == -1:
+            elif n == -self.den:
                 term = f"-{lab}"
             else:
-                term = f"{format_scalar(c)}*{lab}"
+                term = f"{format_ratio(n, self.den)}*{lab}"
             parts.append(term)
         text = parts[0]
         for term in parts[1:]:
@@ -487,13 +624,13 @@ def left_mult_operator(x, carrier):
     points.
     """
     carrier = list(carrier)
-    space = linalg.Subspace(c.coords for c in carrier)
+    space = linalg.Subspace(carrier)
     if space.rank != len(carrier):
         raise AlgebraError("carrier basis is linearly dependent")
     cols = []
     for c in carrier:
         image = x * c
-        coords = space.coords(image.coords, zero=image.ring_zero())
+        coords = space.coords(image, zero=image.ring_zero())
         if coords is None:
             raise AlgebraError("carrier is not invariant under the operator")
         cols.append(coords)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
@@ -75,9 +76,8 @@ def analyze_element(a):
     powers = []
     space = linalg.Subspace()
     for power in _power_chain(a):
-        if not space.add(power.coords):
-            # power is the last input and dependent, so its coordinate is 0
-            coords = space.coords(power.coords)[:-1]
+        coords = space.relation(power)
+        if coords is not None:
             break
         powers.append(power)
         if len(powers) > table.dim:
@@ -118,10 +118,10 @@ def minimal_poly_form_check(analysis):
         return p == x ** 2 - w * x
     if not w:
         return p.coeff(1) == 0
-    cubic = x ** 3 - w * x ** 2
     if analysis.degree == 2:
-        return p == cubic
-    return p.divisible_by(cubic)
+        return p == x ** 3 - w * x ** 2
+    # X^2 and X - w are coprime, so X^2 (X - w) divides p when both do
+    return not p.coeff(0) and not p.coeff(1) and not p(w)
 
 
 def _train_forms(a):
@@ -145,13 +145,23 @@ def train_f(a, k):
     return next(islice(_train_forms(a), k - 2, None))
 
 
+def _train_gamma_formula(rank, w=ONE):
+    """(1, gamma_1 w, ..., gamma_(rank-1) w^(rank-1)), the coefficients
+    of X^rank, ..., X in (X^3 - wX^2)(X - w/2)^(rank - 3), from the
+    binomial closed form gamma_k = (-1/2)^k (C(rank-3, k) + 2 C(rank-3, k-1))."""
+    w = Fraction(w)
+    p, q = -w.numerator, 2 * w.denominator
+    return (ONE,) + tuple(
+        Fraction((comb(rank - 3, k) + 2 * comb(rank - 3, k - 1)) * p ** k,
+                 q ** k) for k in range(1, rank))
+
+
 def train_polynomial(rank, w=ONE):
-    """(X^3 - wX^2)(X - w/2)^(rank - 3) expanded, for rank >= 3."""
+    """(X^3 - wX^2)(X - w/2)^(rank - 3) expanded, for rank >= 3, read off
+    the closed form of its coefficients."""
     if rank < 3:
         raise AlgebraError("train polynomial form needs rank >= 3")
-    x = UnivariatePoly.x()
-    w = Fraction(w)
-    return (x ** 3 - w * x ** 2) * (x - UnivariatePoly([HALF * w])) ** (rank - 3)
+    return UnivariatePoly((ZERO,) + _train_gamma_formula(rank, w)[::-1])
 
 
 def train_element_rank(a):

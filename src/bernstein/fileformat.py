@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import re
 
-from .core import (AlgebraError, AlgebraTable, format_scalar, parse_scalar,
-                   ZERO, ONE)
+from .core import (AlgebraError, AlgebraTable, format_ratio, format_scalar,
+                   parse_scalar, ZERO, ONE)
 from .groebner import NcPoly, Presentation
 
 
@@ -112,9 +112,10 @@ def load_algebra(path):
 
 
 def element_to_json(element):
-    table = element.algebra
-    return {table.labels[i]: format_scalar(c)
-            for i, c in enumerate(element.coords) if c}
+    """{label: "p/q"} of the nonzero coordinates of a concrete element."""
+    labels, den = element.algebra.labels, element.den
+    return {labels[i]: format_ratio(element.num[i], den)
+            for i in sorted(element.num)}
 
 
 _TERM_RE = re.compile(

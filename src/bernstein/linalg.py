@@ -7,14 +7,18 @@ is the unique reduced echelon form and results are reproducible bit
 for bit.  Each row is stored fraction-free: integer numerators over
 one positive row denominator, reduced by their gcd, in one augmented
 dict that holds the row's entries and the coefficients that build it
-from the vectors given.  Rational inputs are cleared of denominators
-once, so ``add``, ``contains`` and ``coords`` reduce one vector against
-the stored rows in one integer pass per row and never eliminate the
-family again: a caller with many questions about one family builds one
-``Subspace`` and reuses it.  Results come back as Fractions.  Targets
-of ``contains`` and ``coords`` may have entries in any commutative
-ring with a Fraction action (``MultiPoly``); they reduce against the
-same integer rows, divided by the row denominator.  ``closure`` grows
+from the vectors given.  A vector is a dense list or tuple, or a
+``core.Element``, read as it is stored: its int numerators ``num`` over
+``den`` are the form the rows use, so an element is reduced with no
+conversion, and only dense rational lists are cleared of denominators
+(``integer_entries``).  ``add``, ``relation``, ``contains`` and
+``coords`` reduce one vector against the stored rows in one integer pass
+per row and never eliminate the family again: a caller with many
+questions about one family builds one ``Subspace`` and reuses it.
+Results come back as Fractions.  Targets of ``contains`` and ``coords``
+may have entries in any commutative ring with a Fraction action
+(``MultiPoly``, also an element with ``den`` None); they reduce against
+the same integer rows, divided by the row denominator.  ``closure`` grows
 one ``Subspace`` until it is closed under a product, and ``kernel``
 reads a nullspace basis off one ``Subspace``.
 """
@@ -70,10 +74,15 @@ class Subspace:
         over den; polynomial v gives ring values and den None."""
         rows = self._rows
         width = len(v)
-        try:
-            entries, den = integer_entries(v)
-        except AttributeError:      # polynomial entries
-            return self._ring_residual(v), None
+        if isinstance(v, (list, tuple)):
+            try:
+                entries, den = integer_entries(v)
+            except AttributeError:      # polynomial entries
+                return self._ring_residual(enumerate(v)), None
+        else:
+            entries, den = v.num.items(), v.den
+            if den is None:
+                return self._ring_residual(entries), None
         acc = {}
         factors = []
         for c, n in entries:
@@ -99,13 +108,15 @@ class Subspace:
                         del acc[k]
         return acc, den
 
-    def _ring_residual(self, v):
-        """The augmented residual of a vector with ring entries: each
-        factor v_p is divided by its row denominator once."""
+    def _ring_residual(self, entries):
+        """The augmented residual of a vector with ring entries, given as
+        (index, value) pairs: each factor v_p is divided by its row
+        denominator once."""
         rows = self._rows
-        acc = {c: x for c, x in enumerate(v) if x and c not in rows}
-        for p, x in enumerate(v):
-            if not x or p not in rows:
+        entries = [(c, x) for c, x in entries if x]
+        acc = {c: x for c, x in entries if c not in rows}
+        for p, x in entries:
+            if p not in rows:
                 continue
             row, d = rows[p]
             f = x / d
@@ -118,14 +129,15 @@ class Subspace:
                     del acc[k]
         return acc
 
-    def add(self, v):
-        """Append v to the family; True when it enlarged the span."""
+    def _append(self, v):
+        """Append v to the family: None when it enlarged the span, else
+        its augmented residual (acc, den)."""
         width = self.width = len(v)
-        row, _ = self._residual(v, new=self.size)
+        row, den = self._residual(v, new=self.size)
         self.size += 1
         pivot = min(row)    # row holds v's own coefficient, at width + new
         if pivot >= width:
-            return False
+            return row, den
         den = row.pop(pivot)
         if den < 0:
             den = -den
@@ -155,7 +167,23 @@ class Subspace:
                 other = {k: x // g for k, x in other.items()}
             self._rows[p] = (other, d)
         self._rows[pivot] = (row, den)
-        return True
+        return None
+
+    def add(self, v):
+        """Append v to the family; True when it enlarged the span."""
+        return self._append(v) is None
+
+    def relation(self, v):
+        """Append v to the family.  None when it enlarged the span; else
+        the coordinates of v in the vectors given before it, from the
+        one reduction that found it dependent."""
+        found = self._append(v)
+        if found is None:
+            return None
+        acc, den = found
+        start = len(v)
+        return [Fraction(-acc.get(start + i, 0), den)
+                for i in range(self.size - 1)]
 
     def contains(self, v):
         acc, _ = self._residual(v)

@@ -220,19 +220,19 @@ def _parts(c):
     return None
 
 
-def _bilinear(rows, den, xcoords, ycoords, zero):
-    """Coordinates of the bilinear product of two vectors whose entries
-    are MultiPolys or rationals, in any mix, read through ``_parts``.
+def _bilinear(rows, den, xs, ys):
+    """The nonzero coordinates, as {k: MultiPoly}, of the bilinear
+    product of two vectors given by their nonzero entries as
+    (index, terms, d) triples: int numerators ``terms`` over d, as
+    ``_parts`` reads a MultiPoly or a rational.
 
     ``rows[i]`` maps j to the ((k, s_ijk * den), ...) of the nonzero
     structure constants s_ijk, all integers.  Computes
     out_k = sum_i x_i * (sum_j s_ijk y_j) on raw numerator dicts over
     one common denominator and builds a MultiPoly only for the output
-    coordinates that are touched; the others stay ``zero``.
+    coordinates that are touched.
     """
-    xs = [(i, *_parts(c)) for i, c in enumerate(xcoords) if c]
-    ys = [(j, *_parts(c)) for j, c in enumerate(ycoords) if c]
-    out = [zero] * len(rows)
+    out = {}
     if not xs or not ys:
         return out
     dx = lcm(*(d for _, _, d in xs))

@@ -80,11 +80,12 @@ def _is_adapted(table):
     w = table.weight[i]
     if table.product_vector(i, i) != {i: w}:
         return None
+    half = w * HALF
     kinds = []
     for j in range(table.dim):
         p = table.product_vector(i, j)
         kinds.append("e" if j == i else "v" if not p
-                     else "u" if p == {j: w * HALF} else None)
+                     else "u" if p == {j: half} else None)
     return None if None in kinds else kinds
 
 
@@ -131,14 +132,12 @@ class PeirceDecomposition:
 
 
 def _combination(table, coeffs, elements):
-    """sum of c * b over the pairs, accumulated on nonzero entries."""
-    coords = [ZERO] * table.dim
+    """sum of c * b over the pairs with c nonzero."""
+    acc = table.zero()
     for c, b in zip(coeffs, elements):
         if c:
-            for k, x in enumerate(b.coords):
-                if x:
-                    coords[k] += c * x
-    return Element(table, tuple(coords))
+            acc = acc + b.scale(c)
+    return acc
 
 
 def peirce(table, e=None):
@@ -168,7 +167,7 @@ def peirce(table, e=None):
         return PeirceDecomposition(table, e, [], [])
     m = left_mult_operator(e, nbasis)
     n = len(nbasis)
-    mu = [[m[i][j] - (HALF if i == j else ZERO) for j in range(n)]
+    mu = [[m[i][j] - HALF if i == j else m[i][j] for j in range(n)]
           for i in range(n)]
     ucoords = linalg.kernel(mu, ncols=n)
     vcoords = linalg.kernel(m, ncols=n)

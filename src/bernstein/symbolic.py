@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import (AlgebraError, Element, InternalCheckError, _power_chain,
-                   principal_powers)
+from .core import (AlgebraError, Element, InternalCheckError, _new,
+                   _power_chain, principal_powers)
 from .multipoly import MultiPoly
 
 import random
@@ -28,16 +28,12 @@ def generic_element(table, prefix="t", restrict_to=None):
     """Fully generic element of the algebra, or of the span of
     ``restrict_to``, with fresh variables prefix1, prefix2, ..."""
     if restrict_to is None:
-        return Element(table, tuple(MultiPoly.var(f"{prefix}{i + 1}")
-                                    for i in range(table.dim)))
-    basis = list(restrict_to)
-    coords = [MultiPoly.zero()] * table.dim
-    for i, b in enumerate(basis):
-        t = MultiPoly.var(f"{prefix}{i + 1}")
-        for k, c in enumerate(b.coords):
-            if c:
-                coords[k] = coords[k] + c * t
-    return Element(table, tuple(coords))
+        return _new(table, {i: MultiPoly.var(f"{prefix}{i + 1}")
+                            for i in range(table.dim)}, None)
+    x = _new(table, {}, None)
+    for i, b in enumerate(restrict_to):
+        x = x + b.scale(MultiPoly.var(f"{prefix}{i + 1}"))
+    return x
 
 
 @dataclass
@@ -104,7 +100,7 @@ def check_identity(table, expr, arity=1, restrict=None,
         raise AlgebraError("identity expression must return a symbolic element")
     if delta.is_zero():
         return IdentityCheck(True)
-    nonzero = next(c for c in delta.coords if c)
+    nonzero = delta.num[min(delta.num)]
     names = set()
     for g in gens:
         names.update(g.variables())
@@ -152,7 +148,7 @@ def _point_degree(table):
                        for _ in range(table.dim)])
     space = linalg.Subspace()
     for power in _power_chain(x):
-        if not space.add(power.coords) or space.rank == table.dim:
+        if not space.add(power) or space.rank == table.dim:
             return space.rank
 
 

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,7 @@ from bernstein import catalog, linalg
 from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import generic_element
 
-from conftest import bernstein_pool, rand_element, rand_scalar
+from conftest import bernstein_pool, mixed_table, rand_element, rand_scalar
 
 F = Fraction
 
@@ -440,3 +442,115 @@ def test_concrete_repr_is_unchanged():
     x = generic_element(catalog.example_not_train(), "t")
     assert repr(x) == "(t1)*e + (t2)*u + (t3)*v"
     assert repr(x - x) == "0"
+
+
+def _change_basis_twin(table, rng):
+    """The table on a seeded basis, built by ``change_basis``: integer
+    row operations and rational row scalings, so that weights and
+    structure constants get denominators."""
+    n = table.dim
+    p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        a, b = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        p[a] = [u + f * v for u, v in zip(p[a], p[b])]
+    for a in range(n):
+        f = rng.choice((1, F(1, 2), F(-3, 2), F(2, 3)))
+        p[a] = [f * u for u in p[a]]
+    return table.change_basis(p, table.labels, name="twin")
+
+
+def _sparse_rational_vector(rng, dim):
+    """Seeded sparse rational coordinates: zero vectors, negative
+    entries, ints, and entries n/d given with n and d not coprime, so
+    that the element must reduce them."""
+    if rng.random() < 0.15:
+        return [0] * dim
+    out = []
+    for _ in range(dim):
+        if rng.random() < 0.5:
+            out.append(0)
+        elif rng.random() < 0.3:
+            out.append(rng.randint(-5, 5))
+        else:
+            d = rng.choice((2, 3, 4, 6, 12))
+            out.append(F(rng.randint(-3, 3) * rng.choice((1, 2, 3)), d))
+    return out
+
+
+def test_sparse_elements_match_fraction_reference():
+    """Element operations and ``Subspace`` fed elements against plain
+    Fraction arithmetic on dense coordinates (``product_vector`` only)."""
+    from bernstein.core import _concrete, _power_chain
+    rng = random.Random(1507)
+    natives = [catalog.free_single_truncated(5), catalog.example_not_train(),
+               catalog.shift_up_truncated(3), catalog.three_dim_alpha(F(3, 7)),
+               mixed_table()]
+    tables = natives + [_change_basis_twin(t, rng) for t in natives]
+    assert any(w.denominator > 1 for t in tables if t.weight is not None
+               for w in t.weight)
+    for table in tables:
+        n = table.dim
+        vectors = [_sparse_rational_vector(rng, n) for _ in range(6)]
+        vectors.append([0] * n)
+        elems = [Element(table, v) for v in vectors]
+        dense = [[F(c) for c in v] for v in vectors]
+        for x, xv in zip(elems, dense):
+            assert x.coords == tuple(xv)
+            assert all(type(c) is Fraction for c in x.coords)
+            assert x.is_zero() == (not any(xv)) == (x == 0) == (not x)
+            assert x.den > 0 and all(x.num.values())
+            assert gcd(x.den, *x.num.values()) == 1
+            # the same element from an unreduced pair
+            y = _concrete(table, {k: 6 * a for k, a in x.num.items()},
+                          6 * x.den)
+            assert y == x and hash(y) == hash(x) == hash(tuple(xv))
+            assert (-x).coords == tuple(-c for c in xv)
+            for c in (0, -1, F(-2, 3), F(6, 4), 5):
+                assert x.scale(c).coords == tuple(F(c) * a for a in xv)
+            if table.weight is not None:
+                assert x.weight() == sum(a * w for a, w in
+                                         zip(xv, table.weight))
+            power, ref = x, xv
+            for chained in islice(_power_chain(x), 4):
+                assert chained == power and chained.coords == tuple(ref)
+                power = power * x
+                ref = _triple_loop_product(table, ref, xv)
+        for (x, xv), (y, yv) in zip(zip(elems, dense),
+                                    zip(elems[1:] + elems[:1],
+                                        dense[1:] + dense[:1])):
+            assert (x * y).coords == tuple(_triple_loop_product(table, xv, yv))
+            assert (x + y).coords == tuple(a + b for a, b in zip(xv, yv))
+            assert (x - y).coords == tuple(a - b for a, b in zip(xv, yv))
+            assert (x == y) == (xv == yv)
+            assert (x - x).is_zero() and (x - x).den == 1
+        # Subspace fed elements: the same echelon form, membership and
+        # coordinates as the dense Fraction vectors, checked by summing.
+        by_elems, by_dense = linalg.Subspace(), linalg.Subspace()
+        for x, xv in zip(elems, dense):
+            relation = by_elems.relation(x)
+            assert (relation is None) == by_dense.add(xv)
+            if relation is not None:
+                combo = [sum(c * v[k] for c, v in zip(relation, dense))
+                         for k in range(n)]
+                assert combo == xv
+        assert by_elems.rows() == by_dense.rows()
+        for y, yv in zip(elems, dense):
+            target = y * elems[1] + y
+            tv = [a + b for a, b in
+                  zip(_triple_loop_product(table, yv, dense[1]), yv)]
+            assert by_elems.contains(target) == by_dense.contains(tv)
+            got = by_elems.coords(target)
+            assert got == by_dense.coords(tv)
+            if got is not None:
+                assert [sum(c * v[k] for c, v in zip(got, dense))
+                        for k in range(n)] == tv
+        # a zero product of symbolic elements stays symbolic
+        g = generic_element(table, "t")
+        for z in (g * table.zero(), table.zero() * g, (g - g) * g,
+                  g.scale(0), g - g):
+            assert z.is_symbolic() and z.is_zero()
+            assert all(type(c) is MultiPoly for c in z.coords)
+            assert z.ring_zero() == MultiPoly.zero()
+            if table.weight is not None:
+                assert type(z.weight()) is MultiPoly

@@ -8,7 +8,8 @@ import pytest
 
 from bernstein.core import (AlgebraError, InternalCheckError, UnivariatePoly,
                             poly_eval, HALF, ONE, ZERO)
-from bernstein.elements import (analyze_element, minimal_poly_form_check,
+from bernstein.elements import (ElementAnalysis, _train_gamma_formula,
+                                analyze_element, minimal_poly_form_check,
                                 singly_generated_subalgebra, train_element_rank,
                                 train_f, train_polynomial)
 from bernstein.symbolic import generic_element
@@ -96,6 +97,37 @@ def test_train_f_matches_closed_form():
         train_f(x, 2)
     with pytest.raises(AlgebraError):
         train_polynomial(2)
+
+
+def test_train_polynomial_closed_form_matches_expansion():
+    """The closed-form coefficients against (X^3 - wX^2)(X - w/2)^(r-3)
+    expanded with polynomial products, and the train report's
+    coefficients against the same expansion at w = 1."""
+    x = UnivariatePoly.x()
+    for w in (F(1), F(-1), F(2), F(1, 2), F(-1, 2)):
+        expanded = x ** 3 - w * x ** 2
+        for rank in range(3, 25):
+            assert train_polynomial(rank, w) == expanded
+            if w == 1:
+                assert _train_gamma_formula(rank) == tuple(
+                    expanded.coeff(rank - k) for k in range(rank))
+            expanded = expanded * (x - UnivariatePoly([HALF * w]))
+
+
+def test_form_check_matches_division_by_the_cubic():
+    """For degree >= 3 the shape check is divisibility by X^3 - wX^2."""
+    table = catalog.free_single_truncated(5)
+    rng = random.Random(43)
+    x = UnivariatePoly.x()
+    for _ in range(40):
+        a = rand_unit_element(table, rng).scale(rand_scalar(rng) or 1)
+        w = a.weight()
+        cubic = x ** 3 - w * x ** 2
+        factor = UnivariatePoly([rand_scalar(rng) for _ in range(3)] + [1])
+        for p in (cubic * factor, cubic * factor + x ** 2,
+                  cubic * factor + x, cubic * x ** 2 - x ** 4):
+            res = ElementAnalysis(a, 3, p, [], None)
+            assert minimal_poly_form_check(res) == p.divisible_by(cubic)
 
 
 def test_train_f_vanishes_on_jordan():
