@@ -3,8 +3,7 @@ algebras over the rationals."""
 
 from . import catalog, fileformat, groebner, linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   UnivariatePoly, left_mult_operator, poly_eval,
-                   principal_powers)
+                   left_mult_operator, poly_eval, principal_powers)
 from .elements import (ElementAnalysis, analyze_element,
                        minimal_poly_form_check, singly_generated_subalgebra,
                        train_element_rank, train_f, train_polynomial)
@@ -27,7 +26,7 @@ __all__ = [
     "AlgebraError", "AlgebraTable", "Element", "ElementAnalysis",
     "EngelYagzhevReport", "IdentityCheck", "InternalCheckError", "MultiPoly",
     "PeirceDecomposition", "PowerChainReport", "StructureReport",
-    "TrainReport", "UnivariatePoly", "analyze_element", "catalog",
+    "TrainReport", "analyze_element", "catalog",
     "check_identity", "check_lx_power_splitting", "classify", "engel_check",
     "engel_yagzhev_report", "fileformat", "find_idempotent", "full_trees",
     "generic_degree", "generic_element", "generic_nil_index", "groebner",

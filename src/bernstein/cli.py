@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _poly_json(poly):
-    return [format_scalar(c) for c in poly.coeffs]
+    return [format_scalar(c) for c in poly.coefficients()]
 
 
 def _emit(lines, payload, as_json):

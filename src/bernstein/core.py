@@ -6,9 +6,9 @@ An optional weight row makes it a baric algebra; multiplicativity of
 the weight is checked on construction, where scalars are coerced.
 ``AlgebraTable.change_basis`` is the one routine that rebuilds a table
 on a new basis, or on a basis of a quotient.  Elements,
-``left_mult_operator`` (the matrix of L_x on a carrier) and univariate
-polynomials (used with zero constant term for evaluation at elements)
-live here as well.
+``left_mult_operator`` (the matrix of L_x on a carrier) and
+``poly_eval``, which evaluates a polynomial in X (a ``MultiPoly``) with
+zero constant term at an element, live here as well.
 
 ``Element`` is the one element class, over Q or over Q[t...], stored
 sparsely: a concrete element as int numerators over one denominator, a
@@ -219,11 +219,23 @@ class AlgebraTable:
         return acc
 
     def barideal_basis(self):
-        """Basis of the weight kernel N, deterministic."""
+        """Basis of the weight kernel N, as ``linalg.kernel`` of the
+        weight row gives it: e_f - (w_f / w_p) e_p for each f != p in
+        ascending order, p the first index of nonzero weight.  The
+        sparse coordinates are cached; each call builds fresh elements."""
         if self.weight is None:
             raise AlgebraError("algebra has no weight")
-        vecs = linalg.kernel([list(self.weight)])
-        return [Element(self, tuple(v)) for v in vecs]
+        cached = self._cache.get("barideal")
+        if cached is None:
+            ws, _ = self._cache["integer_weight"]
+            p = next(i for i, w in enumerate(ws) if w)
+            d, s = abs(ws[p]), (1 if ws[p] > 0 else -1)
+            cached = self._cache["barideal"] = []
+            for f, w in enumerate(ws):
+                if f != p:
+                    x = _concrete(self, {p: -s * w, f: d}, d)
+                    cached.append((x.num, x.den))
+        return [_new(self, dict(num), den) for num, den in cached]
 
     def change_basis(self, vectors, labels, modulo=(), name="", notes=()):
         """The table on the basis ``vectors`` (coordinate lists in this
@@ -638,173 +650,16 @@ def left_mult_operator(x, carrier):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-class UnivariatePoly:
-    """Polynomial in one variable over Fraction, stored densely by
-    exponent.  Most callers keep the constant term zero so the
-    polynomial can be evaluated at algebra elements."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [as_scalar(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def monomial(cls, k, c=ONE):
-        return cls([ZERO] * k + [c])
-
-    @classmethod
-    def x(cls):
-        return cls.monomial(1)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
-
-    @property
-    def constant_term(self):
-        return self.coeff(0)
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly([self.coeff(k) + other.coeff(k)
-                               for k in range(n)])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly([self.coeff(k) - other.coeff(k)
-                               for k in range(n)])
-
-    def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UnivariatePoly([as_scalar(other) * c for c in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise AlgebraError("polynomial powers need an exponent >= 0")
-        acc = UnivariatePoly([ONE])
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, UnivariatePoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UnivariatePoly([as_scalar(other)])
-        raise AlgebraError(f"cannot combine polynomial with {other!r}")
-
-    def divmod(self, divisor):
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
-            raise AlgebraError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = divisor.degree
-        lead = divisor.coeffs[-1]
-        quot = [ZERO] * max(0, len(rem) - dq)
-        while len(rem) - 1 >= dq and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dq:
-                break
-            f = rem[-1] / lead
-            shift = len(rem) - 1 - dq
-            quot[shift] = f
-            for i, c in enumerate(divisor.coeffs):
-                rem[shift + i] -= f * c
-        return UnivariatePoly(quot), UnivariatePoly(rem)
-
-    def divisible_by(self, divisor):
-        return self.divmod(divisor)[1].is_zero()
-
-    def __call__(self, value):
-        """Evaluate at a scalar (constant term allowed here)."""
-        value = as_scalar(value)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, UnivariatePoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if not c:
-                continue
-            if k == 0:
-                body = format_scalar(abs(c))
-            else:
-                var = "X" if k == 1 else f"X^{k}"
-                body = var if abs(c) == 1 else f"{format_scalar(abs(c))}*{var}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        sign, body = parts[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-
 def poly_eval(x, poly):
-    """Evaluate a polynomial with zero constant term at an element."""
-    if not isinstance(poly, UnivariatePoly):
-        raise AlgebraError("poly_eval needs a UnivariatePoly")
-    if poly.constant_term:
+    """Evaluate a MultiPoly in X with zero constant term at an element,
+    on principal powers."""
+    if not isinstance(poly, MultiPoly):
+        raise AlgebraError("poly_eval needs a MultiPoly in X")
+    coeffs = poly.coefficients()
+    if coeffs and coeffs[0]:
         raise AlgebraError("polynomial has a nonzero constant term")
-    if poly.is_zero():
-        return x - x
-    powers = principal_powers(x, poly.degree)
-    acc = None
-    for k in range(1, poly.degree + 1):
-        c = poly.coeff(k)
-        if not c:
-            continue
-        term = powers[k - 1].scale(c)
-        acc = term if acc is None else acc + term
+    acc = x - x
+    for c, power in zip(coeffs[1:], _power_chain(x)):
+        if c:
+            acc = acc + power.scale(c)
     return acc

@@ -3,6 +3,7 @@ canonical table of a singly generated subalgebra, and train elements.
 
 Minimal polynomials here are monic with zero constant term, normalised
 so that the element satisfies p(a) = 0 with principal (right) powers.
+They and the train polynomials are MultiPolys in the one variable X.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from math import comb
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   UnivariatePoly, _power_chain, ZERO, ONE, HALF)
+                   _power_chain, ZERO, ONE, HALF)
+from .multipoly import MultiPoly
 from .structure import is_bernstein
 
 
@@ -22,7 +24,7 @@ from .structure import is_bernstein
 class ElementAnalysis:
     element: Element
     degree: int
-    minimal_poly: UnivariatePoly
+    minimal_poly: MultiPoly
     power_basis: list
     right_nil_index: int | None
 
@@ -52,7 +54,7 @@ class ElementAnalysis:
                         and _gamma1_applies(a.algebra):
                     raise InternalCheckError(
                         "train element minimal polynomial mismatch")
-            elif not expected.divisible_by(self.minimal_poly) \
+            elif expected.exact_div(self.minimal_poly) is None \
                     and _gamma1_applies(a.algebra):
                 raise InternalCheckError(
                     "train form is not a multiple of the minimal polynomial")
@@ -72,7 +74,7 @@ def analyze_element(a):
     """
     table = a.algebra
     if a.is_zero():
-        return ElementAnalysis(a, 0, UnivariatePoly.x(), [], 2)
+        return ElementAnalysis(a, 0, MultiPoly.univariate((ZERO, ONE)), [], 2)
     powers = []
     space = linalg.Subspace()
     for power in _power_chain(a):
@@ -87,8 +89,8 @@ def analyze_element(a):
     cs[m + 1] = ONE
     for k, c in enumerate(coords):
         cs[k + 1] = -c
-    poly = UnivariatePoly(cs)
-    if m >= 2 and poly.coeff(1) and _gamma1_applies(table):
+    poly = MultiPoly.univariate(cs)
+    if m >= 2 and cs[1] and _gamma1_applies(table):
         raise InternalCheckError(
             "minimal polynomial of a degree >= 2 element has a linear term")
     nil_index = m + 1 if not any(coords) else None
@@ -111,17 +113,18 @@ def minimal_poly_form_check(analysis):
         raise AlgebraError("minimal polynomial form check needs a weight")
     w = a.weight()
     p = analysis.minimal_poly
-    x = UnivariatePoly.x()
+    cs = p.coefficients()
     if analysis.degree == 0:
-        return p == x
+        return cs == [ZERO, ONE]
     if analysis.degree == 1:
-        return p == x ** 2 - w * x
+        return cs == [ZERO, -w, ONE]
+    c0, c1 = (cs + [ZERO, ZERO])[:2]
     if not w:
-        return p.coeff(1) == 0
+        return c1 == 0
     if analysis.degree == 2:
-        return p == x ** 3 - w * x ** 2
+        return cs == [ZERO, ZERO, -w, ONE]
     # X^2 and X - w are coprime, so X^2 (X - w) divides p when both do
-    return not p.coeff(0) and not p.coeff(1) and not p(w)
+    return not c0 and not c1 and not p.evaluate({"X": w})
 
 
 def _train_forms(a):
@@ -161,7 +164,7 @@ def train_polynomial(rank, w=ONE):
     the closed form of its coefficients."""
     if rank < 3:
         raise AlgebraError("train polynomial form needs rank >= 3")
-    return UnivariatePoly((ZERO,) + _train_gamma_formula(rank, w)[::-1])
+    return MultiPoly.univariate((ZERO,) + _train_gamma_formula(rank, w)[::-1])
 
 
 def train_element_rank(a):

@@ -9,11 +9,14 @@ polynomial (empty term dict) has ``den == 1``.  So two polynomials are
 equal exactly when their term dicts and denominators are, and the inner
 loops of arithmetic run on Python ints instead of Fractions (the
 one-denominator integer kernels of Monagan and Pearce, CASC 2007).
+Key tuples compared as tuples are not a monomial order; ``_graded`` is
+one.  Minimal and train polynomials are MultiPolys in the variable X.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -24,6 +27,18 @@ def _merge_keys(k1, k2):
     for name, e in k2:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _graded(names):
+    """The map from a monomial key in the sorted ``names`` to its
+    negated exponent vector, total degree first.  Ascending tuple order
+    on the vectors is descending graded lex order on the monomials, a
+    monomial order, and a product of monomials adds their vectors."""
+    def vector(key):
+        exps = dict(key)
+        v = [-exps.get(name, 0) for name in names]
+        return (sum(v), *v)
+    return vector
 
 
 class MultiPoly:
@@ -56,6 +71,25 @@ class MultiPoly:
     @classmethod
     def var(cls, name):
         return cls({((str(name), 1),): 1})
+
+    @classmethod
+    def univariate(cls, coeffs):
+        """c_0 + c_1 X + c_2 X^2 + ... from the rationals c_k."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls({(("X", k),) if k else (): c.numerator
+                    * (den // c.denominator) for k, c in enumerate(coeffs)},
+                   den)
+
+    def coefficients(self):
+        """[c_0, ..., c_d], the Fractions with self = sum c_k X^k and d
+        the degree (empty for zero); self must have no other variable."""
+        out = [ZERO] * (self.total_degree() + 1)
+        for key, c in self.terms.items():
+            if key and (len(key) > 1 or key[0][0] != "X"):
+                raise ValueError("polynomial is not in X alone")
+            out[key[0][1] if key else 0] = Fraction(c, self.den)
+        return out
 
     def _combined(self, other, sign):
         parts = _parts(other)
@@ -109,6 +143,53 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
         return NotImplemented
+
+    def exact_div(self, divisor):
+        """self / divisor when the divisor, a MultiPoly or a rational,
+        divides self; None when the remainder is nonzero.
+
+        Leading-term division in graded lex order, the remainder's
+        leading monomials popped from a heap.  One polynomial is a
+        Groebner basis of its ideal, so the first leading monomial the
+        divisor's does not divide leaves a nonzero remainder.  Remainder
+        and quotient are int numerators times ``scale``."""
+        terms, den = _parts(divisor)
+        if not terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if list(terms) == [()]:
+            return self * Fraction(den, terms[()])
+        if not self.terms:
+            return self
+        names = sorted({name for key in (*self.terms, *terms)
+                        for name, _ in key})
+        vector = _graded(names)
+        (lead, lc), *tail = sorted((vector(k), c) for k, c in terms.items())
+        rem = {vector(k): c for k, c in self.terms.items()}
+        heap = list(rem)
+        heapify(heap)
+        quot, scale = {}, 1
+        while heap:
+            m = heappop(heap)
+            r = rem.pop(m)
+            if not r:
+                continue
+            q = tuple(a - b for a, b in zip(m, lead))
+            if max(q) > 0:
+                return None
+            if r % lc:
+                f = abs(lc) // gcd(r, lc)
+                scale, r = scale * f, r * f
+                rem = {k: c * f for k, c in rem.items()}
+                quot = {k: c * f for k, c in quot.items()}
+            c = quot[q] = r // lc
+            for t, tc in tail:
+                k = tuple(a + b for a, b in zip(q, t))
+                if k not in rem:
+                    heappush(heap, k)
+                rem[k] = rem.get(k, 0) - c * tc
+        return MultiPoly({tuple((n, -e) for n, e in zip(names, q[1:]) if e):
+                          c * den for q, c in quot.items()},
+                         scale * self.den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -196,7 +277,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(e for _, e in k), k)):
+        for key in sorted(self.terms, key=_graded(self.variables())):
             c = Fraction(self.terms[key], self.den)
             factors = [f"{n}^{e}" if e > 1 else n for n, e in key]
             body = "*".join(factors) if factors else str(abs(c))

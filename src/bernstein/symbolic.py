@@ -113,30 +113,33 @@ def check_identity(table, expr, arity=1, restrict=None,
     return IdentityCheck(False, assignment, witnesses, value)
 
 
+def _exact(a, b):
+    """a / b as a MultiPoly, for a rational or polynomial b dividing a."""
+    q = (a if isinstance(a, MultiPoly) else MultiPoly.const(a)).exact_div(b)
+    if q is None:
+        raise InternalCheckError("Bareiss division left a remainder")
+    return q
+
+
 def symbolic_rank(rows):
     """Exact rank of a matrix of polynomials and rationals, in any mix,
-    by fraction-free elimination (cross-multiplication only, no
-    division)."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+    by Bareiss elimination (Math. Comp. 22, 1968): after the pivot p_k
+    every later row becomes (p_k row_i - f row_k) / p_(k-1), f its entry
+    in the pivot column, and a column with no nonzero entry is skipped.
+    The entries are then minors of the matrix, so each division is
+    exact and they grow polynomially, not exponentially."""
+    rows = [list(row) for row in rows]
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        pr = next((i for i, row in enumerate(rows) if row[0]), None)
         if pr is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [pivot * a - f * b
-                           for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivot, *top = rows.pop(pr)
+        rows = [[_exact(pivot * a - row[0] * b, prev)
+                 for a, b in zip(row[1:], top)] for row in rows]
+        rank, prev = rank + 1, pivot
+    return rank
 
 
 def _point_degree(table):

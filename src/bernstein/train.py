@@ -24,9 +24,10 @@ from fractions import Fraction
 from itertools import islice
 
 from . import linalg
-from .core import (AlgebraError, InternalCheckError, UnivariatePoly,
-                   _power_chain, ideal_rows, left_mult_operator, ZERO, ONE)
-from .elements import _train_forms, _train_gamma_formula, train_polynomial
+from .core import (AlgebraError, InternalCheckError, _power_chain,
+                   ideal_rows, left_mult_operator, ZERO, ONE)
+from .elements import _train_forms, train_polynomial
+from .multipoly import MultiPoly
 from .structure import (_combination, _components, _lyubich_kernel,
                         adapted_table, is_bernstein, peirce)
 from .symbolic import IdentityCheck, check_identity, generic_element
@@ -250,7 +251,7 @@ class TrainReport:
     is_train: bool
     rank: int | None
     train_coeffs: tuple | None
-    train_poly: UnivariatePoly | None
+    train_poly: MultiPoly | None
     nil_index_N: int | None
     is_locally_train: bool
     bounds: dict
@@ -287,15 +288,11 @@ def train_analysis(table):
             f"operators={op_index is not None}")
     is_train = nil_index is not None
 
-    train_coeffs = None
-    train_poly = None
+    train_coeffs = train_poly = None
     if rank is not None:
-        if rank == 2:
-            train_poly = UnivariatePoly((ZERO, -ONE, ONE))
-            train_coeffs = (ONE, -ONE)
-        else:
-            train_poly = train_polynomial(rank)
-            train_coeffs = _train_gamma_formula(rank)
+        train_poly = (MultiPoly.univariate((ZERO, -ONE, ONE)) if rank == 2
+                      else train_polynomial(rank))
+        train_coeffs = tuple(train_poly.coefficients()[:0:-1])
 
     return TrainReport(
         is_train=is_train,

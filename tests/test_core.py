@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from bernstein.core import (AlgebraError, AlgebraTable, Element,
-                            UnivariatePoly, as_scalar, bilinear_product,
+                            as_scalar, bilinear_product,
                             format_scalar, left_mult_operator, parse_scalar,
                             poly_eval, principal_powers, HALF, ONE, ZERO)
 from bernstein import catalog, linalg
@@ -187,28 +187,31 @@ def test_left_mult_operator_checks_carrier():
 
 
 def test_univariate_poly_basics():
-    x = UnivariatePoly.x()
-    p = (x ** 3 - x ** 2) * (x - UnivariatePoly([F(3, 2)]))
-    assert p == UnivariatePoly([0, 0, F(3, 2), F(-5, 2), 1])
-    assert p.degree == 4 and p.is_monic and p.constant_term == 0
-    assert p.coeff(3) == F(-5, 2) and p.coeff(99) == 0
+    x = MultiPoly.var("X")
+    p = (x ** 3 - x ** 2) * (x - MultiPoly.univariate([F(3, 2)]))
+    assert p == MultiPoly.univariate([0, 0, F(3, 2), F(-5, 2), 1])
+    cs = p.coefficients()
+    assert p.total_degree() == 4 and cs[-1] == 1 and cs[0] == 0
+    assert cs[3] == F(-5, 2) and len(cs) == 5
     assert repr(p) == "X^4 - 5/2*X^3 + 3/2*X^2"
-    assert p(F(1)) == 0 and p(F(2)) == 2
-    q, r = p.divmod(x ** 3 - x ** 2)
-    assert q == x - UnivariatePoly([F(3, 2)]) and r.is_zero()
-    assert p.divisible_by(x ** 3 - x ** 2)
-    assert not p.divisible_by(x - UnivariatePoly([F(1, 2)]))
-    with pytest.raises(AlgebraError):
-        p.divmod(UnivariatePoly())
+    assert p.evaluate({"X": F(1)}) == 0 and p.evaluate({"X": F(2)}) == 2
+    q = p.exact_div(x ** 3 - x ** 2)
+    assert q == x - MultiPoly.univariate([F(3, 2)])
+    assert p.exact_div(x ** 3 - x ** 2) is not None
+    assert p.exact_div(x - MultiPoly.univariate([F(1, 2)])) is None
+    with pytest.raises((AlgebraError, ZeroDivisionError)):
+        p.exact_div(MultiPoly.zero())
 
 
 def test_poly_eval_uses_principal_powers():
     table = catalog.example_not_train()
     a = table.element_from({"e": 1, "u": 1, "v": 1})
-    p = UnivariatePoly([0, 0, F(3, 2), F(-5, 2), 1])
+    p = MultiPoly.univariate([0, 0, F(3, 2), F(-5, 2), 1])
     assert poly_eval(a, p).is_zero()
-    assert poly_eval(a, UnivariatePoly.x()) == a
-    assert poly_eval(a, UnivariatePoly()) == table.zero()
+    assert poly_eval(a, MultiPoly.var("X")) == a
+    assert poly_eval(a, MultiPoly.zero()) == table.zero()
+    with pytest.raises(AlgebraError, match="constant term"):
+        poly_eval(a, p + 1)
 
 
 def _rebased(table, rng):
@@ -458,6 +461,30 @@ def _change_basis_twin(table, rng):
         f = rng.choice((1, F(1, 2), F(-3, 2), F(2, 3)))
         p[a] = [f * u for u in p[a]]
     return table.change_basis(p, table.labels, name="twin")
+
+
+def test_barideal_basis_is_the_weight_row_kernel():
+    """The sparse, cached weight kernel against ``linalg.kernel`` of
+    the weight row, on catalog tables and twins with rational and
+    negative weights; every call returns fresh elements and the cache
+    holds no Element."""
+    rng = random.Random(19)
+    tables = [catalog.example_not_train(), catalog.shift_down_truncated(4),
+              catalog.free_single_truncated(5), mixed_table()]
+    tables += [_change_basis_twin(t, rng) for t in tables]
+    leads = [next(w for w in t.weight if w) for t in tables]
+    assert min(leads) < 0 and any(w.denominator > 1 for w in leads)
+    for table in tables:
+        basis = table.barideal_basis()
+        assert [list(b.coords) for b in basis] == \
+            linalg.kernel([list(table.weight)])
+        assert all(b.weight() == 0 for b in basis)
+        basis.append(table.zero())
+        basis[0].num.clear()
+        again = table.barideal_basis()
+        assert len(again) == table.dim - 1 and not again[0].is_zero()
+        assert all(type(num) is dict and type(den) is int
+                   for num, den in table._cache["barideal"])
 
 
 def _sparse_rational_vector(rng, dim):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from bernstein.core import AlgebraError
-from bernstein.multipoly import MultiPoly
+from bernstein.multipoly import MultiPoly, _graded, _merge_keys
 
 F = Fraction
 
@@ -205,3 +205,78 @@ def test_arithmetic_matches_fraction_reference():
         point = {f"t{i}": F(rng.randint(-5, 5), rng.randint(1, 4))
                  for i in range(3)}
         assert p.evaluate(point) == _ref_evaluate(_ref(p), point)
+
+
+def test_exact_division_round_trips():
+    rng = random.Random(15)
+    inexact = 0
+    for _ in range(80):
+        a, b = rand_poly(rng, nterms=5), rand_poly(rng)
+        if not b:
+            continue
+        assert (a * b).exact_div(b) == a
+        assert _canonical((a * b).exact_div(-3 * b))
+        c = rand_nonzero(rng)
+        assert (a * b).exact_div(c) == (a * b) / c
+        if b.total_degree() > 0:
+            assert (a * b + 1).exact_div(b) is None
+            inexact += 1
+    assert inexact > 20
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert (x * x - y * y).exact_div(x - y) == x + y
+    # leading coefficients that do not divide: the quotient is rational
+    assert (x * x + x).exact_div(2 * x) == (x + 1) / 2
+    assert (x * x + x).exact_div(-2 * x) == -(x + 1) / 2
+    assert (x * y / 3).exact_div(F(2, 3) * y - x) is None
+    assert x.exact_div(y) is None and y.exact_div(x * y) is None
+    assert MultiPoly.zero().exact_div(x) == 0
+    with pytest.raises(ZeroDivisionError):
+        x.exact_div(MultiPoly.zero())
+    with pytest.raises(ZeroDivisionError):
+        x.exact_div(0)
+
+
+def test_graded_order_is_a_monomial_order():
+    """m1 < m2 implies m1 m3 < m2 m3, on seeded random monomials; the
+    key tuples themselves, compared as tuples, fail this."""
+    rng = random.Random(16)
+    names = ["t1", "t10", "t2", "x"]
+    vector = _graded(sorted(names))
+
+    def monomial():
+        chosen = rng.sample(names, rng.randint(0, 3))
+        return tuple(sorted((n, rng.randint(1, 3)) for n in chosen))
+
+    ordered = 0
+    for _ in range(500):
+        m1, m2, m3 = monomial(), monomial(), monomial()
+        assert (vector(m1) == vector(m2)) == (m1 == m2)
+        assert vector(_merge_keys(m1, m3)) == tuple(
+            a + b for a, b in zip(vector(m1), vector(m3)))
+        if vector(m1) < vector(m2):
+            assert vector(_merge_keys(m1, m3)) < vector(_merge_keys(m2, m3))
+            ordered += 1
+        assert vector(m1) <= vector(())
+    assert ordered > 100
+    a, b = (("x", 1),), (("y", 1),)
+    assert a < b and _merge_keys(a, a) > _merge_keys(b, a)
+
+
+def test_univariate_constructor_and_coefficients():
+    x = MultiPoly.var("X")
+    p = MultiPoly.univariate([0, F(-1, 2), 0, 3])
+    assert p == 3 * x ** 3 - x / 2
+    assert p.coefficients() == [0, F(-1, 2), 0, 3]
+    assert repr(p) == "3*X^3 - 1/2*X"
+    assert MultiPoly.univariate([1, 0, 0]).coefficients() == [1]
+    assert MultiPoly.univariate([]).coefficients() == []
+    assert MultiPoly.univariate([2, 1]) == x + 2
+    for bad in (x * MultiPoly.var("Y"), MultiPoly.var("Y") + x):
+        with pytest.raises(ValueError):
+            bad.coefficients()
+
+
+def test_repr_lists_terms_by_descending_degree():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert repr(x * y - 2 * y ** 3 + x * x + F(1, 2) * x - 3) == \
+        "-2*y^3 + x^2 + x*y + 1/2*x - 3"

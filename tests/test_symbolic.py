@@ -89,6 +89,37 @@ def test_check_identity_arity_guard():
                        arity=9, prefixes=("x",))
 
 
+def _division_free_rank(rows):
+    """The rank by cross-multiplication with no division, the
+    elimination that ``symbolic_rank`` ran before Bareiss: a reference
+    whose entries grow exponentially."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [pivot * a - f * b
+                           for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _at(rows, point):
+    return [[c.evaluate(point) if isinstance(c, MultiPoly) else c
+             for c in row] for row in rows]
+
+
 def test_symbolic_rank_matches_numeric():
     from bernstein import linalg
     rng = random.Random(23)
@@ -104,10 +135,6 @@ def test_symbolic_rank_matches_numeric():
             return MultiPoly.const(c)
         return c * t + rng.randint(-2, 2) * s * t + rng.randint(-1, 1)
 
-    def at(rows, point):
-        return [[c.evaluate(point) if isinstance(c, MultiPoly) else c
-                 for c in row] for row in rows]
-
     for _ in range(15):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         concrete = [[F(rng.randint(-4, 4)) for _ in range(ncols)]
@@ -118,11 +145,87 @@ def test_symbolic_rank_matches_numeric():
         assert symbolic_rank(concrete) == linalg.Subspace(concrete).rank
         mixed = [[mixed_entry() for _ in range(ncols)] for _ in range(nrows)]
         point = {"t": F(rng.randint(-40, 40)), "s": F(rng.randint(-40, 40))}
-        assert symbolic_rank(mixed) == linalg.Subspace(at(mixed, point)).rank
+        assert symbolic_rank(mixed) == linalg.Subspace(_at(mixed, point)).rank
+        assert symbolic_rank(mixed) == _division_free_rank(mixed)
     assert symbolic_rank([[t, t], [t, t]]) == 1
     assert symbolic_rank([[t, MultiPoly.const(F(1))], [t, t]]) == 2
     assert symbolic_rank([[F(1), F(2)], [t, 2 * t]]) == 1
     assert symbolic_rank([[F(1), F(2)], [t, t]]) == 2
+    # Larger matrices of Fractions, constant polynomials and polynomials
+    # in three variables, with rows that are polynomial combinations of
+    # others and zero columns, so that pivot columns are skipped and the
+    # Bareiss divisions are not by constants; the rank at a point is at
+    # most the generic one, so the largest of three is compared.
+    rng = random.Random(26)
+    names = ("t", "s", "r")
+
+    def poly(terms):
+        p = MultiPoly.const(F(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(terms):
+            term = MultiPoly.const(F(rng.randint(-2, 2), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * MultiPoly.var(rng.choice(names))
+            p = p + term
+        return p
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return F(rng.randint(-3, 3), rng.randint(1, 3))
+        if kind < 0.4:
+            return MultiPoly.const(F(rng.randint(-3, 3)))
+        return poly(rng.randint(1, 2))
+
+    deficient = 0
+    for trial in range(40):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2 and trial % 2:
+            f, g = poly(1), poly(1)
+            rows[-1] = [f * a + g * b for a, b in zip(rows[0], rows[1])]
+        if trial % 3 == 0:
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = F(0)
+        rank = symbolic_rank(rows)
+        deficient += rank < min(nrows, ncols)
+        if nrows * ncols <= 16:
+            assert rank == _division_free_rank(rows)
+        points = [{n: F(rng.randint(-40, 40)) for n in names}
+                  for _ in range(3)]
+        assert rank == max(linalg.Subspace(_at(rows, p)).rank
+                           for p in points)
+    assert deficient > 5
+
+
+def test_bareiss_rank_flags_an_inexact_division(monkeypatch):
+    t = MultiPoly.var("t")
+    monkeypatch.setattr(MultiPoly, "exact_div", lambda self, d: None)
+    with pytest.raises(InternalCheckError, match="Bareiss"):
+        symbolic_rank([[t, F(1)], [F(1), t]])
+
+
+def test_generic_degree_needs_the_symbolic_rank_and_stays_fast(monkeypatch):
+    """Native shift_down(7) (8.6 s by cross-multiplication) and the
+    all-ones twin of shift_up(5) (111 s) reach their degree through the
+    symbolic rank."""
+    import time
+    import bernstein.symbolic as symbolic
+    calls = []
+    real_rank = symbolic.symbolic_rank
+    monkeypatch.setattr(symbolic, "symbolic_rank",
+                        lambda rows: calls.append(1) or real_rank(rows))
+    start = time.perf_counter()
+    assert generic_degree(catalog.shift_down_truncated(7)) == 7
+    assert time.perf_counter() - start < 1
+    up = catalog.shift_up_truncated(5)
+    n = up.dim
+    ones = up.change_basis([[int(j >= i) for j in range(n)]
+                            for i in range(n)], up.labels)
+    start = time.perf_counter()
+    assert generic_degree(ones) == 5
+    assert time.perf_counter() - start < 5
+    assert len(calls) == 2
 
 
 def test_generic_degree_low_dim_theorems():

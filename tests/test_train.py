@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, AlgebraTable, UnivariatePoly, HALF
+from bernstein.core import AlgebraError, AlgebraTable, HALF
 from bernstein.elements import train_polynomial
+from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import generic_element
 from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
                              check_lx_power_splitting, engel_check,
@@ -71,11 +72,11 @@ def test_train_analysis_goldens():
 
     rep = train_analysis(catalog.elementary_algebra(2))
     assert (rep.is_train, rep.rank, rep.train_coeffs) == (True, 2, (1, -1))
-    assert rep.train_poly == UnivariatePoly([0, -1, 1])
+    assert rep.train_poly == MultiPoly.univariate([0, -1, 1])
 
     rep = train_analysis(catalog.constant_algebra())
     assert (rep.rank, rep.train_coeffs) == (3, (1, -1, 0))
-    assert rep.train_poly == UnivariatePoly([0, 0, -1, 1])
+    assert rep.train_poly == MultiPoly.univariate([0, 0, -1, 1])
 
     rep = train_analysis(catalog.three_dim_alpha(F(3, 2)))
     assert (rep.rank, rep.train_coeffs) == (4, (1, F(-3, 2), F(1, 2), 0))
