@@ -254,20 +254,15 @@ def from_associative(assoc, s_indices, name=""):
 
     dim = assoc.dim
 
-    # Int 0 off the support keeps the zero tests below cheap.
-    def product(va, vb):
-        acc = [0] * dim
-        vb = [(j, cb) for j, cb in enumerate(vb) if cb]
-        for i, ca in enumerate(va):
-            if ca:
-                for j, cb in vb:
-                    for k, c in assoc.product(i, j).items():
-                        acc[k] += ca * cb * c
-        return acc
+    # Int 0 off the support keeps the zero tests of the closure cheap.
+    def products(u, v):
+        x = {i: c for i, c in enumerate(u) if c}
+        y = {i: c for i, c in enumerate(v) if c}
+        return [[p.get(k, 0) for k in range(dim)]
+                for p in (assoc.multiply(x, y), assoc.multiply(y, x))]
 
     span = linalg.closure([[int(k == i) for k in range(dim)]
-                           for i in s_indices],
-                          lambda u, v: (product(u, v), product(v, u)))
+                           for i in s_indices], products)
     if span.rank != dim:
         raise AlgebraError("S does not generate the associative algebra")
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 
 from .core import AlgebraError, InternalCheckError, as_scalar, format_scalar
-
-Word = tuple
-
 
 def word_key(word):
     """Sort key realising deglex: longer words first, ties by letter
@@ -65,7 +63,8 @@ class NcPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # A zero polynomial equals 0, so it hashes like 0.
+        return hash(frozenset(self.terms.items())) if self.terms else hash(0)
 
     def __add__(self, other):
         if not isinstance(other, NcPoly):
@@ -129,9 +128,7 @@ class NcPoly:
         return self.scale(Fraction(1, 1) / lead)
 
     def degree(self):
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
+        return max((len(w) for w in self.terms), default=-1)
 
     def render(self, generators):
         if not self.terms:
@@ -147,22 +144,12 @@ class NcPoly:
             else:
                 chunk = f"{format_scalar(coeff)}*{text}"
             parts.append(chunk)
-        out = parts[0]
-        for chunk in parts[1:]:
-            if chunk.startswith("-"):
-                out += " - " + chunk[1:]
-            else:
-                out += " + " + chunk
-        return out
+        # Names are identifiers, so " + -" only opens a negative term.
+        return " + ".join(parts).replace(" + -", " - ")
 
     def __repr__(self):
-        if not self.terms:
-            return "NcPoly(0)"
-        body = " + ".join(
-            f"{format_scalar(c)}*{w}" for w, c in
-            sorted(self.terms.items(), key=lambda kv: word_key(kv[0]),
-                   reverse=True))
-        return f"NcPoly({body})"
+        top = max((g for word in self.terms for g in word), default=-1)
+        return f"NcPoly({self.render([f'g{i}' for i in range(top + 1)])})"
 
 
 @dataclass(frozen=True)
@@ -200,35 +187,36 @@ def _first_occurrence(word, leads):
 
 def reduce(poly, basis):
     """Normal form of poly modulo the monic basis, rewriting the
-    deglex-largest reducible word first, at its leftmost occurrence."""
+    deglex-largest reducible word first, at its leftmost occurrence.
+    One pass over a heap keyed (-len(word), word), deglex-largest on
+    top: a rewrite makes only smaller words, so none is popped twice."""
     if isinstance(basis, GroebnerState):
         basis = basis.basis
     leads = [g.leading_word() for g in basis]
     terms = dict(poly.terms)
-    while True:
-        target = None
-        for word in sorted(terms, key=word_key, reverse=True):
-            hit = _first_occurrence(word, leads)
-            if hit is not None:
-                target = (word, hit)
-                break
-        if target is None:
-            break
-        word, (pos, li) = target
+    heap = [(-len(word), word) for word in terms]
+    heapify(heap)
+    normal = {}
+    while heap:
+        word = heappop(heap)[1]
         coeff = terms.pop(word)
-        g = basis[li]
+        if not coeff:
+            continue
+        hit = _first_occurrence(word, leads)
+        if hit is None:
+            normal[word] = coeff
+            continue
+        pos, li = hit
         lead = leads[li]
-        for tail_word, tail_coeff in g.terms.items():
-            if tail_word == lead:
-                continue
-            new_word = word[:pos] + tail_word + word[pos + len(lead):]
-            acc = terms.get(new_word, 0) - coeff * tail_coeff
-            if acc:
-                terms[new_word] = acc
-            else:
-                terms.pop(new_word, None)
+        for tail_word, tail_coeff in basis[li].terms.items():
+            if tail_word != lead:
+                new_word = word[:pos] + tail_word + word[pos + len(lead):]
+                if new_word not in terms:
+                    terms[new_word] = 0
+                    heappush(heap, (-len(new_word), new_word))
+                terms[new_word] -= coeff * tail_coeff
     out = NcPoly.__new__(NcPoly)
-    out.terms = terms
+    out.terms = normal
     return out
 
 
@@ -350,36 +338,41 @@ def is_normal_word(state, word):
     return _first_occurrence(word, leads) is None
 
 
+def _normal_words_upto(state, bound):
+    """The normal words of degrees 1..bound, one deglex-ordered list per
+    degree.  Each degree extends the one below by a letter, so only
+    suffixes are tested."""
+    if bound >= state.complete_below:
+        raise AlgebraError(
+            f"completeness bound insufficient for degree {bound} "
+            f"(complete below {state.complete_below})")
+    leads = [g.leading_word() for g in state.basis]
+    letters = range(len(state.presentation.generators))
+    # Not a recursive closure: that is a reference cycle, which keeps
+    # the words alive until the cyclic garbage collector runs.
+    levels = [[()]]
+    for _ in range(bound):
+        level = []
+        for prefix in levels[-1]:
+            for letter in letters:
+                word = prefix + (letter,)
+                if not any(word[-len(lead):] == lead for lead in leads):
+                    level.append(word)
+        levels.append(level)
+    return levels[1:]
+
+
 def normal_words(state, degree):
     """All normal words of the given degree, in deglex order (largest
     generator letter first)."""
     if not isinstance(degree, int) or degree < 1:
         raise AlgebraError("degree must be a positive integer")
-    if degree >= state.complete_below:
-        raise AlgebraError(
-            f"completeness bound insufficient for degree {degree} "
-            f"(complete below {state.complete_below})")
-    leads = [g.leading_word() for g in state.basis]
-    ngens = len(state.presentation.generators)
-    # Degree by degree, not by a recursive closure: a closure that
-    # refers to itself is a reference cycle, which would keep the words
-    # alive until the cyclic garbage collector runs.
-    words = [()]
-    for _ in range(degree):
-        longer = []
-        for prefix in words:
-            for letter in range(ngens):
-                word = prefix + (letter,)
-                if not any(len(lead) <= len(word)
-                           and word[-len(lead):] == lead for lead in leads):
-                    longer.append(word)
-        words = longer
-    return words
+    return _normal_words_upto(state, degree)[-1]
 
 
 def hilbert_counts(state, up_to):
     """Number of normal words in each degree 1..up_to."""
-    return [len(normal_words(state, d)) for d in range(1, up_to + 1)]
+    return [len(level) for level in _normal_words_upto(state, up_to)]
 
 
 def nil_span_check(state, span_gens, power):
@@ -455,23 +448,22 @@ class AssociativeTable:
             for j in within.get(self.up_to - degrees[i], ()):
                 pij = self.product(i, j)
                 for k in within.get(self.up_to - degrees[i] - degrees[j], ()):
-                    left = self._apply_vec(pij, k, False)
-                    right = self._apply_vec(self.product(j, k), i, True)
-                    if left != right:
+                    if self.multiply(pij, {k: 1}) != \
+                            self.multiply({i: 1}, self.product(j, k)):
                         raise AlgebraError(
                             f"associativity fails on triple ({i}, {j}, {k})")
 
-    def _apply_vec(self, vec, index, on_left):
+    def multiply(self, x, y):
+        """The product of sparse vectors {index: coeff}, as one."""
         acc = {}
-        for mid, coeff in vec.items():
-            pair = (index, mid) if on_left else (mid, index)
-            for k, c in self.product(*pair).items():
-                val = acc.get(k, 0) + coeff * c
-                if val:
-                    acc[k] = val
-                else:
-                    acc.pop(k, None)
-        return acc
+        for i, a in x.items():
+            for j, b in y.items():
+                vec = self.product(i, j)
+                if vec:
+                    ab = a * b
+                    for k, c in vec.items():
+                        acc[k] = acc.get(k, 0) + ab * c
+        return {k: c for k, c in acc.items() if c}
 
 
 def truncated_algebra_table(state, up_to):
@@ -483,9 +475,7 @@ def truncated_algebra_table(state, up_to):
         raise AlgebraError(
             f"completeness bound insufficient for truncation at {up_to} "
             f"(complete below {state.complete_below})")
-    words = []
-    for d in range(1, up_to + 1):
-        words.extend(normal_words(state, d))
+    words = [w for level in _normal_words_upto(state, up_to) for w in level]
     index = {w: i for i, w in enumerate(words)}
     gens = state.presentation.generators
     joiner = "" if all(len(g) == 1 for g in gens) else "_"
