@@ -568,7 +568,8 @@ class Element:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        # A zero element equals 0, so it hashes like 0.
+        return hash(self.coords) if self.num else hash(0)
 
     def variables(self):
         """Sorted names of the indeterminates in the coordinates."""

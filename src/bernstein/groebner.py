@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
+from math import lcm
 
 from .core import AlgebraError, InternalCheckError, as_scalar, format_scalar
 
@@ -187,12 +188,16 @@ def _first_occurrence(word, leads):
 
 def reduce(poly, basis):
     """Normal form of poly modulo the monic basis, rewriting the
-    deglex-largest reducible word first, at its leftmost occurrence.
-    One pass over a heap keyed (-len(word), word), deglex-largest on
-    top: a rewrite makes only smaller words, so none is popped twice."""
+    deglex-largest reducible word first, at its leftmost occurrence."""
     if isinstance(basis, GroebnerState):
         basis = basis.basis
-    leads = [g.leading_word() for g in basis]
+    return _reduce(poly, basis, [g.leading_word() for g in basis])
+
+
+def _reduce(poly, basis, leads):
+    """``reduce`` with the basis's leading words given by the caller.
+    One pass over a heap keyed (-len(word), word), deglex-largest on
+    top: a rewrite makes only smaller words, so none is popped twice."""
     terms = dict(poly.terms)
     heap = [(-len(word), word) for word in terms]
     heapify(heap)
@@ -241,14 +246,9 @@ def _insert(basis, poly):
     """Add a monic polynomial, evicting and re-reducing any basis
     element whose leading word it divides."""
     lead = poly.leading_word()
-    kept = []
-    evicted = []
-    for g in basis:
-        if _first_occurrence(g.leading_word(), [lead]) is not None:
-            evicted.append(g)
-        else:
-            kept.append(g)
-    kept.append(poly)
+    hits = [_first_occurrence(g.leading_word(), [lead]) for g in basis]
+    evicted = [g for g, hit in zip(basis, hits) if hit is not None]
+    kept = [g for g, hit in zip(basis, hits) if hit is None] + [poly]
     for g in evicted:
         r = reduce(g, kept)
         if r:
@@ -297,10 +297,9 @@ def buchberger_truncated(presentation, max_degree):
     while changed:
         changed = False
         obstructions = []
-        for i, gi in enumerate(basis):
-            wi = gi.leading_word()
-            for j, gj in enumerate(basis):
-                wj = gj.leading_word()
+        leads = [g.leading_word() for g in basis]
+        for i, wi in enumerate(leads):
+            for j, wj in enumerate(leads):
                 for k in range(1, min(len(wi), len(wj))):
                     if wi[len(wi) - k:] == wj[:k]:
                         deg = len(wi) + len(wj) - k
@@ -309,13 +308,13 @@ def buchberger_truncated(presentation, max_degree):
                                                  word_key(wj), k, i, j))
         for deg, _, _, k, i, j in sorted(obstructions):
             gi, gj = basis[i], basis[j]
-            wi, wj = gi.leading_word(), gj.leading_word()
+            wi, wj = leads[i], leads[j]
             signature = (wi, wj, k)
             if signature in processed:
                 continue
             processed.add(signature)
             spoly = gi * NcPoly.word(wj[k:]) - NcPoly.word(wi[:len(wi) - k]) * gj
-            h = reduce(spoly, basis)
+            h = _reduce(spoly, basis, leads)
             if h:
                 _insert(basis, h.monic())
                 _interreduce(basis)
@@ -397,7 +396,8 @@ def nil_span_check(state, span_gens, power):
             poly = poly * gens[idx]
         key = tuple(sorted(combo))
         grouped[key] = grouped.get(key, NcPoly.zero()) + poly
-    return all(not reduce(p, state) for p in grouped.values())
+    leads = [g.leading_word() for g in state.basis]
+    return all(not _reduce(p, state.basis, leads) for p in grouped.values())
 
 
 @dataclass(frozen=True)
@@ -432,12 +432,20 @@ class AssociativeTable:
         n = self.dim
         if len(set(self.words)) != n or len(self.labels) != n:
             raise AlgebraError("words and labels must be distinct and aligned")
+        scalars = {}
         for (i, j), vec in self.products.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("product index out of range")
             for k, c in vec.items():
-                if not (0 <= k < n) or not as_scalar(c):
+                if not (0 <= k < n) or not (c := as_scalar(c)):
                     raise AlgebraError("bad product entry")
+                scalars[i, j, k] = c
+        # The table on integers over the common denominator D: both sides
+        # below are D² times (p_ij)·e_k and e_i·(p_jk).
+        den = lcm(*{c.denominator for c in scalars.values()})
+        ints = {}
+        for (i, j, k), c in scalars.items():
+            ints.setdefault((i, j), {})[k] = c.numerator * den // c.denominator
         # Only triples of total degree <= up_to are checked; within[b]
         # lists, in index order, the words of degree at most b, so the
         # triples are visited in lexicographic order.
@@ -446,29 +454,37 @@ class AssociativeTable:
                   for b in range(self.up_to + 1)}
         for i in range(n):
             for j in within.get(self.up_to - degrees[i], ()):
-                pij = self.product(i, j)
+                pij = ints.get((i, j), {})
                 for k in within.get(self.up_to - degrees[i] - degrees[j], ()):
-                    if self.multiply(pij, {k: 1}) != \
-                            self.multiply({i: 1}, self.product(j, k)):
+                    if _multiply(ints, pij, {k: 1}) != \
+                            _multiply(ints, {i: 1}, ints.get((j, k), {})):
                         raise AlgebraError(
                             f"associativity fails on triple ({i}, {j}, {k})")
 
     def multiply(self, x, y):
         """The product of sparse vectors {index: coeff}, as one."""
-        acc = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                vec = self.product(i, j)
-                if vec:
-                    ab = a * b
-                    for k, c in vec.items():
-                        acc[k] = acc.get(k, 0) + ab * c
-        return {k: c for k, c in acc.items() if c}
+        return _multiply(self.products, x, y)
+
+
+def _multiply(products, x, y):
+    """``AssociativeTable.multiply`` under the table ``products``."""
+    acc = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            vec = products.get((i, j))
+            if vec:
+                ab = a * b
+                for k, c in vec.items():
+                    acc[k] = acc.get(k, 0) + ab * c
+    return {k: c for k, c in acc.items() if c}
 
 
 def truncated_algebra_table(state, up_to):
     """Finite-dimensional quotient table on the normal words of degree
-    1..up_to, with products beyond the bound truncated to zero."""
+    1..up_to, with products beyond the bound truncated to zero.  Built
+    from generator actions: NF(w·g) is reduced once for each normal word
+    w below the bound and letter g; then e_wi·e_(u·g) = (e_wi·e_u)·g, as
+    normal forms are unique below complete_below."""
     if not isinstance(up_to, int) or up_to < 1:
         raise AlgebraError("truncation degree must be a positive integer")
     if up_to >= state.complete_below:
@@ -481,22 +497,26 @@ def truncated_algebra_table(state, up_to):
     joiner = "" if all(len(g) == 1 for g in gens) else "_"
     labels = tuple(joiner.join(gens[g] for g in w) for w in words)
 
+    leads = [g.leading_word() for g in state.basis]
+    letters = [g for g, w in enumerate(words) if len(w) == 1]
     products = {}
-    overflow = set()
+    for i, wi in enumerate(words):
+        for g in letters if len(wi) < up_to else ():
+            normal = _reduce(NcPoly.word(wi + words[g]), state.basis, leads)
+            if any(word not in index for word in normal.terms):
+                raise InternalCheckError(
+                    "reduced product left the truncated basis")
+            if normal:
+                products[i, g] = {index[w]: c for w, c in normal.terms.items()}
     for i, wi in enumerate(words):
         for j, wj in enumerate(words):
-            if len(wi) + len(wj) > up_to:
-                overflow.add((i, j))
-                continue
-            normal = reduce(NcPoly.word(wi + wj), state)
-            vec = {}
-            for word, coeff in normal.terms.items():
-                if word not in index:
-                    raise InternalCheckError(
-                        "reduced product left the truncated basis")
-                vec[index[word]] = coeff
-            if vec:
-                products[(i, j)] = vec
+            if 1 < len(wj) <= up_to - len(wi):
+                prefix = products.get((i, index[wj[:-1]]))
+                if prefix and (vec := _multiply(products, prefix,
+                                                {index[wj[-1:]]: 1})):
+                    products[i, j] = vec
+    overflow = {(i, j) for i, wi in enumerate(words)
+                for j, wj in enumerate(words) if len(wi) + len(wj) > up_to}
 
     try:
         return AssociativeTable(

@@ -116,6 +116,19 @@ def test_element_arithmetic_axioms():
         assert (x * y).weight() == x.weight() * y.weight()
 
 
+def test_zero_elements_hash_like_zero():
+    # A zero element compares equal to 0, so it must hash like 0 to be
+    # found under the key 0.
+    table = catalog.free_single_truncated(4)
+    x = table.basis_element(1)
+    g = generic_element(table)
+    for zero in (table.zero(), x - x, x.scale(0), g - g, g.scale(0)):
+        assert zero == 0 and hash(zero) == hash(0)
+        assert {0: "v"}.get(zero) == "v"
+    assert {x: "v"}.get(table.basis_element(1)) == "v"
+    assert hash(x) == hash(x.coords)
+
+
 def test_mixed_algebra_elements_rejected():
     a = catalog.constant_algebra().basis_element(0)
     b = catalog.example_not_train().basis_element(0)
@@ -531,7 +544,8 @@ def test_sparse_elements_match_fraction_reference():
             # the same element from an unreduced pair
             y = _concrete(table, {k: 6 * a for k, a in x.num.items()},
                           6 * x.den)
-            assert y == x and hash(y) == hash(x) == hash(tuple(xv))
+            assert y == x and hash(y) == hash(x) == \
+                (hash(tuple(xv)) if any(xv) else hash(0))
             assert (-x).coords == tuple(-c for c in xv)
             for c in (0, -1, F(-2, 3), F(6, 4), 5):
                 assert x.scale(c).coords == tuple(F(c) * a for a in xv)

@@ -6,16 +6,17 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import product as iter_product
+from math import lcm
 
 import pytest
 
 from bernstein.core import AlgebraError
 from bernstein.groebner import (AssociativeTable, GroebnerState, NcPoly,
-                                Presentation, _first_occurrence,
+                                Presentation, _first_occurrence, _insert,
                                 buchberger_truncated, hilbert_counts,
                                 is_normal_word, nil_span_check, normal_words,
                                 reduce, truncated_algebra_table, word_key)
-from bernstein import catalog, groebner
+from bernstein import catalog, groebner, linalg
 
 X, Y = (0,), (1,)
 
@@ -125,6 +126,21 @@ def test_normal_words_and_avoidance_oracle():
         assert hilbert_counts(state, bound) == counts
 
 
+def test_insert_evicts_and_rereduces():
+    # xx - 2y divides the leading word of xxy - y, which leaves the
+    # basis and comes back reduced and monic: 2yy - y, as yy - 1/2*y.
+    basis = [NcPoly({(0, 0, 1): 1, (1,): -1})]
+    _insert(basis, NcPoly({(0, 0): 1, (1,): -2}))
+    assert basis == [NcPoly({(0, 0): 1, (1,): -2}),
+                     NcPoly({(1, 1): 1, (1,): "-1/2"})]
+    # By hand: x(xx) = (xx)x gives xy = yx, and xxy = 2yy = y; so the
+    # normal words are x, y and yx.
+    pres = Presentation(("x", "y"), tuple(basis[::-1]))
+    state = buchberger_truncated(pres, 5)
+    assert state.render() == ["yy - 1/2*y", "xy - yx", "xx - 2*y"]
+    assert hilbert_counts(state, 5) == [2, 1, 0, 0, 0]
+
+
 def test_commutator_presentation():
     pres = Presentation(("x", "y"), (NcPoly({(0, 1): 1, (1, 0): -1}),))
     state = buchberger_truncated(pres, 6)
@@ -192,6 +208,14 @@ def test_associative_table_verify_rejects_bad_entries():
             generators=table.generators, words=table.words,
             labels=table.labels, products={(0, 99): {0: 1}},
             up_to=table.up_to, overflow_pairs=table.overflow_pairs)
+    # A zero entry or a target out of range, on a valid degree-5 table.
+    table = truncated_algebra_table(state, 5)
+    for bad in ({0: Fraction(0)}, {0: 0}, {table.dim: Fraction(1)}):
+        with pytest.raises(AlgebraError, match="bad product entry"):
+            dataclasses.replace(table, products={**table.products, (0, 0): bad})
+    with pytest.raises(AlgebraError, match="product index out of range"):
+        dataclasses.replace(table, products={**table.products,
+                                             (table.dim, 0): {0: 1}})
 
 
 def _mult(products, x, y):
@@ -381,3 +405,168 @@ def test_heap_reduce_matches_rescan_reference(monkeypatch):
             patch.setattr(groebner, "reduce", _rescan_reduce)
             assert _completion(pres, bound)[1] == results, seed
     assert added >= 20
+
+
+def _pair_reduce_table(state, up_to):
+    """(words, labels, products, overflow_pairs) with every product
+    reduced on its own: NF(wi·wj) by ``reduce`` for each pair within
+    the bound.  This is how ``truncated_algebra_table`` built its
+    products before generator actions; kept as the reference."""
+    words = [w for d in range(1, up_to + 1) for w in normal_words(state, d)]
+    index = {w: i for i, w in enumerate(words)}
+    gens = state.presentation.generators
+    joiner = "" if all(len(g) == 1 for g in gens) else "_"
+    labels = tuple(joiner.join(gens[g] for g in w) for w in words)
+    products, overflow = {}, set()
+    for i, wi in enumerate(words):
+        for j, wj in enumerate(words):
+            if len(wi) + len(wj) > up_to:
+                overflow.add((i, j))
+                continue
+            normal = reduce(NcPoly.word(wi + wj), state)
+            vec = {index[word]: c for word, c in normal.terms.items()}
+            if vec:
+                products[(i, j)] = vec
+    return tuple(words), labels, products, frozenset(overflow)
+
+
+# The library pipelines of the benchmark: (generators, nil power,
+# completion degree, truncation degree).
+PIPELINES = [(2, 3, 5, 5), (2, 3, 6, 6), (2, 3, 7, 7), (3, 2, 3, 3),
+             (4, 2, 2, 2), (3, 3, 4, 4)]
+
+
+def _reshaped(pres, rng):
+    """The same relations, each scaled by a nonzero rational and listed
+    in a shuffled order: the same ideal."""
+    rels = [rel.scale(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                               rng.choice((1, 2, 5))))
+            for rel in pres.relations]
+    rng.shuffle(rels)
+    return Presentation(pres.generators, tuple(rels))
+
+
+def test_generator_action_table_matches_pair_reduction():
+    cases = [(kurosh_state(), 9)]
+    for spec in PIPELINES:
+        for seed in (1, 2):
+            pres = _reshaped(catalog.nil_power_presentation(*spec[:2]),
+                             random.Random(f"{seed}:{spec}"))
+            cases.append((buchberger_truncated(pres, spec[2]), spec[3]))
+    inhomogeneous = 0
+    for seed in DIFFERENTIAL_SEEDS[:20]:
+        pres, bound, _ = _random_presentation(seed)
+        inhomogeneous += any(len({len(w) for w in rel.terms}) > 1
+                             for rel in pres.relations)
+        cases.append((buchberger_truncated(pres, bound), bound))
+    assert inhomogeneous >= 10
+    for state, up_to in cases:
+        table = truncated_algebra_table(state, up_to)
+        words, labels, products, overflow = _pair_reduce_table(state, up_to)
+        assert (table.words, table.labels, table.overflow_pairs) == \
+            (words, labels, overflow)
+        assert table.products == products
+        assert all(type(c) is Fraction
+                   for vec in table.products.values() for c in vec.values())
+
+
+def _rescaled(table, scales):
+    """The same algebra on the basis scales[i]·e_i: entry k of e_i·e_j
+    becomes c·scales[i]·scales[j]/scales[k]."""
+    products = {(i, j): {k: c * scales[i] * scales[j] / scales[k]
+                         for k, c in vec.items()}
+                for (i, j), vec in table.products.items()}
+    return dataclasses.replace(table, products=products)
+
+
+def test_verify_on_integers_names_the_reference_failure():
+    base = truncated_algebra_table(kurosh_state(), 5)
+    rng = random.Random(23)
+    scaled = _rescaled(base, [Fraction(rng.choice((1, 2, 3, -5)),
+                                       rng.choice((1, 2, 7)))
+                              for _ in range(base.dim)])
+    checked = {"off": 0, "dropped": 0, "moved": 0}
+    for table in (base, scaled):
+        den = lcm(*{c.denominator for vec in table.products.values()
+                    for c in vec.values()})
+        assert (den > 1) == (table is scaled)
+        pairs = sorted(table.products)
+        for kind in checked:
+            for _ in range(4):
+                i, j = rng.choice(pairs)
+                vec = dict(table.products[(i, j)])
+                k = rng.choice(sorted(vec))
+                if kind == "off":
+                    step = Fraction(1, den)
+                    vec[k] += step if vec[k] + step else -step
+                elif kind == "dropped":
+                    del vec[k]
+                else:
+                    others = [m for m in range(table.dim) if m not in vec
+                              and table.degree(m) == table.degree(k)]
+                    vec[rng.choice(others or [m for m in range(table.dim)
+                                              if m not in vec])] = vec.pop(k)
+                products = dict(table.products)
+                products[(i, j)] = vec
+                triple = _first_nonassociative_triple(table, products)
+                if triple is None:
+                    dataclasses.replace(table, products=products)
+                    continue
+                checked[kind] += 1
+                with pytest.raises(AlgebraError) as info:
+                    dataclasses.replace(table, products=products)
+                assert str(info.value) == \
+                    "associativity fails on triple ({}, {}, {})".format(*triple)
+    assert min(checked.values()) >= 5, checked
+
+
+def _hilbert_oracle(pres, up_to):
+    """h_d for d = 1..up_to by linear algebra alone, for homogeneous
+    relations: the number of words of length d minus the rank of the
+    span of u·r·v over the relations r and the words u, v with
+    |u| + deg r + |v| = d."""
+    ngens = len(pres.generators)
+    assert all(len({len(w) for w in rel.terms}) == 1
+               for rel in pres.relations)
+    counts = []
+    for d in range(1, up_to + 1):
+        words = list(iter_product(range(ngens), repeat=d))
+        index = {w: i for i, w in enumerate(words)}
+        space = linalg.Subspace()
+        for rel in pres.relations:
+            deg = rel.degree()
+            for left in range(d - deg + 1):
+                for u in iter_product(range(ngens), repeat=left):
+                    for v in iter_product(range(ngens),
+                                          repeat=d - deg - left):
+                        vec = [0] * len(words)
+                        for w, c in rel.terms.items():
+                            vec[index[u + w + v]] = c
+                        space.add(vec)
+        counts.append(len(words) - space.rank)
+    return counts
+
+
+def _renamed(pres, rng):
+    """The presentation with its generator indexes permuted, not by the
+    identity."""
+    perm = list(range(len(pres.generators)))
+    while perm == sorted(perm):
+        rng.shuffle(perm)
+    return Presentation(
+        tuple(pres.generators[perm.index(g)] for g in perm),
+        tuple(NcPoly({tuple(perm[g] for g in w): c
+                      for w, c in rel.terms.items()})
+              for rel in pres.relations))
+
+
+def test_hilbert_counts_match_the_span_oracle():
+    # A renaming maps the words u·r·v onto the words u'·r'·v' of the
+    # renamed relations, so h_d is the same for both presentations.
+    rng = random.Random(31)
+    for spec, up_to in (((2, 3), 8), ((2, 4), 8), ((3, 3), 7)):
+        pres = catalog.nil_power_presentation(*spec)
+        oracle = _hilbert_oracle(pres, up_to)
+        for case in (pres, _renamed(pres, rng)):
+            state = buchberger_truncated(case, up_to)
+            assert hilbert_counts(state, up_to) == oracle, (spec, case)
