@@ -11,10 +11,12 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import catalog, elements, fileformat, groebner, structure
 from . import train as train_mod
-from .core import AlgebraError, InternalCheckError, format_scalar, parse_scalar
+from .core import (AlgebraError, InternalCheckError, format_scalar,
+                   parse_scalar, read_scalar)
 from .symbolic import generic_degree
 
 
@@ -212,14 +214,10 @@ def _parse_param(text):
     key, sep, value = text.partition("=")
     if not sep or not key:
         raise AlgebraError(f"parameters look like key=value, got {text!r}")
-    value = value.strip()
     if "," in value:
-        return key.strip(), [parse_scalar(p.strip()) for p in value.split(",")]
-    try:
-        return key.strip(), int(value)
-    except ValueError:
-        pass
-    return key.strip(), parse_scalar(value)
+        return key.strip(), [parse_scalar(p) for p in value.split(",")]
+    n, d = read_scalar(value)
+    return key.strip(), n if d == 1 else Fraction(n, d)
 
 
 def cmd_construct(args):

@@ -4,6 +4,8 @@ An :class:`AlgebraTable` presents a finite-dimensional commutative
 algebra by its basis labels and the products of unordered basis pairs.
 An optional weight row makes it a baric algebra; multiplicativity of
 the weight is checked on construction, where scalars are coerced.
+``read_scalar`` is the one reader of rationals from text: "n" or "n/d"
+in decimal integers, straight to ints.
 ``AlgebraTable.change_basis`` is the one routine that rebuilds a table
 on a new basis, or on a basis of a quotient.  Elements,
 ``left_mult_operator`` (the matrix of L_x on a carrier) and
@@ -13,8 +15,8 @@ zero constant term at an element, live here as well.
 ``Element`` is the one element class, over Q or over Q[t...], stored
 sparsely: a concrete element as int numerators over one denominator, a
 symbolic one as MultiPolys, and a product with a symbolic side reads
-rationals as constants in place.  Arithmetic works on integers: the
-structure constants are cleared of denominators once per table
+rationals as constants in place.  Arithmetic works on integers: a
+table stores its structure constants as int rows over one denominator
 (``AlgebraTable._integer_rows``), and products, sums and scaling of
 concrete elements run in Python ints and build no Fraction; Fractions
 appear only where a caller asks for ``coords`` or a weight.
@@ -23,6 +25,7 @@ appear only where a caller asks for ``coords`` or a weight.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -43,59 +46,99 @@ class InternalCheckError(RuntimeError):
     """A cross-check that should be impossible to fail has failed."""
 
 
+MAX_SCALAR_CHARS = 1000
+_SCALAR_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def read_scalar(text):
+    """(n, d) in lowest terms with d > 0 for a string "n" or "n/d" of
+    decimal integers, surrounding whitespace allowed: the one reader of
+    rationals from text.  Decimals, exponents, other types and strings
+    over ``MAX_SCALAR_CHARS`` characters are rejected."""
+    if not isinstance(text, str):
+        raise AlgebraError(f"bad scalar {text!r}: expected a string such as "
+                           f'"3" or "-5/2", got {type(text).__name__}')
+    if len(text) > MAX_SCALAR_CHARS:
+        raise AlgebraError(f"bad scalar {text[:20] + '...'!r}: longer than "
+                           f"{MAX_SCALAR_CHARS} characters")
+    match = _SCALAR_RE.fullmatch(text)
+    if match is None:
+        raise AlgebraError(f'bad scalar {text!r}: expected "n" or "n/d" '
+                           "with decimal integers n and d")
+    n, d = match.groups()
+    if d is None:
+        return int(n), 1
+    n, d = int(n), int(d)
+    if not d:
+        raise AlgebraError(f"bad scalar {text!r}: zero denominator")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _ratio(value):
+    """(n, d) in lowest terms with d > 0 for an (n, d) pair of ints with
+    d > 0, an int, a Fraction or a string ``read_scalar`` reads."""
+    if type(value) is tuple and len(value) == 2:
+        n, d = value
+        if type(n) is int and type(d) is int and d > 0:
+            g = gcd(n, d)
+            return (n, d) if g == 1 else (n // g, d // g)
+    elif isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    elif isinstance(value, int):
+        return int(value), 1
+    return read_scalar(value)
+
+
 def as_scalar(value):
-    """Coerce int, str ("p/q" or a plain decimal) or Fraction to Fraction;
-    reject floats and exponent notation ("1e1000000" would build a
-    million-digit integer)."""
+    """The Fraction of an int, a Fraction or a string ``read_scalar``
+    reads; floats and other types are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise AlgebraError(f"bad scalar {value!r}: exponent notation "
-                               "is not accepted")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise AlgebraError(f"bad scalar {value!r}: {exc}") from None
-    raise AlgebraError(f"bad scalar {value!r} of type {type(value).__name__}")
+    return Fraction(*read_scalar(value))
 
 
 def parse_scalar(text):
-    if not isinstance(text, str):
-        raise AlgebraError(f"scalar must be a string, got {type(text).__name__}")
-    return as_scalar(text)
+    """The Fraction of a string ``read_scalar`` reads."""
+    return Fraction(*read_scalar(text))
 
 
 def format_scalar(q):
     return str(Fraction(q))
 
 
-_EMPTY = {}
-
-
 class AlgebraTable:
-    """Commutative algebra given by structure constants on a labelled basis."""
+    """Commutative algebra given by structure constants on a labelled
+    basis, stored once, as integers: ``_integer_rows()`` and the integer
+    weight row ``_weight``, (ws, dw) with weight w_i = ws[i] / dw, or
+    None.  ``weight``, ``product_vector`` and ``product_items`` are
+    Fraction views, each built when a caller first asks for it and kept
+    for callers that read it in loops; the kernels never read them."""
 
-    __slots__ = ("labels", "weight", "name", "notes", "_index", "_products",
+    __slots__ = ("labels", "name", "notes", "_index", "_products", "_weight",
                  "_cache")
 
     def __init__(self, labels, products, weight=None, name="", notes=()):
-        labels = tuple(str(l) for l in labels)
+        """``products`` maps index pairs (i, j) to {k: scalar} and
+        ``weight`` is a row of scalars; a scalar is an int, a Fraction,
+        an (n, d) pair of ints with d > 0 or a "p/q" string."""
+        labels = tuple(map(str, labels))
         if len(set(labels)) != len(labels):
             raise AlgebraError("basis labels must be distinct")
         if not labels:
             raise AlgebraError("algebra needs at least one basis element")
         for lab in labels:
+            # letters, digits and "_", not starting with a digit
             if not lab or not (lab[0].isalpha() or lab[0] == "_") \
-                    or not all(ch.isalnum() or ch == "_" for ch in lab):
+                    or not lab.replace("_", "a").isalnum():
                 raise AlgebraError(f"label {lab!r} is not an identifier")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         dim = len(labels)
 
-        table = {}
+        table, dens = {}, set()
         for key, vec in products.items():
             i, j = key
             if not (0 <= i < dim and 0 <= j < dim):
@@ -106,31 +149,42 @@ class AlgebraTable:
             for k, c in vec.items():
                 if not 0 <= k < dim:
                     raise AlgebraError(f"product target {k} out of range")
-                c = as_scalar(c)
-                if c:
-                    clean[k] = c
+                n, d = _ratio(c)
+                if n:
+                    clean[k] = (n, d)
+                    dens.add(d)
             if (i, j) in table and table[(i, j)] != clean:
                 raise AlgebraError(
                     f"conflicting products for pair ({labels[i]}, {labels[j]})")
             if clean:
                 table[(i, j)] = clean
-        self._products = table
+        # Over the lcm of the reduced denominators the rows are canonical.
+        den = lcm(*dens)
+        rows = [{} for _ in labels]
+        for (i, j), vec in table.items():
+            rows[i][j] = rows[j][i] = tuple([
+                (k, n * (den // d)) for k, (n, d) in sorted(vec.items())])
+        self._products = (rows, den)
         self._cache = {}
 
+        self._weight = None
         if weight is not None:
-            weight = tuple(as_scalar(w) for w in weight)
+            weight = [_ratio(w) for w in weight]
             if len(weight) != dim:
                 raise AlgebraError("weight row has wrong length")
-            if not any(weight):
+            if not any(n for n, _ in weight):
                 raise AlgebraError("weight must be a nonzero functional")
             # In integers W = d_w w and S = d s: a stored pair needs
             # d_w sum_k S_ijk W_k = d W_i W_j, any other pair W_i W_j = 0.
-            rows, den = self._integer_rows()
-            dw = lcm(*(w.denominator for w in weight))
-            ws = [w.numerator * (dw // w.denominator) for w in weight]
-            bad = [(i, j) for i, j in table
-                   if dw * sum(s * ws[k] for k, s in rows[i][j])
-                   != den * ws[i] * ws[j]]
+            dw = lcm(*(d for _, d in weight))
+            ws = tuple(n * (dw // d) for n, d in weight)
+            bad = []
+            for i, j in table:
+                acc = 0
+                for k, s in rows[i][j]:
+                    acc += s * ws[k]
+                if dw * acc != den * ws[i] * ws[j]:
+                    bad.append((i, j))
             support = [i for i, w in enumerate(ws) if w]
             for pair in ((i, j) for a, i in enumerate(support)
                          for j in support[a:] if (i, j) not in table):
@@ -140,8 +194,7 @@ class AlgebraTable:
                 i, j = min(bad)
                 raise AlgebraError("weight is not multiplicative on pair "
                                    f"({labels[i]}, {labels[j]})")
-            self._cache["integer_weight"] = (ws, dw)
-        self.weight = weight
+            self._weight = (ws, dw)
         self.name = str(name)
         self.notes = tuple(notes)
 
@@ -162,7 +215,7 @@ class AlgebraTable:
             table[(look(a), look(b))] = {look(k): c for k, c in vec.items()}
         wrow = None
         if weight is not None:
-            wrow = [ZERO] * len(labels)
+            wrow = [0] * len(labels)
             for lab, c in weight.items():
                 wrow[look(lab)] = c
         return cls(labels, table, weight=wrow, name=name, notes=notes)
@@ -172,8 +225,20 @@ class AlgebraTable:
         return len(self.labels)
 
     @property
+    def weight(self):
+        """The weight row as a tuple of Fractions, or None; built when
+        first asked for."""
+        if self._weight is None:
+            return None
+        view = self._cache.get("weight")
+        if view is None:
+            ws, dw = self._weight
+            view = self._cache["weight"] = tuple(Fraction(w, dw) for w in ws)
+        return view
+
+    @property
     def has_weight(self):
-        return self.weight is not None
+        return self._weight is not None
 
     def index(self, label):
         try:
@@ -182,13 +247,23 @@ class AlgebraTable:
             raise AlgebraError(f"unknown basis label {label!r}") from None
 
     def product_vector(self, i, j):
-        """Sparse product of basis elements i and j (read-only dict)."""
-        if i > j:
-            i, j = j, i
-        return self._products.get((i, j), _EMPTY)
+        """Sparse product of basis elements i and j, {k: Fraction}, as a
+        read-only dict built when first asked for."""
+        views = self._cache.setdefault("products", {})
+        vec = views.get((i, j))
+        if vec is None:
+            rows, den = self._products
+            vec = {k: Fraction(s, den) for k, s in rows[i].get(j, ())}
+            if vec:
+                views[(i, j)] = views[(j, i)] = vec
+        return vec
 
     def product_items(self):
-        return sorted(self._products.items())
+        """The ((i, j), product_vector(i, j)) of the nonzero products
+        with i <= j, in ascending order."""
+        rows, _ = self._products
+        return [((i, j), self.product_vector(i, j))
+                for i, row in enumerate(rows) for j in sorted(row) if i <= j]
 
     def element(self, coords):
         coords = tuple(as_scalar(c) for c in coords)
@@ -210,24 +285,25 @@ class AlgebraTable:
         return _new(self, {}, 1)
 
     def weight_of(self, coords):
-        if self.weight is None:
+        if self._weight is None:
             raise AlgebraError("algebra has no weight")
-        acc = ZERO
-        for c, w in zip(coords, self.weight):
+        ws, dw = self._weight
+        acc = 0
+        for c, w in zip(coords, ws):
             if c and w:
                 acc += c * w
-        return acc
+        return Fraction(acc, dw)
 
     def barideal_basis(self):
         """Basis of the weight kernel N, as ``linalg.kernel`` of the
         weight row gives it: e_f - (w_f / w_p) e_p for each f != p in
         ascending order, p the first index of nonzero weight.  The
         sparse coordinates are cached; each call builds fresh elements."""
-        if self.weight is None:
+        if self._weight is None:
             raise AlgebraError("algebra has no weight")
         cached = self._cache.get("barideal")
         if cached is None:
-            ws, _ = self._cache["integer_weight"]
+            ws, _ = self._weight
             p = next(i for i, w in enumerate(ws) if w)
             d, s = abs(ws[p]), (1 if ws[p] > 0 else -1)
             cached = self._cache["barideal"] = []
@@ -260,7 +336,7 @@ class AlgebraTable:
                 products[(a, b)] = {k: c for k, c in
                                     enumerate(coords[skip:]) if c}
         weight = None
-        if self.weight is not None:
+        if self._weight is not None:
             weight = [self.weight_of(v) for v in vectors]
             if not any(weight):
                 weight = None
@@ -269,29 +345,22 @@ class AlgebraTable:
 
     def _integer_rows(self):
         """(rows, den): rows[i][j] lists the (k, den * s_ijk) of the
-        nonzero structure constants, all integers; cached."""
-        cached = self._cache.get("integer_rows")
-        if cached is None:
-            den = lcm(*(c.denominator for vec in self._products.values()
-                        for c in vec.values()))
-            rows = [{} for _ in self.labels]
-            for (i, j), vec in self._products.items():
-                pairs = tuple((k, c.numerator * (den // c.denominator))
-                              for k, c in vec.items())
-                rows[i][j] = rows[j][i] = pairs
-            cached = self._cache["integer_rows"] = (rows, den)
-        return cached
+        nonzero structure constants in ascending k, all integers, with
+        den the lcm of their reduced denominators."""
+        return self._products
 
     def structural_key(self):
         return (self.labels,
-                tuple((pair, tuple(sorted(vec.items())))
+                tuple((pair, tuple(vec.items()))
                       for pair, vec in self.product_items()),
                 self.weight)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraTable):
             return NotImplemented
-        return self.structural_key() == other.structural_key()
+        return (self.labels == other.labels
+                and self._products == other._products
+                and self._weight == other._weight)
 
     def __hash__(self):
         return hash(self.labels)
@@ -535,17 +604,13 @@ class Element:
 
     def weight(self):
         """w(x), in the coordinate ring."""
-        table = self.algebra
-        if table.weight is None:
+        if self.algebra._weight is None:
             raise AlgebraError("algebra has no weight")
+        ws, dw = self.algebra._weight
         if self.den is None:
-            acc = MultiPoly.zero()
-            for i, c in self.num.items():
-                w = table.weight[i]
-                if w:
-                    acc = acc + c * w
-            return acc
-        ws, dw = table._cache["integer_weight"]
+            acc = sum((c * ws[i] for i, c in self.num.items() if ws[i]),
+                      MultiPoly.zero())
+            return MultiPoly(acc.terms, acc.den * dw)
         return Fraction(sum(n * ws[i] for i, n in self.num.items()),
                         self.den * dw)
 

@@ -15,7 +15,7 @@ from math import comb
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   _power_chain, ZERO, ONE, HALF)
+                   _power_chain, as_scalar, ZERO, ONE, HALF)
 from .multipoly import MultiPoly
 from .structure import is_bernstein
 
@@ -62,7 +62,7 @@ class ElementAnalysis:
 
 
 def _gamma1_applies(table):
-    return table.weight is not None and bool(is_bernstein(table))
+    return table.has_weight and bool(is_bernstein(table))
 
 
 def analyze_element(a):
@@ -109,7 +109,7 @@ def minimal_poly_form_check(analysis):
     u^2 = v^2 = 0 has minimal polynomial X^3 - X^2).
     """
     a = analysis.element
-    if a.algebra.weight is None:
+    if not a.algebra.has_weight:
         raise AlgebraError("minimal polynomial form check needs a weight")
     w = a.weight()
     p = analysis.minimal_poly
@@ -152,7 +152,7 @@ def _train_gamma_formula(rank, w=ONE):
     """(1, gamma_1 w, ..., gamma_(rank-1) w^(rank-1)), the coefficients
     of X^rank, ..., X in (X^3 - wX^2)(X - w/2)^(rank - 3), from the
     binomial closed form gamma_k = (-1/2)^k (C(rank-3, k) + 2 C(rank-3, k-1))."""
-    w = Fraction(w)
+    w = as_scalar(w)
     p, q = -w.numerator, 2 * w.denominator
     return (ONE,) + tuple(
         Fraction((comb(rank - 3, k) + 2 * comb(rank - 3, k - 1)) * p ** k,
@@ -182,7 +182,7 @@ def singly_generated_subalgebra(a):
     basis as elements of the ambient algebra, in label order.
     """
     table = a.algebra
-    if table.weight is None:
+    if not table.has_weight:
         raise AlgebraError("singly generated analysis needs a weight")
     if a.weight() != 1:
         raise AlgebraError("generator must have weight 1")

@@ -1,34 +1,34 @@
 """JSON interchange for algebra tables and presentations, plus the
 small textual element syntax used on the command line.
 
-All scalars travel as exact strings like "3" or "-5/2"; floats are
-rejected everywhere.
+All scalars travel as exact strings like "3" or "-5/2", read by
+``core.read_scalar``; JSON numbers, decimals and exponents are rejected
+everywhere.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from math import lcm
 
-from .core import (AlgebraError, AlgebraTable, format_ratio, format_scalar,
-                   parse_scalar, ZERO, ONE)
+from .core import (AlgebraError, AlgebraTable, _concrete, format_ratio,
+                   format_scalar, parse_scalar, read_scalar)
 from .groebner import NcPoly, Presentation
 
 
 def table_to_json(table):
-    data = {"name": table.name, "basis": list(table.labels)}
+    labels = table.labels
+    data = {"name": table.name, "basis": list(labels)}
     if table.has_weight:
-        data["weight"] = {table.labels[i]: format_scalar(w)
-                          for i, w in enumerate(table.weight) if w}
-    products = []
-    for (i, j), vec in table.product_items():
-        products.append({
-            "left": table.labels[i],
-            "right": table.labels[j],
-            "value": {table.labels[k]: format_scalar(c)
-                      for k, c in sorted(vec.items())},
-        })
-    data["products"] = products
+        ws, dw = table._weight
+        data["weight"] = {labels[i]: format_ratio(w, dw)
+                          for i, w in enumerate(ws) if w}
+    rows, den = table._integer_rows()
+    data["products"] = [
+        {"left": labels[i], "right": labels[j],
+         "value": {labels[k]: format_ratio(s, den) for k, s in row[j]}}
+        for i, row in enumerate(rows) for j in sorted(row) if i <= j]
     if table.notes:
         data["notes"] = list(table.notes)
     return data
@@ -40,54 +40,57 @@ def _expect(condition, message):
 
 
 def table_from_json(data):
+    """The table of a JSON object; each scalar is read by ``read_scalar``
+    into an (n, d) pair, and no Fraction is built."""
     _expect(isinstance(data, dict), "algebra file must be a JSON object")
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis and
             all(isinstance(b, str) for b in basis),
             "field 'basis' must be a nonempty list of labels")
-    known = set(basis)
+    index = {b: i for i, b in enumerate(basis)}
 
     weight = None
     if "weight" in data:
         wdata = data["weight"]
         _expect(isinstance(wdata, dict), "field 'weight' must be an object")
-        weight = {}
+        weight = [0] * len(basis)
         for label, value in wdata.items():
-            _expect(label in known, f"weight uses unknown label {label!r}")
-            weight[label] = parse_scalar(value)
+            if label not in index:
+                raise AlgebraError(f"weight uses unknown label {label!r}")
+            weight[index[label]] = read_scalar(value)
 
     entries = data.get("products", [])
     _expect(isinstance(entries, list), "field 'products' must be a list")
-    seen = set()
     products = {}
     for pos, entry in enumerate(entries):
-        _expect(isinstance(entry, dict) and
-                {"left", "right", "value"} <= set(entry),
-                f"product entry {pos} needs left, right and value")
-        left, right = entry["left"], entry["right"]
-        _expect(left in known and right in known,
-                f"product entry {pos} uses an unknown label")
-        pair = (left, right) if left <= right else (right, left)
-        _expect(pair not in seen,
+        if not (isinstance(entry, dict) and "left" in entry
+                and "right" in entry and "value" in entry):
+            raise AlgebraError(f"product entry {pos} needs left, right "
+                               "and value")
+        left, right, value = entry["left"], entry["right"], entry["value"]
+        if not (isinstance(left, str) and isinstance(right, str)
+                and left in index and right in index):
+            raise AlgebraError(f"product entry {pos} uses an unknown label")
+        i, j = index[left], index[right]
+        pair = (i, j) if i <= j else (j, i)
+        if pair in products:
+            raise AlgebraError(
                 f"duplicate product entry for pair ({left}, {right})")
-        seen.add(pair)
-        value = entry["value"]
-        _expect(isinstance(value, dict),
-                f"product entry {pos} value must be an object")
-        vec = {}
+        if not isinstance(value, dict):
+            raise AlgebraError(f"product entry {pos} value must be an object")
+        vec = products[pair] = {}
         for label, coeff in value.items():
-            _expect(label in known,
-                    f"product entry {pos} targets unknown label {label!r}")
-            vec[label] = parse_scalar(coeff)
-        products[(left, right)] = vec
+            if label not in index:
+                raise AlgebraError(f"product entry {pos} targets unknown "
+                                   f"label {label!r}")
+            vec[index[label]] = read_scalar(coeff)
 
     notes = data.get("notes", [])
     _expect(isinstance(notes, list) and
             all(isinstance(x, str) for x in notes),
             "field 'notes' must be a list of strings")
-    return AlgebraTable.build(basis, products, weight=weight,
-                              name=str(data.get("name", "")),
-                              notes=notes)
+    return AlgebraTable(basis, products, weight=weight,
+                        name=str(data.get("name", "")), notes=notes)
 
 
 def save_algebra(table, path):
@@ -118,39 +121,47 @@ def element_to_json(element):
             for i in sorted(element.num)}
 
 
+# The coefficient also takes the shapes of decimals ("0.5"), exponents
+# ("1e3", when no identifier character follows) and doubled signs, so
+# that read_scalar rejects them by name.
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
-    r"(?:(?P<coeff>\d+(?:\s*/\s*\d+)?)\s*\*?\s*)?"
+    r"(?:(?P<coeff>[+-]*[0-9.]+(?:[eE][+-]?[0-9]+(?![A-Za-z0-9_]))?"
+    r"(?:\s*/\s*[0-9.]+)?)\s*\*?\s*)?"
     r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*")
 
 
 def parse_element_spec(table, text):
     """Parse "e + 2u1 - 1/2 v1" style element expressions.
 
-    Each term is an optional rational coefficient followed by a basis
-    label; repeated labels accumulate.
+    Each term is an optional rational coefficient, read with its sign
+    by ``read_scalar``, followed by a basis label; repeated labels
+    accumulate.
     """
     if not isinstance(text, str) or not text.strip():
         raise AlgebraError("empty element expression")
-    coords = [ZERO] * table.dim
+    terms = []
     pos = 0
-    first = True
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
         if not match:
             raise AlgebraError(
                 f"cannot parse element expression near {text[pos:pos + 12]!r}")
         sign, coeff, label = match.group("sign", "coeff", "label")
-        if not first and sign is None:
+        if pos and sign is None:
             raise AlgebraError(
                 f"expected + or - before {label!r} in element expression")
-        value = parse_scalar(coeff.replace(" ", "")) if coeff else ONE
-        if sign == "-":
-            value = -value
-        coords[table.index(label)] += value
+        if coeff:
+            n, d = read_scalar((sign or "") + "".join(coeff.split()))
+        else:
+            n, d = (-1 if sign == "-" else 1), 1
+        terms.append((table.index(label), n, d))
         pos = match.end()
-        first = False
-    return table.element(coords)
+    den = lcm(*(d for _, _, d in terms))
+    num = {}
+    for k, n, d in sorted(terms):
+        num[k] = num.get(k, 0) + n * (den // d)
+    return _concrete(table, num, den)
 
 
 def presentation_to_json(presentation):
@@ -188,7 +199,7 @@ def presentation_from_json(data):
                     f"relation {pos} has a malformed term")
             word = term["word"]
             _expect(isinstance(word, list) and word and
-                    all(w in index for w in word),
+                    all(isinstance(w, str) and w in index for w in word),
                     f"relation {pos} uses an unknown generator")
             coeff = parse_scalar(term.get("coeff", "1"))
             poly = poly + NcPoly.word([index[w] for w in word], coeff)

@@ -12,11 +12,12 @@ and V are basis vectors and their products are structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   left_mult_operator, ZERO, ONE, HALF)
-from .symbolic import IdentityCheck, check_identity
+                   left_mult_operator, ZERO, HALF)
+from .symbolic import IdentityCheck, check_identity, generic_element
 
 
 def is_bernstein(table):
@@ -24,7 +25,7 @@ def is_bernstein(table):
 
     Run on ``adapted_table(table)`` when there is one; a failure there
     is redone on the input basis for an input witness."""
-    if table.weight is None:
+    if not table.has_weight:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
     if cached is not None:
@@ -55,7 +56,7 @@ def adapted_table(table):
     other basis vector lies in U or V.  That test reads dim products."""
     if "adapted" not in table._cache:
         table._cache["adapted"] = None
-        if table.weight is not None and not _is_adapted(table):
+        if table.has_weight and not _is_adapted(table):
             try:
                 dec = peirce(table)
             except AlgebraError:
@@ -72,20 +73,19 @@ def adapted_table(table):
 
 def _is_adapted(table):
     """Each basis vector's kind, "e" (one of them), "u" or "v", when the
-    basis is adapted; else None."""
-    support = [i for i, w in enumerate(table.weight) if w]
+    basis is adapted; else None.  Reads the integer rows and weight."""
+    ws, dw = table._weight
+    support = [i for i, w in enumerate(ws) if w]
     if len(support) != 1:
         return None
     i = support[0]
-    w = table.weight[i]
-    if table.product_vector(i, i) != {i: w}:
+    rows, den = table._integer_rows()
+    row, s = rows[i], Fraction(ws[i] * den, dw)   # s = den w_i
+    if row.get(i) != ((i, s),):
         return None
-    half = w * HALF
-    kinds = []
-    for j in range(table.dim):
-        p = table.product_vector(i, j)
-        kinds.append("e" if j == i else "v" if not p
-                     else "u" if p == {j: half} else None)
+    kinds = ["e" if j == i else "v" if j not in row
+             else "u" if row[j] == ((j, s / 2),) else None
+             for j in range(table.dim)]
     return None if None in kinds else kinds
 
 
@@ -95,7 +95,7 @@ def _components(table):
     ``peirce(table).u_basis[k]`` on the input basis, and likewise for v.
     Raises peirce's AlgebraError when there is no Peirce decomposition."""
     base = adapted_table(table) or table
-    kinds = _is_adapted(base) if base.weight is not None else None
+    kinds = _is_adapted(base) if base.has_weight else None
     if kinds is None:
         peirce(table)  # raises when there is no Peirce decomposition
         raise InternalCheckError("adapted table fails the adaptedness test")
@@ -106,12 +106,11 @@ def _components(table):
 def find_idempotent(table):
     """Nonzero idempotent of weight 1, from the first basis vector of
     nonzero weight (deterministic)."""
-    if table.weight is None:
+    if not table.has_weight:
         raise AlgebraError("idempotent search needs a weighted algebra")
-    i = next((i for i, w in enumerate(table.weight) if w), None)
-    if i is None:
-        raise AlgebraError("weight vanishes on the whole basis")
-    x = table.basis_element(i).scale(ONE / table.weight[i])
+    ws, dw = table._weight
+    i = next(i for i, w in enumerate(ws) if w)
+    x = table.basis_element(i).scale(Fraction(dw, ws[i]))
     e = x * x
     if e * e != e or e.weight() != 1:
         raise AlgebraError("no idempotent found; algebra is not Bernstein")
@@ -224,8 +223,12 @@ class StructureReport:
 
 
 def _jordan_by_identity(table):
-    return check_identity(
-        table, lambda x, y: x * (x * x * y) - (x * x) * (x * y), arity=2)
+    """Whether x (x^2 y) = x^2 (x y) holds.  The identity is linear in
+    y, so it holds when it does for a generic x and each basis vector y."""
+    x = generic_element(table)
+    square = x * x
+    return not any(x * (square * b) - square * (x * b)
+                   for b in table.basis())
 
 
 def _products(base, positions):
@@ -241,13 +244,13 @@ def _products(base, positions):
 
 
 def _jordan_by_peirce(base, u, v):
-    """V^2 = 0 and (UV)V = 0 on an adapted table."""
+    """V^2 = 0 and (UV)V = 0 on an adapted table; (s t) t is linear in
+    s, so (UV)V = 0 when (s t) t = 0 for a generic t in V and each U
+    basis vector s."""
     if _products(base, v):
         return False
-    restrict = [[base.basis_element(i) for i in pos] for pos in (u, v)]
-    return not u or not v or bool(check_identity(
-        base, lambda s, t: (s * t) * t, arity=2, restrict=restrict,
-        prefixes=("s", "t")))
+    t = generic_element(base, "t", [base.basis_element(j) for j in v])
+    return not any((base.basis_element(i) * t) * t for i in u)
 
 
 def classify(table):
@@ -266,7 +269,7 @@ def classify(table):
         [list(base.basis_element(i).coords) for i in v]
     exceptional = not usq
 
-    jid = bool(_jordan_by_identity(base))
+    jid = _jordan_by_identity(base)
     jpe = _jordan_by_peirce(base, u, v)
     if jid != jpe:
         raise InternalCheckError(

@@ -95,7 +95,7 @@ def eval_tree(tree, a, cache=None):
 def _default_carrier(table, carrier):
     if carrier is not None:
         return list(carrier)
-    if table.weight is not None:
+    if table.has_weight:
         return table.barideal_basis()
     return table.basis()
 

@@ -9,10 +9,13 @@ from bernstein.core import AlgebraError, AlgebraTable, HALF
 from bernstein.structure import (adapted_table, classify, find_idempotent,
                                  idempotent_family, is_bernstein,
                                  lyubich_ideal, peirce, zero_v_squared)
-from bernstein import catalog, linalg
+from bernstein import catalog, linalg, structure
+from bernstein.symbolic import check_identity, generic_element
 
 from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
-                      nuclear_table, rand_combination, rand_element)
+                      nuclear_table, pool_builders, rand_combination,
+                      rand_element)
+from test_cli_golden import _twin
 
 F = Fraction
 
@@ -230,3 +233,117 @@ def test_zero_v_squared_adapted_basis():
     assert dec.type_pair == (2, 1)
     v1 = out.element_from({"v1": 1})
     assert (v1 * v1).is_zero()
+
+
+def _jordan_reference(table):
+    """x (x^2 y) = x^2 (x y) checked with two generic elements."""
+    return bool(check_identity(
+        table, lambda x, y: x * (x * x * y) - (x * x) * (x * y), arity=2))
+
+
+def _peirce_reference(base, u, v):
+    """V^2 = 0 and (UV)V = 0 with generic s in U and t in V."""
+    if structure._products(base, v):
+        return False
+    restrict = [[base.basis_element(i) for i in pos] for pos in (u, v)]
+    return not u or not v or bool(check_identity(
+        base, lambda s, t: (s * t) * t, arity=2, restrict=restrict,
+        prefixes=("s", "t")))
+
+
+def _one_witness_bases(table, defect, positions):
+    """The size of a complement of the rational vectors on which the
+    linear map ``defect`` vanishes identically, in the span of the basis
+    vectors at ``positions``, and two bases of that span, as coordinate
+    lists: those vectors with the complement put first, then last.  With
+    a one-vector complement a route that skips the first or the last
+    basis vector misses the only witness."""
+    images = [defect(table.basis_element(i)) for i in positions]
+    keys = sorted({(k, m) for y in images for k, p in y.num.items()
+                   for m in p.terms})
+    matrix = [[F(y.num[k].terms.get(m, 0), y.num[k].den) if k in y.num
+               else 0 for y in images] for k, m in keys]
+    kernel = linalg.kernel(matrix, ncols=len(positions))
+    space = linalg.Subspace(kernel)
+    witnesses = [c for c in linalg.identity_matrix(len(positions))
+                 if space.add(c)]
+
+    def full(c):
+        v = [0] * table.dim
+        for i, x in zip(positions, c):
+            v[i] = x
+        return v
+
+    rest = [full(c) for c in kernel]
+    lead = [full(c) for c in witnesses]
+    return len(lead), (lead + rest, rest + lead)
+
+
+def test_jordan_routes_by_linearity_match_two_generic_elements():
+    """The basis-vector routes of classify against the two-generic-element
+    identities on the pool builders, their rebased twins and Bernstein
+    tables with V^2 = 0 but (UV)V != 0, which only the linear part of
+    the Peirce route refutes.  Each non-Jordan table is then rebuilt on
+    bases that put the basis vectors on which the defect is nonzero
+    first, then last (``_one_witness_bases``)."""
+    rng = random.Random(19)
+    natives = [build() for build in pool_builders(rng)]
+    natives += [zero_v_squared(catalog.free_single_truncated(n))
+                for n in (4, 5)]
+    natives.append(zero_v_squared(catalog.free_single_truncated(
+        5, [F(1, 2), -1, 3])))
+    tables = list(natives)
+    for seed, native in enumerate(natives):
+        if native.dim > 1:
+            tables.append(_twin(native, seed)[0])
+    verdicts = {"identity": set(), "peirce": set(), "linear part": set()}
+    for table in tables:
+        jid = structure._jordan_by_identity(table)
+        assert jid is _jordan_reference(table), table.name
+        base, u, v = structure._components(table)
+        jpe = structure._jordan_by_peirce(base, u, v)
+        assert jpe is _peirce_reference(base, u, v), table.name
+        assert jid is jpe is structure._jordan_by_identity(base)
+        verdicts["identity"].add(jid)
+        verdicts["peirce"].add(jpe)
+        if not structure._products(base, v):
+            verdicts["linear part"].add(jpe)
+    assert all(found == {True, False} for found in verdicts.values())
+
+    # a^2 = b, b^2 = b: weightless, and the defect vanishes on b alone
+    square_idempotent = AlgebraTable(("a", "b"), {(0, 0): {1: 1},
+                                                  (1, 1): {1: 1}})
+    single = set()
+    for table in natives + [square_idempotent]:
+        if structure._jordan_by_identity(table):
+            continue
+        x = generic_element(table)
+        square = x * x
+        size, bases = _one_witness_bases(
+            table, lambda y: x * (square * y) - square * (x * y),
+            range(table.dim))
+        if size == 1:
+            single.add("identity")
+        for basis in bases:
+            moved = table.change_basis(basis, table.labels)
+            assert not structure._jordan_by_identity(moved)
+            assert not _jordan_reference(moved)
+        if not table.has_weight:
+            continue
+        base, u, v = structure._components(table)
+        if not u or not v or structure._products(base, v):
+            continue
+        e = next(i for i in range(base.dim) if i not in u and i not in v)
+        t = generic_element(base, "t", [base.basis_element(j) for j in v])
+        size, bases = _one_witness_bases(base, lambda s: (s * t) * t, u)
+        if size == 1:
+            single.add("peirce")
+        unit = linalg.identity_matrix(base.dim)
+        for ubasis in bases:
+            moved = base.change_basis(
+                [unit[e]] + ubasis + [unit[j] for j in v], base.labels)
+            mbase, mu, mv = structure._components(moved)
+            assert mbase is moved and not structure._products(moved, mv)
+            assert not structure._jordan_by_peirce(moved, mu, mv)
+            assert not _peirce_reference(moved, mu, mv)
+    assert single == {"identity", "peirce"}
