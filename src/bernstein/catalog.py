@@ -253,16 +253,24 @@ def from_associative(assoc, s_indices, name=""):
         raise AlgebraError("S index out of range")
 
     dim = assoc.dim
+    gens = [[int(k == i) for k in range(dim)] for i in s_indices]
+    is_gen = {id(g) for g in gens}
 
-    # Int 0 off the support keeps the zero tests of the closure cheap.
-    def products(u, v):
-        x = {i: c for i, c in enumerate(u) if c}
+    # C is associative, so S generates it when right products with S
+    # alone span it: v s for each spanning v and generator s found no
+    # later, and s v when v is a generator too.  Int 0 off the support
+    # keeps the zero tests of the closure cheap.
+    def products(s, v):
+        if id(s) not in is_gen:
+            return ()
+        x = {i: c for i, c in enumerate(s) if c}
         y = {i: c for i, c in enumerate(v) if c}
-        return [[p.get(k, 0) for k in range(dim)]
-                for p in (assoc.multiply(x, y), assoc.multiply(y, x))]
+        out = [assoc.multiply(y, x)]
+        if id(v) in is_gen:
+            out.append(assoc.multiply(x, y))
+        return [[p.get(k, 0) for k in range(dim)] for p in out]
 
-    span = linalg.closure([[int(k == i) for k in range(dim)]
-                           for i in s_indices], products)
+    span = linalg.closure(gens, products)
     if span.rank != dim:
         raise AlgebraError("S does not generate the associative algebra")
 

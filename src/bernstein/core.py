@@ -8,7 +8,8 @@ the weight is checked on construction, where scalars are coerced.
 in decimal integers, straight to ints.
 ``AlgebraTable.change_basis`` is the one routine that rebuilds a table
 on a new basis, or on a basis of a quotient.  Elements,
-``left_mult_operator`` (the matrix of L_x on a carrier) and
+``left_mult_operator`` (the matrix of L_x on a carrier, which
+``structure.peirce`` splits) and
 ``poly_eval``, which evaluates a polynomial in X (a ``MultiPoly``) with
 zero constant term at an element, live here as well.
 
@@ -697,9 +698,9 @@ def left_mult_operator(x, carrier):
     carrier coordinates; its entries are polynomials when x is symbolic.
 
     The carrier must be linearly independent and invariant under the
-    operator; both are checked.  Nilpotency of this matrix is decided in
-    ``train`` by symbolic matrix powers, one exact route with no random
-    points.
+    operator; both are checked.  Nilpotency of L_x is decided in
+    ``train`` by a product chain on a generic carrier element instead,
+    with no matrix.
     """
     carrier = list(carrier)
     space = linalg.Subspace(carrier)
@@ -712,8 +713,7 @@ def left_mult_operator(x, carrier):
         if coords is None:
             raise AlgebraError("carrier is not invariant under the operator")
         cols.append(coords)
-    n = len(carrier)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*cols))
 
 
 def poly_eval(x, poly):

@@ -12,9 +12,21 @@ import json
 import re
 from math import lcm
 
-from .core import (AlgebraError, AlgebraTable, _concrete, format_ratio,
-                   format_scalar, parse_scalar, read_scalar)
+from .core import (MAX_SCALAR_CHARS, AlgebraError, AlgebraTable, _concrete,
+                   format_ratio, format_scalar, parse_scalar, read_scalar)
 from .groebner import NcPoly, Presentation
+
+
+def _written(n, d, label, left=None, right=None):
+    """n/d as written for the weight of ``label`` or its coefficient in
+    left*right; raises when ``read_scalar`` would reject it as long."""
+    text = format_ratio(n, d)
+    if len(text) > MAX_SCALAR_CHARS:
+        where = (f"the weight of {label}" if left is None
+                 else f"the {label} coefficient of {left}*{right}")
+        raise AlgebraError(f"cannot write {where}: longer than "
+                           f"{MAX_SCALAR_CHARS} characters")
+    return text
 
 
 def table_to_json(table):
@@ -22,12 +34,13 @@ def table_to_json(table):
     data = {"name": table.name, "basis": list(labels)}
     if table.has_weight:
         ws, dw = table._weight
-        data["weight"] = {labels[i]: format_ratio(w, dw)
+        data["weight"] = {labels[i]: _written(w, dw, labels[i])
                           for i, w in enumerate(ws) if w}
     rows, den = table._integer_rows()
     data["products"] = [
         {"left": labels[i], "right": labels[j],
-         "value": {labels[k]: format_ratio(s, den) for k, s in row[j]}}
+         "value": {labels[k]: _written(s, den, labels[k], labels[i], labels[j])
+                   for k, s in row[j]}}
         for i, row in enumerate(rows) for j in sorted(row) if i <= j]
     if table.notes:
         data["notes"] = list(table.notes)
@@ -94,8 +107,9 @@ def table_from_json(data):
 
 
 def save_algebra(table, path):
+    data = table_to_json(table)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_json(table), fh, indent=2, sort_keys=False)
+        json.dump(data, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
 

@@ -240,21 +240,6 @@ def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    """a @ b, skipping zero entries; exact for Fraction or MultiPoly."""
-    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for arow in a:
-        acc = [None] * len(b[0])
-        for x, nonzero in zip(arow, b_nonzero):
-            if not x:
-                continue
-            for j, y in nonzero:
-                acc[j] = x * y if acc[j] is None else acc[j] + x * y
-        out.append([ZERO if c is None else c for c in acc])
-    return out
-
-
 def kernel(m, ncols=None):
     """Basis of the right nullspace of m, one vector per free column;
     ``ncols`` is needed only when m has no rows."""

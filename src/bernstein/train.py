@@ -6,9 +6,9 @@ carrier gets one indeterminate per carrier basis vector, so "x^k = 0
 for all x in N" and "L_v is nilpotent for all v in V" are decided
 exactly, not by sampling.  Independent routes to the same verdict are
 always cross-checked against each other.  Operator nilpotency has one
-route, symbolic matrix powers up to the carrier dimension: exact,
-since a nilpotent n x n matrix has index at most n, and free of random
-points.
+route, a product chain x y, x (x y), ... on a generic carrier element y
+up to the carrier dimension: exact, since a nilpotent operator on an
+n-dimensional space has index at most n, and free of random points.
 
 Tree sums S_q (the sum of all full binary trees with q leaves evaluated
 at x) come from the bilinear recursion S_1 = x, S_q = sum of
@@ -25,7 +25,7 @@ from itertools import islice
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, _power_chain,
-                   ideal_rows, left_mult_operator, ZERO, ONE)
+                   ideal_rows, ZERO, ONE)
 from .elements import _train_forms, train_polynomial
 from .multipoly import MultiPoly
 from .structure import (_combination, _components, _lyubich_kernel,
@@ -171,23 +171,26 @@ def tree_power_sum(a, q, carrier=None):
     return total
 
 
-def _matrix_is_zero(m):
-    return not any(any(row) for row in m)
-
-
-def _nilpotency_index_of_matrix(m, bound):
-    """Least p <= bound with m^p = 0, else None; exact for Fraction or
-    polynomial entries."""
-    n = len(m)
-    if n == 0:
+def _operator_index(x, carrier):
+    """Least p <= n = len(carrier) with L_x^p = 0 on the span of the
+    independent carrier, which L_x must leave invariant; else None.
+    With y generic over the carrier, in variables of its own, L_x^p
+    vanishes there exactly when L_x^p y = 0, so each step is one
+    product; as y's variables appear linearly, x y lies in the span
+    exactly when every x c does."""
+    space = linalg.Subspace(carrier)
+    if space.rank != len(carrier):
+        raise AlgebraError("carrier basis is linearly dependent")
+    if not carrier:
         return 0
-    power = m
-    for p in range(1, bound + 1):
-        if _matrix_is_zero(power):
+    image = x * generic_element(x.algebra, "y", restrict_to=carrier)
+    if not space.contains(image):
+        raise AlgebraError("carrier is not invariant under the operator")
+    for p in range(1, len(carrier)):
+        if image.is_zero():
             return p
-        if p < bound:
-            power = linalg.mat_mul(power, m)
-    return None
+        image = x * image
+    return len(carrier) if image.is_zero() else None
 
 
 def operator_nilpotency_check(table, carrier="U"):
@@ -203,36 +206,29 @@ def operator_nilpotency_check(table, carrier="U"):
                  for cs in _lyubich_kernel(base, u)]
     else:
         raise AlgebraError(f"unknown carrier {carrier!r}")
-    if not basis:
-        return 0
-    if not v:
-        return 1
     v = generic_element(base, "v",
                         restrict_to=[base.basis_element(i) for i in v])
-    matrix = left_mult_operator(v, basis)
-    return _nilpotency_index_of_matrix(matrix, len(basis))
+    return _operator_index(v, basis)
 
 
 def engel_check(table, carrier=None):
     """Least p with L_x^p = 0 on the carrier for a generic carrier
-    element x, or None; the carrier must be closed under products.
-
-    ``left_mult_operator`` checks that the carrier is independent and
-    invariant under L_x; for generic x = sum t_i c_i that invariance is
-    closure, since x c_j lies in the span for all t exactly when every
-    c_i c_j does."""
+    element x, or None; with the default carrier on
+    ``adapted_table(table)`` if any.  The carrier must be independent
+    and closed under products: for generic x = sum t_i c_i, invariance
+    under L_x is closure, as x c_j lies in the span for all t exactly
+    when every c_i c_j does."""
+    if carrier is None and (adapted := adapted_table(table)) is not None:
+        return engel_check(adapted)
     carrier = _default_carrier(table, carrier)
-    if not carrier:
-        return 0
     x = generic_element(table, "g", restrict_to=carrier)
     try:
-        matrix = left_mult_operator(x, carrier)
+        return _operator_index(x, carrier)
     except AlgebraError as exc:
         if "invariant" not in str(exc):
             raise
         raise AlgebraError(
             "carrier is not closed under multiplication") from None
-    return _nilpotency_index_of_matrix(matrix, len(carrier))
 
 
 def generic_nil_index(table, carrier):
@@ -326,14 +322,9 @@ def check_lx_power_splitting(table, k_max=4):
     for k in range(k_max + 1):
         def expr(u, v, y, _k=k):
             x = u + v
-            lhs = y
-            for _ in range(_k + 3):
-                lhs = x * lhs
-            rhs = y
-            for _ in range(3):
-                rhs = x * rhs
+            lhs = rhs = x * (x * (x * y))
             for _ in range(_k):
-                rhs = v * rhs
+                lhs, rhs = x * lhs, v * rhs
             return lhs - rhs
 
         res = check_identity(table, expr, arity=3,

@@ -3,6 +3,7 @@ constructions that assemble Bernstein tables from other data."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,9 @@ from bernstein.core import AlgebraError, HALF
 from bernstein.elements import analyze_element
 from bernstein.structure import classify, is_bernstein, peirce
 from bernstein.train import train_analysis
-from bernstein.groebner import buchberger_truncated, truncated_algebra_table
-from bernstein import catalog
+from bernstein.groebner import (NcPoly, Presentation, buchberger_truncated,
+                                truncated_algebra_table)
+from bernstein import catalog, linalg
 
 F = Fraction
 
@@ -181,6 +183,42 @@ def test_from_associative_truncated_power_algebras():
 
     with pytest.raises(AlgebraError, match="generate"):
         catalog.from_associative(quartic, [1])
+
+
+def _generates(assoc, s_indices):
+    """S generates C: the span of S closed under all products in C."""
+    def products(u, v):
+        x = {i: c for i, c in enumerate(u) if c}
+        y = {i: c for i, c in enumerate(v) if c}
+        return [[p.get(k, 0) for k in range(assoc.dim)]
+                for p in (assoc.multiply(x, y), assoc.multiply(y, x))]
+    units = linalg.identity_matrix(assoc.dim)
+    return linalg.closure([units[i] for i in s_indices],
+                          products).rank == assoc.dim
+
+
+def test_from_associative_accepts_exactly_generating_sets():
+    # homogeneous relations, so the truncated tables are associative
+    mixed = Presentation(("x", "y"), (NcPoly({(0, 0): 1, (1, 1): -1}),
+                                      NcPoly({(0, 1, 0): 1, (1, 1, 1): HALF})))
+    for pres, max_deg in ((catalog.kurosh_presentation(), 8), (mixed, 6)):
+        assoc = truncated_algebra_table(buchberger_truncated(pres, max_deg), 4)
+        units = [{i: 1} for i in range(assoc.dim)]
+        assert all(assoc.multiply(assoc.multiply(a, b), c)
+                   == assoc.multiply(a, assoc.multiply(b, c))
+                   for a in units for b in units for c in units)
+        verdicts = set()
+        for s_indices in (list(c) for k in (1, 2)
+                          for c in combinations(range(assoc.dim), k)):
+            want = _generates(assoc, s_indices)
+            verdicts.add(want)
+            try:
+                catalog.from_associative(assoc, s_indices)
+            except AlgebraError as exc:
+                assert not want and "generate" in str(exc), s_indices
+            else:
+                assert want, s_indices
+        assert verdicts == {True, False}
 
 
 def test_kurosh_pipeline():

@@ -171,8 +171,8 @@ def test_bilinear_product_matches_operator():
             bilinear_product(table, list(x.coords), list(y.coords), ZERO))
         assert direct == x * y
         op = left_mult_operator(x, carrier)
-        assert table.element([row[0] for row in linalg.mat_mul(
-            op, [[c] for c in y.coords])]) == x * y
+        assert table.element([sum((a * c for a, c in zip(row, y.coords)),
+                                  ZERO) for row in op]) == x * y
 
 
 def test_operator_algebra():
@@ -181,11 +181,19 @@ def test_operator_algebra():
     v = table.element_from({"v": 1})
     op = left_mult_operator(v, nbasis)
     assert type(op) is tuple and all(type(row) is tuple for row in op)
-    square = linalg.mat_mul(op, op)
-    assert any(any(row) for row in square)
-    assert not any(any(row) for row in linalg.mat_mul(square, op))
-    ident = linalg.identity_matrix(len(op))
-    assert linalg.mat_mul(op, ident) == [list(row) for row in op]
+    # the k-th power of the matrix, applied to the coordinates of b_j,
+    # gives the coordinates of v (v ... (v b_j)) with k factors v
+    for j, b in enumerate(nbasis):
+        coords = [ONE if i == j else ZERO for i in range(len(nbasis))]
+        image = b
+        for k in range(1, 4):
+            coords = [sum((a * c for a, c in zip(row, coords)), ZERO)
+                      for row in op]
+            image = v * image
+            assert sum((w.scale(c) for w, c in zip(nbasis, coords)),
+                       table.zero()) == image
+    assert any(v * (v * b) for b in nbasis)
+    assert not any(v * (v * (v * b)) for b in nbasis)
 
 
 def test_left_mult_operator_checks_carrier():

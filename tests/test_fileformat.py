@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from bernstein import cli
-from bernstein.core import AlgebraError, AlgebraTable, read_scalar
+from bernstein.core import (MAX_SCALAR_CHARS, AlgebraError, AlgebraTable,
+                            read_scalar)
 from bernstein.fileformat import (element_to_json, load_algebra,
                                   load_presentation, parse_element_spec,
                                   presentation_from_json,
@@ -245,6 +246,29 @@ def test_tables_round_trip_through_integers(tmp_path):
         for i in range(table.dim):
             for j in range(table.dim):
                 assert again.product_vector(i, j) == table.product_vector(i, j)
+
+
+def test_saving_refuses_scalars_loading_would_reject(tmp_path):
+    fits = -10 ** (MAX_SCALAR_CHARS - 2)    # "-1000...0", at the cap
+    path = tmp_path / "fits.json"
+    table = AlgebraTable(("e", "u"), {(0, 1): {1: fits}})
+    save_algebra(table, path)
+    assert load_algebra(path) == table
+    big = 10 ** MAX_SCALAR_CHARS            # one character over it
+    cases = [
+        (AlgebraTable(("e", "u"), {(0, 0): {0: 1}, (0, 1): {1: F(1, big)}}),
+         "the u coefficient of e*u"),
+        (AlgebraTable(("e",), {(0, 0): {0: big}}, weight=(big,)),
+         "the weight of e"),
+    ]
+    for k, (table, where) in enumerate(cases):
+        path = tmp_path / f"t{k}.json"
+        message = f"cannot write {where}: longer than {MAX_SCALAR_CHARS}"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            table_to_json(table)
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            save_algebra(table, path)
+        assert not path.exists()
 
 
 def test_loading_builds_no_fraction(tmp_path, monkeypatch):

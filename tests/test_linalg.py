@@ -20,7 +20,7 @@ def rand_matrix(rng, nrows, ncols, span=5):
 
 
 def column(m, v):
-    return [row[0] for row in linalg.mat_mul(m, [[c] for c in v])]
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in m]
 
 
 def test_rref_hand_example():
@@ -184,25 +184,6 @@ def test_subspace_coords_with_polynomial_targets():
             moved = [x + s * y for x, y in zip(target, outside)]
             assert space.coords(moved, zero=zero) is None
             assert not space.contains(moved)
-
-
-def test_mat_mul_matches_dense_product():
-    rng = random.Random(35)
-    s = MultiPoly.var("s")
-    for _ in range(30):
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)]
-        b = [[F(rng.randint(-2, 2)) * (s if rng.random() < 0.3 else 1)
-              for _ in range(m)] for _ in range(k)]
-        for left, right in ((a, [list(col) for col in zip(*a)]), (a, b)):
-            want = [[sum((left[i][t] * right[t][j]
-                          for t in range(len(right))), F(0))
-                     for j in range(len(right[0]))]
-                    for i in range(len(left))]
-            assert linalg.mat_mul(left, right) == want
-        v = [F(rng.randint(-2, 2)) for _ in range(k)]
-        assert column(a, v) == [sum((x * y for x, y in zip(row, v)), F(0))
-                                for row in a]
 
 
 def big_family(rng):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, AlgebraTable, HALF
+from bernstein.core import (AlgebraError, AlgebraTable, Element, HALF,
+                            ZERO, left_mult_operator)
 from bernstein.elements import train_polynomial
 from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import generic_element
@@ -17,10 +18,13 @@ from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
                              is_principal_shape, locally_train_analysis,
                              operator_nilpotency_check, parenthesized_powers,
                              train_analysis, tree_label, tree_power_sum)
-from bernstein import catalog
+from bernstein.structure import (_components, adapted_table, lyubich_ideal,
+                                 peirce)
+from bernstein import catalog, train
 
-from conftest import (bernstein_pool, rand_combination, rand_element,
-                      rand_unit_element)
+from conftest import (bernstein_pool, pool_builders, rand_combination,
+                      rand_element, rand_unit_element)
+from test_change_basis import _unimodular
 
 F = Fraction
 
@@ -151,7 +155,7 @@ def test_operator_nilpotency_rejects_a_non_invariant_carrier():
 
 
 def test_operator_nilpotency_beyond_twelve_dimensional_u():
-    # U of dimension 13 and 14: the operator route takes symbolic powers
+    # U of dimension 13 and 14: the operator route's product chain runs
     # up to dim U, and all three train routes must agree
     for table in (catalog.shift_up_truncated(14),
                   catalog.shift_down_truncated(14)):
@@ -193,6 +197,123 @@ def test_engel_check():
     with pytest.raises(AlgebraError, match="closed"):
         x = not_train.element_from({"u": 1, "v": 1})
         engel_check(not_train, carrier=[x])
+
+
+def _mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col) if x and y), ZERO)
+             for col in zip(*b)] for row in a]
+
+
+def _matrix_index(x, carrier):
+    """The reference route: least p <= n with M^p = 0 for the matrix M
+    of L_x on the carrier, or None."""
+    m = left_mult_operator(x, carrier)
+    power = m
+    for p in range(1, len(m) + 1):
+        if not any(any(row) for row in power):
+            return p
+        power = _mat_mul(power, m)
+    return 0 if not m else None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except AlgebraError as exc:
+        return str(exc)
+
+
+def _reference_operator_index(table, carrier):
+    dec = peirce(table)
+    basis = dec.u_basis if carrier == "U" else lyubich_ideal(table)
+    return _matrix_index(
+        generic_element(table, "v", restrict_to=dec.v_basis), basis)
+
+
+def _reference_engel(table, carrier):
+    try:
+        return _matrix_index(
+            generic_element(table, "g", restrict_to=carrier), carrier)
+    except AlgebraError as exc:
+        if "invariant" not in str(exc):
+            raise
+        raise AlgebraError("carrier is not closed under multiplication")
+
+
+def _basis_twin(table, seed):
+    p = _unimodular(random.Random(seed), table.dim)
+    return table.change_basis(p, table.labels, name="twin")
+
+
+def test_product_chain_matches_matrix_powers():
+    # the product chains against matrix powers of left_mult_operator:
+    # operator checks on the input basis of catalog tables and of their
+    # change_basis twins; engel_check with the default carrier against
+    # the native table, and on explicit carriers, some dependent or not
+    # closed, on the input basis (on twins only small ones, and not the
+    # whole algebra: the matrix route is slow on dense coordinates)
+    not_invariant = AlgebraTable.build(
+        ("e", "u", "v"),
+        {("e", "e"): {"e": 1}, ("e", "u"): {"u": HALF}, ("u", "v"): {"v": 1}},
+        weight={"e": 1})
+    tables = [not_invariant, catalog.shift_up_truncated(6),
+              catalog.three_dim_alpha(F(2))]
+    for seed in (3, 4):
+        tables.extend(build() for build in pool_builders(random.Random(seed)))
+    seen = []
+    for k, native in enumerate(tables):
+        twin = _basis_twin(native, k)
+        for table in (native, twin):
+            for carrier in ("U", "L(A)"):
+                want = _outcome(
+                    lambda: _reference_operator_index(table, carrier))
+                assert _outcome(lambda: operator_nilpotency_check(
+                    table, carrier)) == want, (native.name, carrier)
+                seen.append(want)
+        want = _reference_engel(native, native.barideal_basis())
+        assert engel_check(native) == engel_check(twin) == want, native.name
+        for table in (native, twin) if native.dim <= 5 else (native,):
+            nbasis = table.barideal_basis()
+            b = table.basis()
+            carriers = [nbasis, [b[0] + b[-1]], [b[-1], b[-1].scale(2)]]
+            for carrier in carriers + [b] if table is native else carriers:
+                want = _outcome(lambda: _reference_engel(table, carrier))
+                assert _outcome(lambda: engel_check(table, carrier)) == want
+                seen.append(want)
+    assert {None, 0, 1, 2, 3, 5, 6} <= set(seen)
+    assert {m for m in seen if isinstance(m, str)} == {
+        "carrier basis is linearly dependent",
+        "carrier is not invariant under the operator",
+        "carrier is not closed under multiplication"}
+
+
+def test_operator_check_is_one_product_per_power(monkeypatch):
+    table = catalog.shift_up_truncated(8)
+    _, u, _ = _components(table)
+    products = []
+    real = Element.__mul__
+
+    def counted(a, b):
+        if a.den is None or b.den is None:
+            products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert operator_nilpotency_check(table) == 8
+    assert len(products) <= len(u) + 1
+
+
+def test_engel_check_runs_on_the_adapted_table(monkeypatch):
+    native = catalog.shift_up_truncated(8)
+    twin = _basis_twin(native, 20)
+    adapted = adapted_table(twin)
+    assert adapted is not None
+    seen = []
+    real = train._operator_index
+    monkeypatch.setattr(train, "_operator_index",
+                        lambda x, c: seen.append(x.algebra) or real(x, c))
+    assert engel_check(twin) == engel_check(native) == 8
+    assert seen == [adapted, native]
 
 
 def test_engel_yagzhev_agreement():
