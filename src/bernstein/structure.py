@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, symbolic
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
                    left_mult_operator, ZERO, HALF)
 from .symbolic import IdentityCheck, check_identity, generic_element
@@ -24,7 +24,8 @@ def is_bernstein(table):
     """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table.
 
     Run on ``adapted_table(table)`` when there is one; a failure there
-    is redone on the input basis for an input witness."""
+    is redone on the input basis for an input witness, sought at integer
+    points first when that basis is not adapted (the verdict is negative)."""
     if not table.has_weight:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
@@ -34,10 +35,15 @@ def is_bernstein(table):
     if adapted is not None and is_bernstein(adapted):
         result = IdentityCheck(True)
     else:
-        result = check_identity(table, _bernstein_identity)
-        if result and adapted is not None:
-            raise InternalCheckError(
-                "Bernstein check: input and adapted bases disagree")
+        unadapted = _is_adapted(table) is None
+        result = (symbolic._refute_on_line(table, _bernstein_identity)
+                  if unadapted else None)
+        if result is None:
+            result = check_identity(table, _bernstein_identity)
+        if result and unadapted:
+            raise InternalCheckError("Bernstein check: " + (
+                "input and adapted bases disagree" if adapted is not None
+                else "the identity holds but peirce found no decomposition"))
     table._cache["bernstein"] = result
     return result
 

@@ -6,7 +6,9 @@ vector of a restricting subspace basis).  An identity holds on the
 algebra iff every coordinate of the symbolically expanded difference
 is the zero polynomial; that is an exact statement over the rationals,
 not a sampling argument.  On failure a concrete counterexample is
-produced by substituting small integers.
+produced by substituting small integers.  ``structure.is_bernstein``
+looks for it at fixed integer points first (``_refute_on_line``), with
+the symbolic route as the fallback.
 """
 
 from __future__ import annotations
@@ -79,6 +81,28 @@ def _witness_assignment(poly, all_names):
     if not current:
         raise InternalCheckError("witness search lost the polynomial")
     return assignment
+
+
+_LINE = (0, 1, -1, 2, -2, 3, -3, 4)   # t in the witness search's order
+
+
+def _refute_on_line(table, expr):
+    """``check_identity(table, expr)``'s refutation of a one-element
+    identity, found at t*b with no expansion, or None; b is the basis
+    vector of the last of x1, x2, ... in sorted name order.  When the first
+    nonzero value has a nonzero coordinate 0, the polynomial the witness
+    search reads vanishes at the earlier points, all on this line, so
+    ``_witness_assignment`` sets the other variables to 0 and picks t."""
+    names = sorted(f"x{i + 1}" for i in range(table.dim))
+    b = table.basis_element(int(names[-1][1:]) - 1)
+    for t in _LINE:
+        if value := expr(b.scale(t)):
+            if 0 not in value.num:
+                return None
+            return IdentityCheck(False, {**dict.fromkeys(names, ZERO),
+                                         names[-1]: Fraction(t)},
+                                 [b.scale(t)], value)
+    return None
 
 
 def check_identity(table, expr, arity=1, restrict=None,

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein import catalog, linalg, structure
-from bernstein.core import InternalCheckError
+from bernstein import catalog, cli, linalg, structure
+from bernstein.core import AlgebraError, InternalCheckError
+from bernstein.fileformat import save_algebra
 from bernstein.elements import analyze_element
 from bernstein.structure import adapted_table, classify, is_bernstein
 from bernstein.symbolic import IdentityCheck, check_identity
@@ -147,6 +148,22 @@ def test_refuted_identity_gets_the_input_basis_witness():
     assert not classify(twin).is_bernstein
 
 
+def test_only_bases_that_are_not_adapted_try_integer_points(monkeypatch):
+    calls = []
+    real = structure.symbolic._refute_on_line
+    monkeypatch.setattr(structure.symbolic, "_refute_on_line",
+                        lambda table, expr: calls.append(table)
+                        or real(table, expr))
+    native = _native(lambda: catalog.free_single_truncated(4),
+                     ("u1", "u1", "u2"))
+    assert not is_bernstein(native)
+    assert is_bernstein(_twin(catalog.free_single_truncated(5), 5)[0])
+    assert calls == []
+    twin, _ = _twin(native, 15)
+    assert not is_bernstein(twin)
+    assert calls == [twin]
+
+
 def test_bases_that_disagree_raise(monkeypatch):
     twin, _ = _twin(catalog.free_single_truncated(5), 5)
     assert adapted_table(twin) is not None
@@ -160,3 +177,21 @@ def test_bases_that_disagree_raise(monkeypatch):
     monkeypatch.setattr(structure, "check_identity", adapted_fails)
     with pytest.raises(InternalCheckError, match="adapted"):
         is_bernstein(twin)
+
+
+def test_identity_without_a_peirce_decomposition_raises(monkeypatch,
+                                                        tmp_path, capsys):
+    # a Bernstein algebra always has a Peirce decomposition
+    twin, _ = _twin(catalog.free_single_truncated(5), 5)
+
+    def no_decomposition(table, e=None):
+        raise AlgebraError("no idempotent found; algebra is not Bernstein")
+
+    monkeypatch.setattr(structure, "peirce", no_decomposition)
+    with pytest.raises(InternalCheckError, match="Bernstein check: .*peirce"):
+        is_bernstein(twin)
+    path = str(tmp_path / "twin.json")
+    save_algebra(twin, path)
+    assert cli.main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: Bernstein check: ")

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, InternalCheckError
+from bernstein.core import AlgebraError, AlgebraTable, InternalCheckError
 from bernstein.multipoly import MultiPoly
-from bernstein.symbolic import (check_identity, generic_element,
-                                generic_degree, symbolic_rank)
+from bernstein.structure import _bernstein_identity
+from bernstein.symbolic import (_refute_on_line, check_identity,
+                                generic_element, generic_degree,
+                                symbolic_rank)
 from bernstein import catalog
 
 from conftest import (bernstein_pool, nuclear_table, non_bernstein_table,
@@ -87,6 +89,43 @@ def test_check_identity_arity_guard():
     with pytest.raises(AlgebraError):
         check_identity(catalog.constant_algebra(), lambda *a: a[0],
                        arity=9, prefixes=("x",))
+
+
+def test_line_refutation_is_the_witness_search_refutation():
+    # every native and two rebased twins of each golden CLI table, and a
+    # dim-10 twin, whose last variable in sorted name order is x9
+    from test_cli_golden import TWINS, _native, _twin
+    tables = []
+    for build, redirect, seed in TWINS:
+        native = _native(build, redirect)
+        tables += [native, _twin(native, seed)[0], _twin(native, seed + 1)[0]]
+    big, _ = _twin(_native(lambda: catalog.shift_up_truncated(8),
+                           ("u1", "u1", "u2")), 1)
+    tables.append(big)
+    outcomes = []
+    for table in tables:
+        full = check_identity(table, _bernstein_identity)
+        fast = _refute_on_line(table, _bernstein_identity)
+        assert fast is None or fast == full, table.name
+        outcomes.append(fast is not None)
+    assert any(outcomes) and not all(outcomes)
+    assert outcomes[-1]
+    assert {k for k, v in full.witness_assignment.items() if v} == {"x9"}
+
+
+def test_line_refutation_needs_a_nonzero_coordinate_zero():
+    # c^2 = 2c and w(c) = 0, so the first nonzero value on the line of c
+    # (x3) is 8c, zero at coordinate 0; coordinate 0 of the identity is
+    # not the zero polynomial, and the witness search leaves the line
+    table = AlgebraTable(("a", "b", "c"), {
+        (0, 0): {1: 1}, (0, 1): {0: 1}, (0, 2): {0: 1, 1: -1, 2: 2},
+        (1, 1): {0: 1, 2: 2}, (2, 2): {2: 2}}, weight=[1, 1, 0])
+    c = table.basis_element(2)
+    assert _bernstein_identity(c) == c.scale(8)
+    full = check_identity(table, _bernstein_identity)
+    assert full.witness_elements == [table.basis_element(1)]
+    assert 0 in full.witness_value.num
+    assert _refute_on_line(table, _bernstein_identity) is None
 
 
 def _division_free_rank(rows):
