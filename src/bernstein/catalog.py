@@ -342,7 +342,7 @@ def quotient(table, ideal_basis, name=""):
     kept = [i for i, e in enumerate(linalg.identity_matrix(table.dim))
             if space.add(e)]
     return table.change_basis(
-        [table.basis_element(i).coords for i in kept],
+        [table.basis_element(i) for i in kept],
         [table.labels[i] for i in kept],
         modulo=vectors,
         name=name or (f"{table.name}/ideal" if table.name else "quotient"))
@@ -353,7 +353,6 @@ def subalgebra(table, generators, name=""):
     sub-table on an echelonised basis together with the list of ambient
     elements realising that basis."""
     span = linalg.closure(generators, lambda u, v: (u * v,))
-    vectors = span.rows()
-    labels = [f"b{k + 1}" for k in range(len(vectors))]
-    sub = table.change_basis(vectors, labels, name=name or "subalgebra")
-    return sub, [table.element(v) for v in vectors]
+    basis = [table.element(v) for v in span.rows()]
+    labels = [f"b{k + 1}" for k in range(len(basis))]
+    return table.change_basis(basis, labels, name=name or "subalgebra"), basis

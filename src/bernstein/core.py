@@ -7,11 +7,11 @@ the weight is checked on construction, where scalars are coerced.
 ``read_scalar`` is the one reader of rationals from text: "n" or "n/d"
 in decimal integers, straight to ints.
 ``AlgebraTable.change_basis`` is the one routine that rebuilds a table
-on a new basis, or on a basis of a quotient.  Elements,
-``left_mult_operator`` (the matrix of L_x on a carrier, which
-``structure.peirce`` splits) and
-``poly_eval``, which evaluates a polynomial in X (a ``MultiPoly``) with
-zero constant term at an element, live here as well.
+on a new basis, or on a basis of a quotient: it multiplies the basis
+elements and reads each product's coordinates as integers off one
+``linalg.Subspace``.  Elements, ``left_mult_operator`` (the matrix of
+L_x on a carrier) and ``poly_eval``, which evaluates a polynomial in X
+(a ``MultiPoly``) with zero constant term at an element, live here too.
 
 ``Element`` is the one element class, over Q or over Q[t...], stored
 sparsely: a concrete element as int numerators over one denominator, a
@@ -21,7 +21,6 @@ table stores its structure constants as int rows over one denominator
 (``AlgebraTable._integer_rows``), and products, sums and scaling of
 concrete elements run in Python ints and build no Fraction; Fractions
 appear only where a caller asks for ``coords`` or a weight.
-``bilinear_product`` runs the same kernels on dense coordinate lists.
 """
 
 from __future__ import annotations
@@ -315,13 +314,15 @@ class AlgebraTable:
         return [_new(self, dict(num), den) for num, den in cached]
 
     def change_basis(self, vectors, labels, modulo=(), name="", notes=()):
-        """The table on the basis ``vectors`` (coordinate lists in this
-        one) with the given labels; with ``modulo``, a basis of an ideal,
-        the quotient table on the images of ``vectors``.  Raises
-        AlgebraError when ``modulo + vectors`` is dependent or a product
-        of two vectors leaves its span.  The weight carries over as
-        ``weight_of(v)`` per vector, dropped when all of those vanish."""
-        vectors = list(vectors)
+        """The table on the basis ``vectors`` (concrete elements of this
+        table or coordinate lists) with the given labels; with ``modulo``,
+        a basis of an ideal, the quotient table on their images.  Products
+        are element products, read off one ``linalg.Subspace`` in ints.
+        Raises AlgebraError when ``modulo + vectors`` is dependent or a
+        product of two vectors leaves its span.  The weight carries over
+        as ``x.weight()`` per vector, dropped when all of those vanish."""
+        vectors = [x if isinstance(x, Element) else self.element(x)
+                   for x in vectors]
         skip = len(modulo)
         space = linalg.Subspace(list(modulo) + vectors)
         if space.rank != space.size:
@@ -329,16 +330,16 @@ class AlgebraTable:
         products = {}
         for a, x in enumerate(vectors):
             for b in range(a, len(vectors)):
-                coords = space.coords(
-                    bilinear_product(self, x, vectors[b], ZERO))
-                if coords is None:
+                found = space._coefficients(x * vectors[b])
+                if found is None:
                     raise AlgebraError(
                         "a product leaves the span of the basis vectors")
-                products[(a, b)] = {k: c for k, c in
-                                    enumerate(coords[skip:]) if c}
+                coefficients, den = found
+                products[(a, b)] = {k - skip: (c, den) for k, c in
+                                    coefficients.items() if k >= skip}
         weight = None
         if self._weight is not None:
-            weight = [self.weight_of(v) for v in vectors]
+            weight = [x.weight() for x in vectors]
             if not any(weight):
                 weight = None
         return AlgebraTable(labels, products, weight=weight, name=name,
@@ -395,20 +396,6 @@ def _integer_product(rows, xs, ys):
                 for k, s in pairs:
                     acc[k] = acc.get(k, 0) + c * s
     return acc
-
-
-def bilinear_product(table, xcoords, ycoords, zero):
-    """Coordinates of the product of the elements with the dense
-    coordinates xcoords and ycoords, rational or polynomial on either
-    side: the element product, one Fraction per nonzero rational output
-    coordinate, and ``zero`` (a MultiPoly for polynomial coordinates)
-    at the others."""
-    product = Element(table, xcoords) * Element(table, ycoords)
-    out = [zero] * table.dim
-    den = product.den
-    for k, c in product.num.items():
-        out[k] = c if den is None else Fraction(c, den)
-    return out
 
 
 def _new(algebra, num, den):

@@ -215,8 +215,7 @@ def singly_generated_subalgebra(a):
     family = [e] + u + [v1]
     labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
     try:
-        out = table.change_basis([x.coords for x in family], labels,
-                                 name="alg(a)")
+        out = table.change_basis(family, labels, name="alg(a)")
     except AlgebraError as exc:
         raise InternalCheckError(f"canonical family: {exc}") from None
 

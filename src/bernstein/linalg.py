@@ -189,18 +189,28 @@ class Subspace:
         acc, _ = self._residual(v)
         return not acc or min(acc) >= len(v)
 
+    def _coefficients(self, t):
+        """(coefficients, den), the nonzero ``coords`` of t as {i: int}
+        over den > 0, or {i: value} and None for ring entries; None when
+        t is outside the span."""
+        acc, den = self._residual(t)
+        width = len(t)
+        if acc and min(acc) < width:
+            return None
+        return {k - width: -a for k, a in acc.items()}, den
+
     def coords(self, t, zero=ZERO):
         """Coordinates of t in the vectors as given, or None when t is
         outside the span.  A vector that depends on earlier ones gets
         coordinate ``zero``; pass ``MultiPoly.zero()`` for polynomial
         targets."""
-        acc, den = self._residual(t)
-        width = len(t)
-        if acc and min(acc) < width:
+        found = self._coefficients(t)
+        if found is None:
             return None
+        coefficients, den = found
         out = [zero] * self.size
-        for k, a in acc.items():
-            out[k - width] = -a if den is None else Fraction(-a, den)
+        for i, a in coefficients.items():
+            out[i] = a if den is None else Fraction(a, den)
         return out
 
     def rows(self):
@@ -240,19 +250,27 @@ def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def relations(vectors):
+    """A basis of the linear relations among ``vectors``: for each v_j
+    that depends on the earlier ones, as v_j = sum of r_p v_p over p < j,
+    the coefficient list with 1 at j, -r_p at each p and 0 elsewhere.
+    ``relation`` gives r_p = 0 at each v_p that depends on those before
+    it, so this is the kernel basis the reduced echelon form gives."""
+    space = Subspace()
+    out = []
+    for j, v in enumerate(vectors):
+        r = space.relation(v)
+        if r is not None:
+            out.append([-c for c in r] + [ONE]
+                       + [ZERO] * (len(vectors) - j - 1))
+    return out
+
+
 def kernel(m, ncols=None):
-    """Basis of the right nullspace of m, one vector per free column;
-    ``ncols`` is needed only when m has no rows."""
+    """Basis of the right nullspace of m, the ``relations`` among its
+    columns; ``ncols`` is needed only when m has no rows."""
     if not m:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         return identity_matrix(ncols)
-    space = Subspace(m)
-    rows = dict(zip(sorted(space._rows), space.rows()))
-    basis = []
-    for f, v in enumerate(identity_matrix(len(m[0]))):
-        if f not in rows:
-            for p, row in rows.items():
-                v[p] = -row[f]
-            basis.append(v)
-    return basis
+    return relations(list(zip(*m)))

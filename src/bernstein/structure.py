@@ -4,19 +4,22 @@ classification flags and the annihilator ideal of the U component.
 A baric algebra (A, w) is Bernstein when (x^2)^2 = w(x)^2 x^2 holds
 identically.  Relative to an idempotent e of weight 1 the weight
 kernel N splits as U + V with U the 1/2-eigenspace and V the kernel
-of left multiplication by e.  The checks run on ``adapted_table``, the
-table rebuilt on the adapted basis e, U, V by ``change_basis``, where U
-and V are basis vectors and their products are structure constants.
+of left multiplication by e.  ``peirce`` reads U and V off the
+linear relations among the images e n of a basis of N.  The checks run
+on ``adapted_table``, the table rebuilt on the adapted basis e, U, V by
+``change_basis``, where U and V are basis vectors and their products
+are structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg, symbolic
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   left_mult_operator, ZERO, HALF)
+                   _concrete, _new, ZERO, HALF)
 from .symbolic import IdentityCheck, check_identity, generic_element
 
 
@@ -70,7 +73,7 @@ def adapted_table(table):
             else:
                 us, vs = dec.u_basis, dec.v_basis
                 table._cache["adapted"] = table.change_basis(
-                    [b.coords for b in [dec.idempotent, *us, *vs]],
+                    [dec.idempotent, *us, *vs],
                     ["e"] + [f"u{i + 1}" for i in range(len(us))]
                     + [f"v{i + 1}" for i in range(len(vs))],
                     name=table.name)
@@ -137,51 +140,43 @@ class PeirceDecomposition:
 
 
 def _combination(table, coeffs, elements):
-    """sum of c * b over the pairs with c nonzero."""
-    acc = table.zero()
-    for c, b in zip(coeffs, elements):
-        if c:
-            acc = acc + b.scale(c)
-    return acc
+    """sum of c * b for rational c and concrete b, one integer sum."""
+    terms = [(c.numerator, c.denominator * b.den, b)
+             for c, b in zip(coeffs, elements) if c]
+    den = lcm(*(d for _, d, _ in terms))
+    acc = {}
+    for n, d, b in terms:
+        f = n * (den // d)
+        for k, a in b.num.items():
+            acc[k] = acc.get(k, 0) + f * a
+    return _concrete(table, acc, den)
 
 
 def peirce(table, e=None):
-    """Peirce decomposition for the idempotent e (found if omitted).
-
-    Without e the decomposition is cached on the table as coordinate
-    tuples: elements refer to their table, so caching them would make a
-    reference cycle through the table's cache."""
+    """Peirce decomposition for the idempotent e (found if omitted): U
+    and V are read off the relations among the images e n - n/2 and e n
+    of a basis of N.  Without e it is cached on the table as integer
+    (num, den) pairs, as elements there would make a reference cycle."""
     if e is None:
         cached = table._cache.get("peirce")
-        if cached is not None:
-            e, us, vs = cached
-            return PeirceDecomposition(
-                table, Element(table, e),
-                [Element(table, u) for u in us],
-                [Element(table, v) for v in vs])
-        dec = peirce(table, find_idempotent(table))
-        table._cache["peirce"] = (
-            dec.idempotent.coords,
-            tuple(u.coords for u in dec.u_basis),
-            tuple(v.coords for v in dec.v_basis))
-        return dec
+        if cached is None:
+            dec = peirce(table, find_idempotent(table))
+            cached = table._cache["peirce"] = [
+                [(x.num, x.den) for x in part] for part in
+                ([dec.idempotent], dec.u_basis, dec.v_basis)]
+        (e,), us, vs = [[_new(table, dict(num), den) for num, den in part]
+                        for part in cached]
+        return PeirceDecomposition(table, e, us, vs)
     if e * e != e or e.weight() != 1:
         raise AlgebraError("peirce needs an idempotent of weight 1")
     nbasis = table.barideal_basis()
-    if not nbasis:
-        return PeirceDecomposition(table, e, [], [])
-    m = left_mult_operator(e, nbasis)
-    n = len(nbasis)
-    mu = [[m[i][j] - HALF if i == j else m[i][j] for j in range(n)]
-          for i in range(n)]
-    ucoords = linalg.kernel(mu, ncols=n)
-    vcoords = linalg.kernel(m, ncols=n)
-    if len(ucoords) + len(vcoords) != n:
+    images = [e * b for b in nbasis]
+    shifted = [a - b.scale(HALF) for a, b in zip(images, nbasis)]
+    us, vs = ([_combination(table, cs, nbasis) for cs in linalg.relations(f)]
+              for f in (shifted, images))
+    if len(us) + len(vs) != len(nbasis):
         raise AlgebraError("not a Bernstein Peirce decomposition")
-    return PeirceDecomposition(
-        table, e,
-        [_combination(table, c, nbasis) for c in ucoords],
-        [_combination(table, c, nbasis) for c in vcoords])
+    return PeirceDecomposition(table, e, us, vs)
 
 
 def idempotent_family(table, e, u):

@@ -75,6 +75,34 @@ def test_change_basis_rejects_bad_bases():
                            modulo=[units[3]])
 
 
+def test_change_basis_takes_elements_or_lists():
+    tables = [catalog.free_single_truncated(5), catalog.example_not_train(),
+              catalog.three_dim_alpha(F(3, 7)), mixed_table()]
+    for seed, table in enumerate(tables):
+        p = _unimodular(random.Random(40 + seed), table.dim)
+        rows = [[F(c, 1 + seed) for c in row] for row in p]
+        elements = [table.element(row) for row in rows]
+        out = table.change_basis(elements, table.labels)
+        assert out == table.change_basis(rows, table.labels)
+        assert out.weight == tuple(table.weight_of(v) for v in rows)
+    # with modulo, given as lists or as elements, on either side
+    table = catalog.free_single_truncated(5)     # e, u1, u2, u3, v1
+    units = linalg.identity_matrix(5)
+    basis = table.basis()
+    kept = (0, 1, 2, 4)
+    want = table.change_basis([units[i] for i in kept], "abcd",
+                              modulo=[units[3]])
+    for vectors in ([basis[i] for i in kept], [units[i] for i in kept]):
+        for modulo in ([basis[3]], [units[3]]):
+            assert table.change_basis(vectors, "abcd", modulo=modulo) == want
+    with pytest.raises(AlgebraError, match="dependent"):
+        table.change_basis([basis[1], basis[2], basis[1]], "abc")
+    with pytest.raises(AlgebraError, match="leaves the span"):
+        table.change_basis([basis[0], basis[4]], "ab")
+    with pytest.raises(AlgebraError, match="leaves the span"):
+        table.change_basis([basis[1], basis[4]], "ab", modulo=[basis[3]])
+
+
 def _reference_closure(vectors, products):
     """Round by round: add every product of every pair of echelon rows
     until a round adds nothing."""

@@ -8,8 +8,7 @@ from math import gcd
 import pytest
 
 from bernstein.core import (AlgebraError, AlgebraTable, Element,
-                            as_scalar, bilinear_product,
-                            format_scalar, left_mult_operator, parse_scalar,
+                            as_scalar, format_scalar, left_mult_operator, parse_scalar,
                             poly_eval, principal_powers, HALF, ONE, ZERO)
 from bernstein import catalog, linalg
 from bernstein.multipoly import MultiPoly
@@ -167,8 +166,8 @@ def test_bilinear_product_matches_operator():
     for _ in range(10):
         x = rand_element(table, rng)
         y = rand_element(table, rng)
-        direct = table.element(
-            bilinear_product(table, list(x.coords), list(y.coords), ZERO))
+        # the product of the elements read back from dense coordinates
+        direct = Element(table, list(x.coords)) * Element(table, list(y.coords))
         assert direct == x * y
         op = left_mult_operator(x, carrier)
         assert table.element([sum((a * c for a, c in zip(row, y.coords)),
@@ -269,7 +268,11 @@ def test_symbolic_bilinear_product_matches_concrete():
             poly = poly + rand_scalar(rng) * MultiPoly.var(name)
         return poly * (MultiPoly.var(rng.choice(names)) + rand_scalar(rng))
 
-    zero = MultiPoly.zero()
+    def product(a, b):
+        """The dense coordinates of the product of the elements with
+        coordinates a and b."""
+        return list((Element(table, a) * Element(table, b)).coords)
+
     for _ in range(6):
         x = [rand_coord() for _ in range(table.dim)]
         y = [rand_coord() for _ in range(table.dim)]
@@ -277,28 +280,25 @@ def test_symbolic_bilinear_product_matches_concrete():
         c = [rand_scalar(rng) if rng.random() < 0.7 else ZERO
              for _ in range(table.dim)]
         lifted = [MultiPoly.const(v) for v in c]
-        xy = bilinear_product(table, x, y, zero)
-        xx = bilinear_product(table, x, x, zero)
-        xc = bilinear_product(table, x, c, zero)
-        cy = bilinear_product(table, c, y, zero)
-        assert xc == bilinear_product(table, x, lifted, zero)
-        assert cy == bilinear_product(table, lifted, y, zero)
+        xy = product(x, y)
+        xx = product(x, x)
+        xc = product(x, c)
+        cy = product(c, y)
+        assert all(isinstance(v, MultiPoly) for v in xy + xx + xc + cy)
+        assert xc == product(x, lifted)
+        assert cy == product(lifted, y)
         for _ in range(4):
             point = {name: rand_scalar(rng) for name in names}
             xv = [c.evaluate(point) for c in x]
             yv = [c.evaluate(point) for c in y]
-            assert [c.evaluate(point) for c in xy] == \
-                bilinear_product(table, xv, yv, ZERO)
-            assert [c.evaluate(point) for c in xx] == \
-                bilinear_product(table, xv, xv, ZERO)
+            assert [c.evaluate(point) for c in xy] == product(xv, yv)
+            assert [c.evaluate(point) for c in xx] == product(xv, xv)
         # at integer points the mixed products are the concrete product
         point = {name: F(rng.randint(-3, 3)) for name in names}
         xv = [v.evaluate(point) for v in x]
         yv = [v.evaluate(point) for v in y]
-        assert [v.evaluate(point) for v in xc] == \
-            bilinear_product(table, xv, c, ZERO)
-        assert [v.evaluate(point) for v in cy] == \
-            bilinear_product(table, c, yv, ZERO)
+        assert [v.evaluate(point) for v in xc] == product(xv, c)
+        assert [v.evaluate(point) for v in cy] == product(c, yv)
 
 
 def test_scalar_exponent_notation_rejected():
@@ -348,7 +348,7 @@ def test_concrete_bilinear_product_matches_triple_loop():
             x = _rand_coords(rng, table.dim)
             y = _rand_coords(rng, table.dim)
             for a, b in ((x, y), (x, x), (y, x)):
-                got = bilinear_product(table, a, b, ZERO)
+                got = list((Element(table, a) * Element(table, b)).coords)
                 assert got == _triple_loop_product(table, a, b)
                 assert all(type(c) is Fraction for c in got)
             xe, ye = table.element(x), table.element(y)

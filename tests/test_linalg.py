@@ -78,6 +78,38 @@ def ref_rref(vectors):
     return out
 
 
+def echelon_kernel(m):
+    """Right nullspace of m read off its reduced echelon form, the
+    reference for ``kernel``: for each free column f, 1 at f and -row[f]
+    at the pivot of each row."""
+    n = len(m[0])
+    rows = {next(i for i, c in enumerate(row) if c): row for row in ref_rref(m)}
+    basis = []
+    for f in range(n):
+        if f not in rows:
+            v = [F(int(i == f)) for i in range(n)]
+            for p, row in rows.items():
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
+def test_kernel_and_relations_match_the_echelon_kernel():
+    rng = random.Random(39)
+    for _ in range(60):
+        width, family = rand_family(rng)
+        if not family:
+            continue
+        # the family's relations are the kernel of the matrix whose
+        # columns are its vectors
+        m = [list(row) for row in zip(*family)]
+        want = echelon_kernel(m)
+        assert linalg.relations(family) == want
+        assert linalg.kernel(m) == want
+        m = rand_matrix(rng, rng.randint(1, 5), width)
+        assert linalg.kernel(m) == echelon_kernel(m)
+
+
 def rand_family(rng):
     """Sparse vectors mixed with zero vectors and combinations of
     earlier members."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, AlgebraTable, HALF
+from bernstein.core import AlgebraError, AlgebraTable, HALF, left_mult_operator
 from bernstein.structure import (adapted_table, classify, find_idempotent,
                                  idempotent_family, is_bernstein,
                                  lyubich_ideal, peirce, zero_v_squared)
@@ -16,6 +16,7 @@ from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
                       nuclear_table, pool_builders, rand_combination,
                       rand_element)
 from test_cli_golden import _twin
+from test_linalg import echelon_kernel
 
 F = Fraction
 
@@ -347,3 +348,79 @@ def test_jordan_routes_by_linearity_match_two_generic_elements():
             assert not structure._jordan_by_peirce(moved, mu, mv)
             assert not _peirce_reference(moved, mu, mv)
     assert single == {"identity", "peirce"}
+
+
+def _operator_peirce(table, e=None):
+    """Peirce decomposition from the kernels of the matrix M of L_e on
+    the weight kernel and of M - I/2, as coordinate tuples (e, U, V)."""
+    if e is None:
+        e = find_idempotent(table)
+    nbasis = table.barideal_basis()
+    parts = [[], []]
+    if nbasis:
+        m = left_mult_operator(e, nbasis)
+        n = len(nbasis)
+        mu = [[m[i][j] - HALF if i == j else m[i][j] for j in range(n)]
+              for i in range(n)]
+        parts = [[sum((b.scale(c) for c, b in zip(cs, nbasis) if c),
+                      table.zero()) for cs in echelon_kernel(matrix)]
+                 for matrix in (mu, m)]
+        if len(parts[0]) + len(parts[1]) != n:
+            raise AlgebraError("not a Bernstein Peirce decomposition")
+    return (e.coords, [u.coords for u in parts[0]],
+            [v.coords for v in parts[1]])
+
+
+def _coordinates(dec):
+    return (dec.idempotent.coords, [u.coords for u in dec.u_basis],
+            [v.coords for v in dec.v_basis])
+
+
+def _outcome(decompose):
+    try:
+        return decompose()
+    except AlgebraError as exc:
+        return str(exc)
+
+
+def test_peirce_matches_the_operator_kernels():
+    # every native of the golden CLI tables and its twins at two seeds,
+    # Bernstein or not; peirce from relations among the images of e must
+    # give the coordinates the operator kernels give, or the same error
+    from test_cli_golden import TWINS, _native
+    natives = [(_native(build, redirect), seed)
+               for build, redirect, seed in TWINS]
+    # L_e with eigenvalue 1/3, and L_e not diagonalisable (e n1 = n1/2 + n2)
+    natives += [
+        (AlgebraTable(("e", "n"), {(0, 0): {0: 1}, (0, 1): {1: F(1, 3)}},
+                      weight=[1, 0], name="third"), 20),
+        (AlgebraTable(("e", "n1", "n2", "v"), {
+            (0, 0): {0: 1}, (0, 1): {1: HALF, 2: 1}, (0, 2): {2: HALF}},
+            weight=[1, 0, 0, 0], name="jordan_block"), 21)]
+    tables = []
+    for native, seed in natives:
+        tables += [native, _twin(native, seed)[0], _twin(native, seed + 1)[0]]
+    raised = 0
+    for table in tables:
+        want = _outcome(lambda: _operator_peirce(table))
+        for _ in range(2):      # computed, then from the cache
+            got = _outcome(lambda: _coordinates(peirce(table)))
+            assert got == want, table.name
+        if isinstance(want, str):
+            raised += 1
+            continue
+        # another idempotent, e + u + u^2, on a Bernstein table with U
+        dec = peirce(table)
+        if dec.u_basis and is_bernstein(table):
+            f = idempotent_family(table, dec.idempotent, dec.u_basis[0])
+            assert _coordinates(peirce(table, f)) == _operator_peirce(table, f)
+    assert 0 < raised < len(tables)
+    # on the twins of the last two the search finds no idempotent; given
+    # the image of e, both routes reject the decomposition
+    for native, seed in natives[-2:]:
+        twin, p = _twin(native, seed)
+        e = twin.element(linalg.Subspace(p).coords(native.basis()[0].coords))
+        for table, idem in ((native, None), (twin, e)):
+            assert _outcome(lambda: peirce(table, idem)) == \
+                _outcome(lambda: _operator_peirce(table, idem)) == \
+                "not a Bernstein Peirce decomposition"

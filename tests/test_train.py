@@ -457,6 +457,9 @@ def test_peirce_decomposition_is_computed_once_per_table(monkeypatch):
     assert cached.idempotent == fresh.idempotent
     assert cached.u_basis == fresh.u_basis
     assert cached.v_basis == fresh.v_basis
-    # Coordinates only: elements in the cache would refer to the table.
-    e, us, vs = table._cache["peirce"]
-    assert all(type(c) is Fraction for vec in (e, *us, *vs) for c in vec)
+    # Integer (num, den) pairs only: elements in the cache would refer to
+    # the table, and a cache hit builds no Fraction.
+    (e,), us, vs = table._cache["peirce"]
+    assert all(type(den) is int and all(type(k) is type(a) is int
+                                        for k, a in num.items())
+               for num, den in (e, *us, *vs))
