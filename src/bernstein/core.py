@@ -297,21 +297,15 @@ class AlgebraTable:
     def barideal_basis(self):
         """Basis of the weight kernel N, as ``linalg.kernel`` of the
         weight row gives it: e_f - (w_f / w_p) e_p for each f != p in
-        ascending order, p the first index of nonzero weight.  The
-        sparse coordinates are cached; each call builds fresh elements."""
+        ascending order, p the first index of nonzero weight, built
+        sparse from the integer weight row on each call."""
         if self._weight is None:
             raise AlgebraError("algebra has no weight")
-        cached = self._cache.get("barideal")
-        if cached is None:
-            ws, _ = self._weight
-            p = next(i for i, w in enumerate(ws) if w)
-            d, s = abs(ws[p]), (1 if ws[p] > 0 else -1)
-            cached = self._cache["barideal"] = []
-            for f, w in enumerate(ws):
-                if f != p:
-                    x = _concrete(self, {p: -s * w, f: d}, d)
-                    cached.append((x.num, x.den))
-        return [_new(self, dict(num), den) for num, den in cached]
+        ws, _ = self._weight
+        p = next(i for i, w in enumerate(ws) if w)
+        d, s = abs(ws[p]), (1 if ws[p] > 0 else -1)
+        return [_concrete(self, {p: -s * w, f: d}, d)
+                for f, w in enumerate(ws) if f != p]
 
     def change_basis(self, vectors, labels, modulo=(), name="", notes=()):
         """The table on the basis ``vectors`` (concrete elements of this

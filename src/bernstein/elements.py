@@ -1,5 +1,6 @@
 """Per-element analysis: algebraic degree, minimal polynomial, the
-canonical table of a singly generated subalgebra, and train elements.
+canonical table of a singly generated subalgebra (a form written once,
+in the ``catalog`` models it is checked against), and train elements.
 
 Minimal polynomials here are monic with zero constant term, normalised
 so that the element satisfies p(a) = 0 with principal (right) powers.
@@ -175,12 +176,15 @@ def train_element_rank(a):
 
 def singly_generated_subalgebra(a):
     """Canonical table of the subalgebra generated by a weight-1
-    element, with basis e = a^2, u_1 = a^3 - a^2, u_(i+1) = v_1 u_i and
-    v_1 = a + a^2 - 2a^3.
+    element, built by ``change_basis`` on e = a^2, u_1 = a^3 - a^2,
+    u_(i+1) = v_1 u_i and v_1 = a + a^2 - 2a^3 (on a alone at degree 1),
+    and checked equal to the ``catalog`` model of its degree.
 
     Returns (table, embedding) where embedding lists the canonical
     basis as elements of the ambient algebra, in label order.
     """
+    from . import catalog   # catalog imports this module
+
     table = a.algebra
     if not table.has_weight:
         raise AlgebraError("singly generated analysis needs a weight")
@@ -188,56 +192,33 @@ def singly_generated_subalgebra(a):
         raise AlgebraError("generator must have weight 1")
     if not is_bernstein(table):
         raise AlgebraError("ambient algebra is not Bernstein")
-    analysis = analyze_element(a)
-    n = analysis.degree
+    n = analyze_element(a).degree
 
     if n == 1:
-        out = AlgebraTable.build(("e",), {("e", "e"): {"e": 1}},
-                                 weight={"e": 1}, name="alg(a)")
-        return out, [a]
-
-    e = analysis.power_basis[1]
-    if n == 2:
-        v1 = a - e
-        for claim, value in ((  # sanity on the ambient products
-                "e*v1", e * v1), ("v1*v1", v1 * v1)):
-            if value:
-                raise InternalCheckError(f"constant-form product {claim} is nonzero")
-        out = AlgebraTable.build(("e", "v1"), {("e", "e"): {"e": 1}},
-                                 weight={"e": 1}, name="alg(a)")
-        return out, [e, v1]
-
-    a3 = analysis.power_basis[2]
-    u = [a3 - e]
-    v1 = a + e - a3.scale(2)
-    for _ in range(n - 3):
-        u.append(v1 * u[-1])
-    family = [e] + u + [v1]
-    labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
+        family, labels = [a], ["e"]
+    else:
+        _, e, a3 = islice(_power_chain(a), 3)
+        u = [a3 - e] if n >= 3 else []
+        v1 = a + e - a3.scale(2)    # a - a^2 at degree 2, where a^3 = a^2
+        for _ in range(n - 3):
+            u.append(v1 * u[-1])
+        family = [e] + u + [v1]
+        labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
     try:
         out = table.change_basis(family, labels, name="alg(a)")
     except AlgebraError as exc:
         raise InternalCheckError(f"canonical family: {exc}") from None
 
-    # the canonical form, checked on the computed products
-    e, *u, v1 = out.basis()
-    if e * v1:
-        raise InternalCheckError("e v1 is nonzero in the canonical family")
-    for i, ui in enumerate(u):
-        if e * ui != ui.scale(HALF):
-            raise InternalCheckError("e does not act by 1/2 on the U part")
-        for uj in u[i:]:
-            if ui * uj:
-                raise InternalCheckError("U part fails to square to zero")
-        if i + 1 < len(u) and v1 * ui != u[i + 1]:
-            raise InternalCheckError("v1 u_i is not u_(i+1)")
-    top = v1 * u[-1]
-    if top.coords[0] or top.coords[-1]:
-        raise InternalCheckError("v1 u_(n-2) left the span of the U part")
-    if n == 3:
-        alpha = top.coords[1] + Fraction(3, 2)
-        if v1 * v1 != u[0].scale(4 * (1 - alpha)):
-            raise InternalCheckError("three-dimensional canonical form mismatch")
-    elif v1 * v1 != u[0].scale(-2) + u[1].scale(-4):
-        raise InternalCheckError("v1^2 is not -2u1 - 4u2")
+    if n <= 2:   # e e = e is the only product
+        model = AlgebraTable.build(labels, {("e", "e"): {"e": 1}},
+                                   weight={"e": 1})
+    else:
+        top = out.product_vector(n - 2, n - 1)    # u_(n-2) v1
+        if n == 3:
+            model = catalog.three_dim_alpha(top.get(1, ZERO) + Fraction(3, 2))
+        else:
+            model = catalog.free_single_truncated(
+                n, [top.get(k, ZERO) for k in range(1, n - 1)])
+    if out != model:
+        raise InternalCheckError("alg(a) is not in the canonical form")
     return out, family

@@ -24,7 +24,8 @@ from .symbolic import IdentityCheck, check_identity, generic_element
 
 
 def is_bernstein(table):
-    """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table.
+    """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table, the
+    witness as integer (num, den) pairs to make no reference cycle.
 
     Run on ``adapted_table(table)`` when there is one; a failure there
     is redone on the input basis for an input witness, sought at integer
@@ -33,7 +34,11 @@ def is_bernstein(table):
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
     if cached is not None:
-        return cached
+        holds, assignment, xs, value = cached
+        return IdentityCheck(
+            holds, assignment,
+            None if xs is None else [_new(table, dict(n), d) for n, d in xs],
+            None if value is None else _new(table, dict(value[0]), value[1]))
     adapted = adapted_table(table)
     if adapted is not None and is_bernstein(adapted):
         result = IdentityCheck(True)
@@ -47,7 +52,11 @@ def is_bernstein(table):
             raise InternalCheckError("Bernstein check: " + (
                 "input and adapted bases disagree" if adapted is not None
                 else "the identity holds but peirce found no decomposition"))
-    table._cache["bernstein"] = result
+    xs, value = result.witness_elements, result.witness_value
+    table._cache["bernstein"] = (
+        result.holds, result.witness_assignment,
+        None if xs is None else [(dict(x.num), x.den) for x in xs],
+        None if value is None else (dict(value.num), value.den))
     return result
 
 

@@ -171,13 +171,13 @@ def tree_power_sum(a, q, carrier=None):
     return total
 
 
-def _operator_index(x, carrier):
+def _operator_index(x, carrier, outside):
     """Least p <= n = len(carrier) with L_x^p = 0 on the span of the
-    independent carrier, which L_x must leave invariant; else None.
-    With y generic over the carrier, in variables of its own, L_x^p
-    vanishes there exactly when L_x^p y = 0, so each step is one
-    product; as y's variables appear linearly, x y lies in the span
-    exactly when every x c does."""
+    independent carrier, else None; AlgebraError(outside) when L_x
+    does not leave that span invariant.  With y generic over the
+    carrier, in variables of its own, L_x^p vanishes there exactly when
+    L_x^p y = 0, so each step is one product; as y's variables appear
+    linearly, x y lies in the span exactly when every x c does."""
     space = linalg.Subspace(carrier)
     if space.rank != len(carrier):
         raise AlgebraError("carrier basis is linearly dependent")
@@ -185,7 +185,7 @@ def _operator_index(x, carrier):
         return 0
     image = x * generic_element(x.algebra, "y", restrict_to=carrier)
     if not space.contains(image):
-        raise AlgebraError("carrier is not invariant under the operator")
+        raise AlgebraError(outside)
     for p in range(1, len(carrier)):
         if image.is_zero():
             return p
@@ -208,7 +208,8 @@ def operator_nilpotency_check(table, carrier="U"):
         raise AlgebraError(f"unknown carrier {carrier!r}")
     v = generic_element(base, "v",
                         restrict_to=[base.basis_element(i) for i in v])
-    return _operator_index(v, basis)
+    return _operator_index(v, basis,
+                           "carrier is not invariant under the operator")
 
 
 def engel_check(table, carrier=None):
@@ -222,13 +223,8 @@ def engel_check(table, carrier=None):
         return engel_check(adapted)
     carrier = _default_carrier(table, carrier)
     x = generic_element(table, "g", restrict_to=carrier)
-    try:
-        return _operator_index(x, carrier)
-    except AlgebraError as exc:
-        if "invariant" not in str(exc):
-            raise
-        raise AlgebraError(
-            "carrier is not closed under multiplication") from None
+    return _operator_index(x, carrier,
+                           "carrier is not closed under multiplication")
 
 
 def generic_nil_index(table, carrier):

@@ -6,19 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import (AlgebraError, InternalCheckError, poly_eval,
-                            HALF, ONE, ZERO)
+from bernstein.core import (AlgebraError, AlgebraTable, InternalCheckError,
+                            poly_eval, HALF, ONE, ZERO)
 from bernstein.elements import (ElementAnalysis, _train_gamma_formula,
                                 analyze_element, minimal_poly_form_check,
                                 singly_generated_subalgebra, train_element_rank,
                                 train_f, train_polynomial)
 from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import generic_element
-from bernstein import catalog
+from bernstein import catalog, linalg
 
 from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
                       nuclear_table, rand_combination, rand_scalar,
                       rand_unit_element)
+from test_cli_golden import _twin
 
 F = Fraction
 
@@ -197,6 +198,15 @@ def test_singly_generated_free_round_trip():
     assert out2 == bent
 
 
+def _degree_cases():
+    free = catalog.free_single_truncated(6)
+    return [(free, {"e": 1}, 1),
+            (catalog.constant_algebra(), {"e": 1, "v": 3}, 2),
+            (catalog.three_dim_alpha(F(5)), {"e": 1, "u1": 2, "v1": 1}, 3),
+            (catalog.free_single_truncated(5, (1, F(-1, 2), 0)),
+             {"e": 1, "u1": 2, "v1": 1}, 5)]
+
+
 def test_singly_generated_small_degrees():
     table = catalog.free_single_truncated(6)
     e = table.element_from({"e": 1})
@@ -212,6 +222,42 @@ def test_singly_generated_small_degrees():
     out, emb = singly_generated_subalgebra(g)
     assert out == three
     assert emb[0] == g ** 2 and emb[1] == g ** 3 - g ** 2
+    # the same tables and embeddings on a seeded basis that is not adapted
+    for seed, (table, parts, degree) in enumerate(_degree_cases()):
+        twin, p = _twin(table, seed)
+        space = linalg.Subspace(p)
+
+        def move(x):
+            return twin.element(space.coords(list(x.coords)))
+        a = table.element_from(parts)
+        out, emb = singly_generated_subalgebra(a)
+        twin_out, twin_emb = singly_generated_subalgebra(move(a))
+        assert out.dim == degree and twin_out == out, table.name
+        assert twin_emb == [move(x) for x in emb]
+
+
+def test_singly_generated_compares_with_the_model(monkeypatch):
+    # alg(a) with v1 v1 given an extra v1 term, which the weight allows
+    real = AlgebraTable.change_basis
+
+    def perturbed(self, vectors, labels, **kwargs):
+        out = real(self, vectors, labels, **kwargs)
+        if out.name != "alg(a)":
+            return out
+        products = {pair: dict(vec) for pair, vec in out.product_items()}
+        top = out.dim - 1
+        square = products.setdefault((top, top), {})
+        square[top] = square.get(top, ZERO) + 1
+        return AlgebraTable(out.labels, products, weight=out.weight,
+                            name=out.name)
+
+    for table, parts, degree in _degree_cases()[1:]:
+        a = table.element_from(parts)
+        assert singly_generated_subalgebra(a)[0].dim == degree
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraTable, "change_basis", perturbed)
+            with pytest.raises(InternalCheckError, match="canonical form"):
+                singly_generated_subalgebra(a)
 
 
 def test_singly_generated_embedding_is_multiplicative():

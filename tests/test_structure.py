@@ -1,5 +1,6 @@
 """Bernstein verification, Peirce decompositions, classification."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -37,6 +38,31 @@ def test_is_bernstein_failure_and_weightless():
     weightless, _, _ = catalog.zhevlakov_truncated(3, 2)
     with pytest.raises(AlgebraError):
         is_bernstein(weightless)
+
+
+def test_a_negative_verdict_leaves_no_reference_cycle():
+    # the cached verdict holds its witness as integer pairs, not as
+    # elements that point back at the table, on native and adapted paths
+    def redirected():
+        up = catalog.shift_up_truncated(3)
+        products = dict(up.product_items())
+        products[(1, 1)] = {2: 1}   # u1 u1 = u2
+        return AlgebraTable(up.labels, products, weight=up.weight)
+
+    assert adapted_table(_twin(redirected(), 1)[0]) is not None
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (non_bernstein_table, redirected,
+                      lambda: _twin(redirected(), 1)[0]):
+            table = build()
+            report = classify(table)
+            assert not report.is_bernstein
+            assert is_bernstein(table) == report.bernstein_witness
+            del table, report
+            assert gc.collect() == 0, build
+    finally:
+        gc.enable()
 
 
 def test_find_idempotent():

@@ -311,7 +311,8 @@ def test_engel_check_runs_on_the_adapted_table(monkeypatch):
     seen = []
     real = train._operator_index
     monkeypatch.setattr(train, "_operator_index",
-                        lambda x, c: seen.append(x.algebra) or real(x, c))
+                        lambda x, c, outside: seen.append(x.algebra)
+                        or real(x, c, outside))
     assert engel_check(twin) == engel_check(native) == 8
     assert seen == [adapted, native]
 
