@@ -3,7 +3,9 @@ shift truncations, singly generated models, idempotent adjunction,
 regular-word nil algebras, quotients and subalgebras (both through
 ``AlgebraTable.change_basis``), and the bridge from truncated
 associative algebras to Bernstein tables.  Subalgebras and the bridge
-close their spans with ``linalg.closure``.
+close their spans with ``linalg.closure``.  The Peirce frame (e e = e,
+e u = u/2, e v = 0, weight 1 on e) is written once, in ``_frame``; the
+tables built on it add only their products on N = U + V.
 """
 
 from __future__ import annotations
@@ -19,37 +21,39 @@ from .groebner import NcPoly, Presentation
 from .structure import is_bernstein
 
 
+def _frame(nil_labels, u_labels, products, name="", notes=()):
+    """The table on e, *nil_labels in the Peirce frame: e e = e,
+    e u = u/2 for each label in u_labels, e v = 0 for the other labels
+    and weight 1 on e, with the label-keyed ``products`` on N."""
+    frame = {("e", "e"): {"e": 1}}
+    for u in u_labels:
+        frame[("e", u)] = {u: HALF}
+    return AlgebraTable.build(["e", *nil_labels], {**frame, **products},
+                              weight={"e": 1}, name=name, notes=notes)
+
+
 def elementary_algebra(nil_dim=1):
     """x^2 = w(x) x holds identically: e plus a zero-multiplication
     half-eigenspace."""
     if not isinstance(nil_dim, int) or nil_dim < 0:
         raise AlgebraError("nil_dim must be a nonnegative integer")
-    labels = ["e"] + [f"n{i + 1}" for i in range(nil_dim)]
-    products = {("e", "e"): {"e": 1}}
-    for i in range(nil_dim):
-        products[("e", f"n{i + 1}")] = {f"n{i + 1}": HALF}
-    return AlgebraTable.build(labels, products, weight={"e": 1},
-                              name=f"elementary({nil_dim})")
+    nil = [f"n{i + 1}" for i in range(nil_dim)]
+    return _frame(nil, nil, {}, name=f"elementary({nil_dim})")
 
 
 def constant_algebra():
     """Two-dimensional table with e^2 = e and all other products zero;
     the nonunit basis vector spans the zero Peirce component."""
-    return AlgebraTable.build(
-        ["e", "v"], {("e", "e"): {"e": 1}}, weight={"e": 1},
-        name="constant")
+    return _frame(["v"], [], {}, name="constant")
 
 
 def three_dim_alpha(alpha):
     """One-parameter family on e, u1, v1 with u1*v1 = (alpha - 3/2) u1
     and v1^2 = 4(1 - alpha) u1."""
     a = as_scalar(alpha)
-    products = {("e", "e"): {"e": 1},
-                ("e", "u1"): {"u1": HALF},
-                ("u1", "v1"): {"u1": a - Fraction(3, 2)},
+    products = {("u1", "v1"): {"u1": a - Fraction(3, 2)},
                 ("v1", "v1"): {"u1": 4 * (1 - a)}}
-    table = AlgebraTable.build(["e", "u1", "v1"], products, weight={"e": 1},
-                               name=f"three_dim({a})")
+    table = _frame(["u1", "v1"], ["u1"], products, name=f"three_dim({a})")
     x = table.element_from({"e": 1, "u1": 2, "v1": 1})
     if analyze_element(x).degree != 3:
         raise InternalCheckError("e + 2u1 + v1 failed to generate the table")
@@ -59,44 +63,35 @@ def three_dim_alpha(alpha):
 def example_not_train():
     """Three-dimensional table on e, u, v with u*v = u; its weight
     kernel is not nil, so no train equation can hold."""
-    products = {("e", "e"): {"e": 1},
-                ("e", "u"): {"u": HALF},
-                ("u", "v"): {"u": 1}}
-    return AlgebraTable.build(["e", "u", "v"], products, weight={"e": 1},
-                              name="not_train")
+    return _frame(["u", "v"], ["u"], {("u", "v"): {"u": 1}},
+                  name="not_train")
 
 
 def _shift_labels(n):
     if not isinstance(n, int) or n < 1:
         raise AlgebraError("the chain length must be a positive integer")
-    return ["e"] + [f"u{i + 1}" for i in range(n)] + ["v"]
+    return [f"u{i + 1}" for i in range(n)]
 
 
 def shift_up_truncated(n):
     """Basis e, u1..un, v (dimension n + 2); multiplication by v shifts
     the chain up and truncates at the top (u_n v = 0), and
     U^2 = v^2 = 0."""
-    labels = _shift_labels(n)
-    products = {("e", "e"): {"e": 1}}
-    for i in range(1, n + 1):
-        products[("e", f"u{i}")] = {f"u{i}": HALF}
+    chain = _shift_labels(n)
+    products = {}
     for i in range(1, n):
         products[(f"u{i}", "v")] = {f"u{i + 1}": 1}
-    return AlgebraTable.build(labels, products, weight={"e": 1},
-                              name=f"shift_up({n})")
+    return _frame(chain + ["v"], chain, products, name=f"shift_up({n})")
 
 
 def shift_down_truncated(n):
     """Basis e, u1..un, v (dimension n + 2); multiplication by v shifts
     the chain down, killing u1, and U^2 = v^2 = 0."""
-    labels = _shift_labels(n)
-    products = {("e", "e"): {"e": 1}}
-    for i in range(1, n + 1):
-        products[("e", f"u{i}")] = {f"u{i}": HALF}
+    chain = _shift_labels(n)
+    products = {}
     for i in range(2, n + 1):
         products[(f"u{i}", "v")] = {f"u{i - 1}": 1}
-    return AlgebraTable.build(labels, products, weight={"e": 1},
-                              name=f"shift_down({n})")
+    return _frame(chain + ["v"], chain, products, name=f"shift_down({n})")
 
 
 def free_single_truncated(n, betas=None):
@@ -114,17 +109,13 @@ def free_single_truncated(n, betas=None):
     betas = [as_scalar(b) for b in betas]
     if len(betas) != n - 2:
         raise AlgebraError(f"expected {n - 2} top coefficients")
-    labels = ["e"] + [f"u{i + 1}" for i in range(n - 2)] + ["v1"]
-    products = {("e", "e"): {"e": 1},
-                ("v1", "v1"): {"u1": -2, "u2": -4}}
-    for i in range(n - 2):
-        products[("e", f"u{i + 1}")] = {f"u{i + 1}": HALF}
+    chain = [f"u{i + 1}" for i in range(n - 2)]
+    products = {("v1", "v1"): {"u1": -2, "u2": -4}}
     for i in range(1, n - 2):
         products[(f"u{i}", "v1")] = {f"u{i + 1}": 1}
     top = {f"u{i + 1}": b for i, b in enumerate(betas) if b}
     products[(f"u{n - 2}", "v1")] = top
-    table = AlgebraTable.build(labels, products, weight={"e": 1},
-                               name=f"free_single({n})")
+    table = _frame(chain + ["v1"], chain, products, name=f"free_single({n})")
     a = table.element_from({"e": 1, "u1": 2, "v1": 1})
     if analyze_element(a).degree != n:
         raise InternalCheckError("e + 2u1 + v1 failed to generate the model")
@@ -161,15 +152,13 @@ def adjoin_idempotent(nil_table, u_indices, v_indices, name=""):
     if "e" in nil_table.labels:
         raise AlgebraError("label 'e' is already taken")
 
-    labels = ("e",) + nil_table.labels
-    products = {("e", "e"): {"e": 1}}
-    for i in u_indices:
-        products[("e", nil_table.labels[i])] = {nil_table.labels[i]: HALF}
+    labels = nil_table.labels
+    products = {}
     for (i, j), vec in nil_table.product_items():
-        products[(nil_table.labels[i], nil_table.labels[j])] = {
-            nil_table.labels[k]: c for k, c in vec.items()}
-    table = AlgebraTable.build(
-        labels, products, weight={"e": 1},
+        products[(labels[i], labels[j])] = {
+            labels[k]: c for k, c in vec.items()}
+    table = _frame(
+        labels, [labels[i] for i in u_indices], products,
         name=name or (f"adjoin({nil_table.name})" if nil_table.name
                       else "adjoin"),
         notes=nil_table.notes)
@@ -276,10 +265,7 @@ def from_associative(assoc, s_indices, name=""):
 
     clabels = [f"c_{lbl}" for lbl in assoc.labels]
     slabels = [f"s_{assoc.labels[i]}" for i in s_indices]
-    labels = ["e"] + clabels + slabels
-    products = {("e", "e"): {"e": 1}}
-    for cl in clabels:
-        products[("e", cl)] = {cl: HALF}
+    products = {}
     truncated = 0
     for pos, i in enumerate(s_indices):
         for j in range(dim):
@@ -294,8 +280,8 @@ def from_associative(assoc, s_indices, name=""):
     if truncated:
         notes = (f"{truncated} products truncated to zero by the "
                  f"degree bound {assoc.up_to}",)
-    table = AlgebraTable.build(
-        labels, products, weight={"e": 1},
+    table = _frame(
+        clabels + slabels, clabels, products,
         name=name or (f"baric({assoc.name})" if assoc.name else "baric"),
         notes=notes)
     if not is_bernstein(table):

@@ -15,8 +15,8 @@ from itertools import islice
 from math import comb
 
 from . import linalg
-from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   _power_chain, as_scalar, ZERO, ONE, HALF)
+from .core import (AlgebraError, Element, InternalCheckError, _power_chain,
+                   as_scalar, ZERO, ONE, HALF)
 from .multipoly import MultiPoly
 from .structure import is_bernstein
 
@@ -209,9 +209,8 @@ def singly_generated_subalgebra(a):
     except AlgebraError as exc:
         raise InternalCheckError(f"canonical family: {exc}") from None
 
-    if n <= 2:   # e e = e is the only product
-        model = AlgebraTable.build(labels, {("e", "e"): {"e": 1}},
-                                   weight={"e": 1})
+    if n <= 2:   # the frame alone: e e = e is the only product
+        model = catalog._frame(labels[1:], [], {})
     else:
         top = out.product_vector(n - 2, n - 1)    # u_(n-2) v1
         if n == 3:

@@ -13,19 +13,17 @@ import re
 from math import lcm
 
 from .core import (MAX_SCALAR_CHARS, AlgebraError, AlgebraTable, _concrete,
-                   format_ratio, format_scalar, parse_scalar, read_scalar)
+                   format_ratio, parse_scalar, read_scalar)
 from .groebner import NcPoly, Presentation
 
 
-def _written(n, d, label, left=None, right=None):
-    """n/d as written for the weight of ``label`` or its coefficient in
-    left*right; raises when ``read_scalar`` would reject it as long."""
+def _written(n, d, where, *args):
+    """n/d as written; raises, naming ``where.format(*args)``, when
+    ``read_scalar`` would reject it as long."""
     text = format_ratio(n, d)
     if len(text) > MAX_SCALAR_CHARS:
-        where = (f"the weight of {label}" if left is None
-                 else f"the {label} coefficient of {left}*{right}")
-        raise AlgebraError(f"cannot write {where}: longer than "
-                           f"{MAX_SCALAR_CHARS} characters")
+        raise AlgebraError(f"cannot write {where.format(*args)}: longer "
+                           f"than {MAX_SCALAR_CHARS} characters")
     return text
 
 
@@ -34,12 +32,14 @@ def table_to_json(table):
     data = {"name": table.name, "basis": list(labels)}
     if table.has_weight:
         ws, dw = table._weight
-        data["weight"] = {labels[i]: _written(w, dw, labels[i])
+        data["weight"] = {labels[i]: _written(w, dw, "the weight of {}",
+                                              labels[i])
                           for i, w in enumerate(ws) if w}
     rows, den = table._integer_rows()
     data["products"] = [
         {"left": labels[i], "right": labels[j],
-         "value": {labels[k]: _written(s, den, labels[k], labels[i], labels[j])
+         "value": {labels[k]: _written(s, den, "the {} coefficient of {}*{}",
+                                       labels[k], labels[i], labels[j])
                    for k, s in row[j]}}
         for i, row in enumerate(rows) for j in sorted(row) if i <= j]
     if table.notes:
@@ -180,13 +180,14 @@ def parse_element_spec(table, text):
 
 def presentation_to_json(presentation):
     relations = []
-    for rel in presentation.relations:
+    for pos, rel in enumerate(presentation.relations):
         terms = []
         for word in sorted(rel.terms, key=lambda w: (len(w), w)):
-            terms.append({
-                "word": [presentation.generators[g] for g in word],
-                "coeff": format_scalar(rel.terms[word]),
-            })
+            names = [presentation.generators[g] for g in word]
+            c = rel.terms[word]
+            terms.append({"word": names, "coeff": _written(
+                c.numerator, c.denominator,
+                "the coefficient of {} in relation {}", "".join(names), pos)})
         relations.append(terms)
     return {"generators": list(presentation.generators),
             "relations": relations}
@@ -223,8 +224,9 @@ def presentation_from_json(data):
 
 
 def save_presentation(presentation, path):
+    data = presentation_to_json(presentation)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(presentation_to_json(presentation), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 

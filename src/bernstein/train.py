@@ -393,14 +393,11 @@ class PowerChainReport:
     solvability_index: int | None
 
 
-def _span_product(table, abasis, bbasis):
-    out = []
-    for x in abasis:
-        for y in bbasis:
-            p = x * y
-            if p:
-                out.append(p)
-    return out
+def _product_basis(pairs):
+    """An independent family spanning the products x y over the pairs
+    (x, y): each product that enlarges the span of those before it."""
+    space = linalg.Subspace()
+    return [p for p in (x * y for x, y in pairs) if space.add(p)]
 
 
 def ideal_power_chain(table, ideal_basis):
@@ -413,37 +410,25 @@ def ideal_power_chain(table, ideal_basis):
     span = [table.element(v) for v in rows]
 
     limit = 2 * table.dim + 4
-    chains = [span]
-    dims = [len(span)]
+    chains = [span]     # chains[i] spans I^(i + 1)
     nilpotency = 1 if not span else None
     while nilpotency is None and len(chains) < limit:
-        n = len(chains) + 1
-        vecs = []
-        for i in range(len(chains)):
-            j = n - 2 - i
-            if 0 <= j < len(chains):
-                vecs.extend(_span_product(table, chains[i], chains[j]))
-        basis = [table.element(v) for v in linalg.Subspace(vecs).rows()]
-        chains.append(basis)
-        dims.append(len(basis))
-        if not basis:
-            nilpotency = n
-            break
+        chains.append(_product_basis(
+            (x, y) for i, left in enumerate(chains)
+            for x in left for y in chains[-1 - i]))
+        if not chains[-1]:
+            nilpotency = len(chains)
+    dims = [len(basis) for basis in chains]
 
-    plenary = []
     plenary_dims = []
     current = span
     solvability = 1 if not span else None
-    while solvability is None and len(plenary) < limit:
-        nxt = [table.element(v) for v in
-               linalg.Subspace(_span_product(table, current, current)).rows()]
-        plenary.append(nxt)
-        plenary_dims.append(len(nxt))
-        if not nxt:
-            solvability = len(plenary)
+    while solvability is None and len(plenary_dims) < limit:
+        current = _product_basis((x, y) for x in current for y in current)
+        plenary_dims.append(len(current))
+        if not current:
+            solvability = len(plenary_dims)
+        elif len(plenary_dims) >= 2 and plenary_dims[-1] == plenary_dims[-2]:
             break
-        if len(plenary) >= 2 and plenary_dims[-1] == plenary_dims[-2]:
-            break
-        current = nxt
 
     return PowerChainReport(dims, plenary_dims, nilpotency, solvability)

@@ -21,7 +21,8 @@ from bernstein.fileformat import (element_to_json, load_algebra,
                                   save_presentation, table_from_json,
                                   table_to_json)
 from bernstein import catalog
-from bernstein.groebner import buchberger_truncated, truncated_algebra_table
+from bernstein.groebner import (NcPoly, Presentation, buchberger_truncated,
+                                truncated_algebra_table)
 
 from conftest import bernstein_pool, pool_builders
 from test_cli_golden import _twin
@@ -269,6 +270,23 @@ def test_saving_refuses_scalars_loading_would_reject(tmp_path):
         with pytest.raises(AlgebraError, match=re.escape(message)):
             save_algebra(table, path)
         assert not path.exists()
+
+
+def test_saving_a_presentation_checks_each_coefficient(tmp_path):
+    fits = 10 ** (MAX_SCALAR_CHARS - 1) + 1     # 1000 characters
+    path = tmp_path / "fits.json"
+    pres = Presentation(("x", "y"), (NcPoly({(0,): 1}),
+                                     NcPoly({(0, 1): fits, (1,): -1})))
+    save_presentation(pres, path)
+    assert load_presentation(path) == pres
+    path = tmp_path / "long.json"
+    pres = Presentation(("x", "y"), (NcPoly({(0,): 1}),
+                                     NcPoly({(0, 1): fits * 10, (1,): -1})))
+    message = (f"cannot write the coefficient of xy in relation 1: "
+               f"longer than {MAX_SCALAR_CHARS} characters")
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        save_presentation(pres, path)
+    assert not path.exists()
 
 
 def test_loading_builds_no_fraction(tmp_path, monkeypatch):

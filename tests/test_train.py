@@ -373,6 +373,16 @@ def test_ideal_power_chain():
         ideal_power_chain(not_train, [not_train.element_from({"v": 1})])
 
 
+def test_power_chains_stall_on_the_whole_algebra():
+    # A^2 = Ke + U is idempotent: the ideal powers run to the bound
+    # 2 dim + 4 and the plenary powers stop at the first repeated dim
+    shift = catalog.shift_up_truncated(5)
+    rep = ideal_power_chain(shift, shift.basis())
+    assert rep.dims == [7] + [6] * 17
+    assert rep.plenary_dims == [6, 6]
+    assert rep.nilpotency_index is None and rep.solvability_index is None
+
+
 def test_plenary_powers_solvable_across_pool():
     rng = random.Random(53)
     for _ in range(8):
