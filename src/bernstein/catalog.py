@@ -2,10 +2,10 @@
 shift truncations, singly generated models, idempotent adjunction,
 regular-word nil algebras, quotients and subalgebras (both through
 ``AlgebraTable.change_basis``), and the bridge from truncated
-associative algebras to Bernstein tables.  Subalgebras and the bridge
-close their spans with ``linalg.closure``.  The Peirce frame (e e = e,
-e u = u/2, e v = 0, weight 1 on e) is written once, in ``_frame``; the
-tables built on it add only their products on N = U + V.
+associative algebras to Bernstein tables.  Subalgebras close their
+spans with ``linalg.closure``, the bridge under right products by S.
+The Peirce frame (e e = e, e u = u/2, e v = 0, weight 1 on e) is
+written once, in ``_frame``; tables on it add their products on N = U + V.
 """
 
 from __future__ import annotations
@@ -241,26 +241,15 @@ def from_associative(assoc, s_indices, name=""):
     if any(not 0 <= i < assoc.dim for i in s_indices):
         raise AlgebraError("S index out of range")
 
+    # C is associative, so S generates it when the products v s, for v
+    # in the span grown so far and s in S, span it.
     dim = assoc.dim
-    gens = [[int(k == i) for k in range(dim)] for i in s_indices]
-    is_gen = {id(g) for g in gens}
-
-    # C is associative, so S generates it when right products with S
-    # alone span it: v s for each spanning v and generator s found no
-    # later, and s v when v is a generator too.  Int 0 off the support
-    # keeps the zero tests of the closure cheap.
-    def products(s, v):
-        if id(s) not in is_gen:
-            return ()
-        x = {i: c for i, c in enumerate(s) if c}
-        y = {i: c for i, c in enumerate(v) if c}
-        out = [assoc.multiply(y, x)]
-        if id(v) in is_gen:
-            out.append(assoc.multiply(x, y))
-        return [[p.get(k, 0) for k in range(dim)] for p in out]
-
-    span = linalg.closure(gens, products)
-    if span.rank != dim:
+    space = linalg.Subspace()
+    found = [{i: 1} for i in s_indices]
+    for v in found:
+        if space.add([v.get(k, 0) for k in range(dim)]) and space.rank < dim:
+            found.extend(assoc.multiply(v, {s: 1}) for s in s_indices)
+    if space.rank != dim:
         raise AlgebraError("S does not generate the associative algebra")
 
     clabels = [f"c_{lbl}" for lbl in assoc.labels]

@@ -31,7 +31,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from . import linalg
-from .multipoly import MultiPoly, _bilinear, _parts
+from .multipoly import MultiPoly, _bilinear, _parts, _signed_sum
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -642,20 +642,8 @@ class Element:
         if self.den is None:
             return " + ".join(f"({self.num[i]})*{labels[i]}"
                               for i in sorted(self.num))
-        parts = []
-        for i in sorted(self.num):
-            n, lab = self.num[i], labels[i]
-            if n == self.den:
-                term = lab
-            elif n == -self.den:
-                term = f"-{lab}"
-            else:
-                term = f"{format_ratio(n, self.den)}*{lab}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+        return _signed_sum((Fraction(self.num[i], self.den), labels[i])
+                           for i in sorted(self.num))
 
 
 def _power_chain(x):

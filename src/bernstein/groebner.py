@@ -17,7 +17,8 @@ from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from math import lcm
 
-from .core import AlgebraError, InternalCheckError, as_scalar, format_scalar
+from .core import AlgebraError, InternalCheckError, as_scalar
+from .multipoly import _signed_sum
 
 def word_key(word):
     """Sort key realising deglex: longer words first, ties by letter
@@ -132,21 +133,9 @@ class NcPoly:
         return max((len(w) for w in self.terms), default=-1)
 
     def render(self, generators):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=word_key, reverse=True):
-            coeff = self.terms[word]
-            text = "".join(generators[g] for g in word)
-            if coeff == 1:
-                chunk = text
-            elif coeff == -1:
-                chunk = f"-{text}"
-            else:
-                chunk = f"{format_scalar(coeff)}*{text}"
-            parts.append(chunk)
-        # Names are identifiers, so " + -" only opens a negative term.
-        return " + ".join(parts).replace(" + -", " - ")
+        return _signed_sum(
+            (self.terms[word], "".join(generators[g] for g in word))
+            for word in sorted(self.terms, key=word_key, reverse=True))
 
     def __repr__(self):
         top = max((g for word in self.terms for g in word), default=-1)

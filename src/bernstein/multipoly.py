@@ -274,21 +274,29 @@ class MultiPoly:
         return MultiPoly(out, self.den * q ** top)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=_graded(self.variables())):
-            c = Fraction(self.terms[key], self.den)
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in key]
-            body = "*".join(factors) if factors else str(abs(c))
-            if factors and abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(
+            (Fraction(self.terms[key], self.den),
+             "*".join(f"{n}^{e}" if e > 1 else n for n, e in key))
+            for key in sorted(self.terms, key=_graded(self.variables())))
+
+
+def _signed_sum(terms):
+    """The linear combination of (c, text) pairs, c a nonzero rational
+    and text "" for a constant, written |c|*text, text for |c| = 1 and
+    |c| for a constant, joined by " + " and " - ", the first term signed
+    only when negative; "0" when there are no terms."""
+    text = ""
+    for c, body in terms:
+        a = abs(c)
+        if not body:
+            body = str(a)
+        elif a != 1:
+            body = f"{a}*{body}"
+        if text:
+            text += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
 
 
 def _parts(c):

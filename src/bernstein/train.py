@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, combinations_with_replacement, islice
+from itertools import product as iter_product
 
 from . import linalg
 from .core import (AlgebraError, InternalCheckError, _power_chain,
@@ -379,8 +380,9 @@ def engel_yagzhev_report(table, carrier=None):
     flags = {nil_index is not None, engel_index is not None, yagzhev is not None}
     if len(flags) != 1:
         raise InternalCheckError("Engel, nil and tree-sum verdicts disagree")
+    # nil counts from k = 2: an empty carrier reads nil 2 and Engel 0
     if nil_index is not None and engel_index is not None:
-        if nil_index > engel_index + 1:
+        if nil_index > max(engel_index + 1, 2):
             raise InternalCheckError("nil index exceeds Engel index + 1")
     return EngelYagzhevReport(True, nil_index, engel_index, yagzhev, bounds)
 
@@ -393,17 +395,22 @@ class PowerChainReport:
     solvability_index: int | None
 
 
-def _product_basis(pairs):
-    """An independent family spanning the products x y over the pairs
-    (x, y): each product that enlarges the span of those before it."""
+def _product_basis(factors):
+    """An independent family spanning the sum of the products L R over
+    the (L, R) family pairs in ``factors``: each product x y that
+    enlarges the span, formed once per unordered pair when L is R."""
     space = linalg.Subspace()
+    pairs = chain.from_iterable(
+        combinations_with_replacement(left, 2) if left is right
+        else iter_product(left, right) for left, right in factors)
     return [p for p in (x * y for x, y in pairs) if space.add(p)]
 
 
 def ideal_power_chain(table, ideal_basis):
     """Dimensions of the ideal powers I^n = sum of I^i I^j (i+j = n)
     and of the plenary powers I^(1) = I^2, I^(n+1) = (I^(n))^2, with
-    the first vanishing indexes when reached."""
+    the first vanishing indexes when reached.  As the table is
+    commutative, I^i I^j is formed for i <= j only."""
     rows = ideal_rows(table, ideal_basis)
     if rows is None:
         raise AlgebraError("basis does not span an ideal")
@@ -413,9 +420,8 @@ def ideal_power_chain(table, ideal_basis):
     chains = [span]     # chains[i] spans I^(i + 1)
     nilpotency = 1 if not span else None
     while nilpotency is None and len(chains) < limit:
-        chains.append(_product_basis(
-            (x, y) for i, left in enumerate(chains)
-            for x in left for y in chains[-1 - i]))
+        chains.append(_product_basis((chains[i], chains[-1 - i])
+                                     for i in range((len(chains) + 1) // 2)))
         if not chains[-1]:
             nilpotency = len(chains)
     dims = [len(basis) for basis in chains]
@@ -424,7 +430,7 @@ def ideal_power_chain(table, ideal_basis):
     current = span
     solvability = 1 if not span else None
     while solvability is None and len(plenary_dims) < limit:
-        current = _product_basis((x, y) for x in current for y in current)
+        current = _product_basis([(current, current)])
         plenary_dims.append(len(current))
         if not current:
             solvability = len(plenary_dims)

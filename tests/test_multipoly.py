@@ -6,8 +6,10 @@ from math import gcd
 
 import pytest
 
-from bernstein.core import AlgebraError
-from bernstein.multipoly import MultiPoly, _graded, _merge_keys
+from bernstein import catalog
+from bernstein.core import AlgebraError, format_ratio, format_scalar
+from bernstein.groebner import NcPoly, word_key
+from bernstein.multipoly import MultiPoly, _graded, _merge_keys, _signed_sum
 
 F = Fraction
 
@@ -280,3 +282,102 @@ def test_repr_lists_terms_by_descending_degree():
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     assert repr(x * y - 2 * y ** 3 + x * x + F(1, 2) * x - 3) == \
         "-2*y^3 + x^2 + x*y + 1/2*x - 3"
+
+
+# The three renderers that ``_signed_sum`` replaced, kept as the
+# reference the shared form must reproduce byte for byte.
+
+def _reference_multipoly_repr(p):
+    if not p.terms:
+        return "0"
+    parts = []
+    for key in sorted(p.terms, key=_graded(p.variables())):
+        c = Fraction(p.terms[key], p.den)
+        factors = [f"{n}^{e}" if e > 1 else n for n, e in key]
+        body = "*".join(factors) if factors else str(abs(c))
+        if factors and abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        parts.append(("-" if c < 0 else "+", body))
+    sign, body = parts[0]
+    text = body if sign == "+" else f"-{body}"
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def _reference_element_repr(x):
+    if x.is_zero():
+        return "0"
+    parts = []
+    for i in sorted(x.num):
+        n, lab = x.num[i], x.algebra.labels[i]
+        if n == x.den:
+            term = lab
+        elif n == -x.den:
+            term = f"-{lab}"
+        else:
+            term = f"{format_ratio(n, x.den)}*{lab}"
+        parts.append(term)
+    text = parts[0]
+    for term in parts[1:]:
+        text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return text
+
+
+def _reference_ncpoly_render(p, generators):
+    if not p.terms:
+        return "0"
+    parts = []
+    for word in sorted(p.terms, key=word_key, reverse=True):
+        coeff = p.terms[word]
+        text = "".join(generators[g] for g in word)
+        if coeff == 1:
+            chunk = text
+        elif coeff == -1:
+            chunk = f"-{text}"
+        else:
+            chunk = f"{format_scalar(coeff)}*{text}"
+        parts.append(chunk)
+    return " + ".join(parts).replace(" + -", " - ")
+
+
+def _render_coefficient(rng):
+    return rng.choice((1, -1, F(-3, 2), F(2, 7), -F(1, 6), 5, 10 ** 30,
+                       -10 ** 30, F(10 ** 30, 7)))
+
+
+def test_signed_sum_writes_the_linear_combination_form():
+    assert _signed_sum([]) == "0"
+    assert _signed_sum([(F(-1), "")]) == "-1"
+    assert _signed_sum([(F(1), "x")]) == "x"
+    assert _signed_sum([(F(-1), "x")]) == "-x"
+    assert _signed_sum([(F(-2, 3), "x*y")]) == "-2/3*x*y"
+    assert _signed_sum([(F(1), "x"), (F(-1), "y"), (F(3), ""),
+                        (F(-5, 2), "")]) == "x - y + 3 - 5/2"
+
+
+def test_renderers_match_the_reference_forms():
+    rng = random.Random(25)
+    names = ["t1", "t2", "X"]
+    table = catalog.free_single_truncated(6)
+    for _ in range(300):
+        p = MultiPoly.zero()
+        for _ in range(rng.choice((0, 1, 1, 2, 4, 6))):
+            term = MultiPoly.const(_render_coefficient(rng))
+            for _ in range(rng.randint(0, 3)):
+                term = term * MultiPoly.var(rng.choice(names))
+            p = p + term
+        assert repr(p) == _reference_multipoly_repr(p)
+
+        labels = rng.sample(table.labels, rng.choice((0, 1, 1, 3, 5)))
+        x = table.element_from({lab: _render_coefficient(rng)
+                                for lab in labels})
+        assert repr(x) == _reference_element_repr(x)
+
+        q = NcPoly({tuple(rng.randrange(3) for _ in range(rng.randint(1, 4))):
+                    _render_coefficient(rng)
+                    for _ in range(rng.choice((0, 1, 1, 3, 5)))})
+        assert q.render(("x", "y", "z")) == \
+            _reference_ncpoly_render(q, ("x", "y", "z"))
+        assert repr(q) == "NcPoly(%s)" % _reference_ncpoly_render(
+            q, [f"g{i}" for i in range(3)])
