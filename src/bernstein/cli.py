@@ -1,5 +1,11 @@
 """Command line interface.
 
+Each ``cmd_*`` returns one ordered report of (text, JSON key, value)
+entries, text or key None when absent (``kurosh-demo`` also returns its
+exit code).  ``main`` writes it once the command returns: the text lines,
+then with ``--json`` exactly one JSON line of ``command`` and every keyed
+value.
+
 Exit codes: 0 when the requested verdicts were computed (even when a
 verdict is negative), 1 for problems with the input or its bounds, and
 2 when an internal cross-check failed.
@@ -27,20 +33,22 @@ class _Parser(argparse.ArgumentParser):
         raise AlgebraError(message)
 
 
-def _poly_json(poly):
-    return [format_scalar(c) for c in poly.coefficients()]
+def _yes(flag):
+    return "yes" if flag else "no"
 
 
-def _emit(lines, payload, as_json):
-    for line in lines:
-        print(line)
+def _emit(command, entries, as_json):
+    for text, _, _ in entries:
+        if text is not None:
+            print(text)
     if as_json:
+        payload = {"command": command}
+        payload.update((key, value) for _, key, value in entries
+                       if key is not None)
         print(json.dumps(payload, sort_keys=True))
 
 
 def _witness_json(check):
-    if check.holds:
-        return None
     return {
         "assignment": {k: format_scalar(v)
                        for k, v in sorted(check.witness_assignment.items())},
@@ -53,114 +61,97 @@ def _witness_json(check):
 def cmd_check(args):
     table = fileformat.load_algebra(args.file)
     report = structure.classify(table)
-    lines = [f"algebra: {table.name or args.file} (dim {table.dim})",
-             f"bernstein: {'yes' if report.is_bernstein else 'no'}"]
-    payload = {"command": "check", "dim": table.dim,
-               "bernstein": report.is_bernstein}
+    entries = [
+        (f"algebra: {table.name or args.file} (dim {table.dim})", "dim",
+         table.dim),
+        (f"bernstein: {_yes(report.is_bernstein)}", "bernstein",
+         report.is_bernstein)]
     if not report.is_bernstein:
-        witness = _witness_json(report.bernstein_witness)
-        lines.append("counterexample to (x^2)^2 = w(x)^2 x^2:")
-        lines.append(f"  x = {report.bernstein_witness.witness_elements[0]}")
-        lines.append(f"  defect = {report.bernstein_witness.witness_value}")
-        payload["witness"] = witness
+        check = report.bernstein_witness
+        entries += [("counterexample to (x^2)^2 = w(x)^2 x^2:", "witness",
+                     _witness_json(check)),
+                    (f"  x = {check.witness_elements[0]}", None, None),
+                    (f"  defect = {check.witness_value}", None, None)]
     else:
-        lines.append(f"type: {report.type_pair}")
-        lines.append(f"idempotent: {report.idempotent}")
-        lines.append(f"nuclear: {'yes' if report.is_nuclear else 'no'}")
-        lines.append(
-            f"exceptional: {'yes' if report.is_exceptional else 'no'}")
-        lines.append(f"jordan: {'yes' if report.is_jordan else 'no'}")
-        lines.append(f"annihilator ideal dimension: {len(report.lyubich_basis)}")
-        payload.update({
-            "type": list(report.type_pair),
-            "idempotent": fileformat.element_to_json(report.idempotent),
-            "nuclear": report.is_nuclear,
-            "exceptional": report.is_exceptional,
-            "jordan": report.is_jordan,
-            "annihilator_dim": len(report.lyubich_basis),
-        })
+        entries += [
+            (f"type: {report.type_pair}", "type", list(report.type_pair)),
+            (f"idempotent: {report.idempotent}", "idempotent",
+             fileformat.element_to_json(report.idempotent)),
+            (f"nuclear: {_yes(report.is_nuclear)}", "nuclear",
+             report.is_nuclear),
+            (f"exceptional: {_yes(report.is_exceptional)}", "exceptional",
+             report.is_exceptional),
+            (f"jordan: {_yes(report.is_jordan)}", "jordan", report.is_jordan),
+            (f"annihilator ideal dimension: {len(report.lyubich_basis)}",
+             "annihilator_dim", len(report.lyubich_basis))]
     if args.generic_degree:
         gdeg = generic_degree(table)
-        lines.append(f"generic element degree: {gdeg}")
-        payload["generic_degree"] = gdeg
-    _emit(lines, payload, args.json)
-    return 0
+        entries.append((f"generic element degree: {gdeg}", "generic_degree",
+                        gdeg))
+    return entries
 
 
 def cmd_element(args):
     table = fileformat.load_algebra(args.file)
     a = fileformat.parse_element_spec(table, args.spec)
     analysis = elements.analyze_element(a)
-    lines = [f"element: {a}",
-             f"degree: {analysis.degree}",
-             f"minimal polynomial: {analysis.minimal_poly}"]
-    payload = {"command": "element",
-               "element": fileformat.element_to_json(a),
-               "degree": analysis.degree,
-               "minimal_poly": _poly_json(analysis.minimal_poly)}
-    if analysis.right_nil_index is not None:
-        lines.append(f"right nil index: {analysis.right_nil_index}")
-    else:
-        lines.append("right nil index: none (element is not nilpotent)")
-    payload["right_nil_index"] = analysis.right_nil_index
+    nil = analysis.right_nil_index
+    entries = [
+        (f"element: {a}", "element", fileformat.element_to_json(a)),
+        (f"degree: {analysis.degree}", "degree", analysis.degree),
+        (f"minimal polynomial: {analysis.minimal_poly}", "minimal_poly",
+         [format_scalar(c) for c in analysis.minimal_poly.coefficients()]),
+        ("right nil index: " + ("none (element is not nilpotent)"
+                                if nil is None else str(nil)),
+         "right_nil_index", nil)]
     if table.has_weight:
         w = a.weight()
-        lines.append(f"weight: {format_scalar(w)}")
-        payload["weight"] = format_scalar(w)
         form_ok = elements.minimal_poly_form_check(analysis)
-        lines.append("minimal polynomial shape: "
-                     + ("expected for the degree" if form_ok else "unexpected"))
-        payload["minimal_poly_shape_ok"] = form_ok
-        if w:
-            rank = analysis.train_rank()
-            if rank is None:
-                lines.append("train equation: none within the search bound")
-            else:
-                lines.append(f"train equation: f_{rank} vanishes (rank {rank})")
-            payload["train_rank"] = rank
+        entries += [(f"weight: {format_scalar(w)}", "weight",
+                     format_scalar(w)),
+                    ("minimal polynomial shape: "
+                     + ("expected for the degree" if form_ok
+                        else "unexpected"), "minimal_poly_shape_ok", form_ok)]
+        rank = analysis.train_rank() if w else None
+        if not w:
+            text = "train equation: not applicable (weight zero)"
+        elif rank is None:
+            text = "train equation: none within the search bound"
         else:
-            lines.append("train equation: not applicable (weight zero)")
-            payload["train_rank"] = None
-    _emit(lines, payload, args.json)
-    return 0
+            text = f"train equation: f_{rank} vanishes (rank {rank})"
+        entries.append((text, "train_rank", rank))
+    return entries
 
 
 def cmd_train(args):
     table = fileformat.load_algebra(args.file)
-    lines = [f"algebra: {table.name or args.file} (dim {table.dim})"]
-    payload = {"command": "train", "dim": table.dim}
     if not table.has_weight:
         raise AlgebraError("train analysis needs a weighted table")
+    entries = [(f"algebra: {table.name or args.file} (dim {table.dim})",
+                "dim", table.dim)]
     if not structure.is_bernstein(table):
-        lines.append("bernstein: no (train analysis not applicable)")
-        payload["bernstein"] = False
-        _emit(lines, payload, args.json)
-        return 0
+        return entries + [("bernstein: no (train analysis not applicable)",
+                           "bernstein", False)]
     report = train_mod.train_analysis(table)
-    payload["bernstein"] = True
-    lines.append("bernstein: yes")
-    lines.append(f"train: {'yes' if report.is_train else 'no'}")
-    payload["train"] = report.is_train
-    payload["bounds"] = report.bounds
+    entries += [("bernstein: yes", "bernstein", True),
+                (f"train: {_yes(report.is_train)}", "train", report.is_train)]
     if report.is_train:
-        lines.append(f"rank: {report.rank}")
-        lines.append(f"equation (weight 1): {report.train_poly} = 0")
-        coeff_text = ", ".join(format_scalar(c) for c in report.train_coeffs)
-        lines.append(f"coefficients: ({coeff_text})")
-        lines.append(f"weight kernel nil index: {report.nil_index_N}")
-        payload.update({"rank": report.rank,
-                        "coefficients": [format_scalar(c)
-                                         for c in report.train_coeffs],
-                        "nil_index": report.nil_index_N})
+        coeffs = [format_scalar(c) for c in report.train_coeffs]
+        entries += [(f"rank: {report.rank}", "rank", report.rank),
+                    (f"equation (weight 1): {report.train_poly} = 0", None,
+                     None),
+                    (f"coefficients: ({', '.join(coeffs)})", "coefficients",
+                     coeffs),
+                    (f"weight kernel nil index: {report.nil_index_N}",
+                     "nil_index", report.nil_index_N)]
     else:
-        lines.append("weight kernel is not nil of bounded index")
-        payload.update({"rank": None, "nil_index": None})
-    lines.append(
-        f"locally train: {'yes' if report.is_locally_train else 'no'}")
-    payload["locally_train"] = report.is_locally_train
-    lines.append(f"search bounds: {report.bounds}")
-    _emit(lines, payload, args.json)
-    return 0
+        entries += [("weight kernel is not nil of bounded index", "rank",
+                     None),
+                    (None, "nil_index", None)]
+    return entries + [
+        (f"locally train: {_yes(report.is_locally_train)}", "locally_train",
+         report.is_locally_train),
+        (f"search bounds: {report.bounds}", "bounds", report.bounds)]
 
 
 def _resolve_carrier(table, spec):
@@ -176,26 +167,25 @@ def cmd_engel(args):
     table = fileformat.load_algebra(args.file)
     carrier = _resolve_carrier(table, args.carrier)
     report = train_mod.engel_yagzhev_report(table, carrier)
-    lines = [f"algebra: {table.name or args.file} (dim {table.dim})",
-             "carrier satisfies (x^2)^2 = 0: "
-             + ("yes" if report.satisfies_sq_sq_zero else "no")]
-    payload = {"command": "engel",
-               "sq_sq_zero": report.satisfies_sq_sq_zero,
-               "bounds": report.bounds}
+    entries = [(f"algebra: {table.name or args.file} (dim {table.dim})",
+                None, None),
+               ("carrier satisfies (x^2)^2 = 0: "
+                + _yes(report.satisfies_sq_sq_zero), "sq_sq_zero",
+                report.satisfies_sq_sq_zero),
+               (None, "bounds", report.bounds)]
     if report.satisfies_sq_sq_zero:
         if report.nil_bounded_index is not None:
-            lines.append(f"bounded nil index: {report.nil_bounded_index}")
-            lines.append(f"engel index: {report.engel_index}")
-            lines.append("tree power sums verified up to "
-                         f"{report.yagzhev_verified_upto} leaves")
+            texts = [f"bounded nil index: {report.nil_bounded_index}",
+                     f"engel index: {report.engel_index}",
+                     "tree power sums verified up to "
+                     f"{report.yagzhev_verified_upto} leaves"]
         else:
-            lines.append("carrier is not nil of bounded index; "
-                         "no Engel bound, tree sums stay nonzero")
-        payload.update({"nil_index": report.nil_bounded_index,
-                        "engel_index": report.engel_index,
-                        "tree_sums_upto": report.yagzhev_verified_upto})
-    _emit(lines, payload, args.json)
-    return 0
+            texts = ["carrier is not nil of bounded index; "
+                     "no Engel bound, tree sums stay nonzero", None, None]
+        entries += zip(texts, ("nil_index", "engel_index", "tree_sums_upto"),
+                       (report.nil_bounded_index, report.engel_index,
+                        report.yagzhev_verified_upto))
+    return entries
 
 
 _CONSTRUCTORS = {
@@ -225,54 +215,51 @@ def cmd_construct(args):
         known = ", ".join(sorted(_CONSTRUCTORS))
         raise AlgebraError(f"unknown construction {args.name!r}; "
                            f"available: {known}")
-    params = dict(_parse_param(p) for p in args.param or [])
+    params = {}
+    for key, value in map(_parse_param, args.param or []):
+        if key in params:
+            raise AlgebraError(f"parameter {key} given twice")
+        params[key] = value
     try:
         table = _CONSTRUCTORS[args.name](**params)
     except TypeError as exc:
         raise AlgebraError(f"bad parameters for {args.name}: {exc}")
-    lines = [f"constructed: {table.name} (dim {table.dim})",
-             f"basis: {', '.join(table.labels)}"]
-    for note in table.notes:
-        lines.append(f"note: {note}")
+    entries = [(f"constructed: {table.name} (dim {table.dim})", None, None),
+               (f"basis: {', '.join(table.labels)}", None, None)]
+    entries += [(f"note: {note}", None, None) for note in table.notes]
     if args.out:
         fileformat.save_algebra(table, args.out)
-        lines.append(f"written to {args.out}")
-    payload = {"command": "construct", "table": fileformat.table_to_json(table)}
-    _emit(lines, payload, args.json)
-    return 0
+        entries.append((f"written to {args.out}", None, None))
+    return entries + [(None, "table", fileformat.table_to_json(table))]
 
 
 def cmd_groebner(args):
     presentation = fileformat.load_presentation(args.file)
     state = groebner.buchberger_truncated(presentation, args.max_deg)
     gens = presentation.generators
-    lines = [f"generators: {', '.join(gens)}",
-             f"input relations: {len(presentation.relations)}",
-             f"degree bound: {args.max_deg} "
-             f"(normal forms complete below {state.complete_below})",
-             f"new elements during completion: {state.new_elements}",
-             "input was already a Groebner basis below the bound: "
-             + ("yes" if state.is_groebner_as_given else "no"),
-             f"basis ({len(state.basis)} elements):"]
-    for g in state.basis:
-        lines.append(f"  {g.render(gens)} = 0")
+    entries = [
+        (f"generators: {', '.join(gens)}", None, None),
+        (f"input relations: {len(presentation.relations)}", None, None),
+        (f"degree bound: {args.max_deg} "
+         f"(normal forms complete below {state.complete_below})",
+         "complete_below", state.complete_below),
+        (f"new elements during completion: {state.new_elements}",
+         "new_elements", state.new_elements),
+        ("input was already a Groebner basis below the bound: "
+         + _yes(state.is_groebner_as_given), "groebner_as_given",
+         state.is_groebner_as_given),
+        (f"basis ({len(state.basis)} elements):", "basis", state.render())]
+    entries += [(f"  {g.render(gens)} = 0", None, None) for g in state.basis]
     counts = groebner.hilbert_counts(state, args.max_deg)
-    lines.append(f"normal word counts, degree 1..{args.max_deg}: "
-                 + ", ".join(str(c) for c in counts))
-    words_deg = min(args.words_deg, args.max_deg)
-    for d in range(1, words_deg + 1):
+    entries.append((f"normal word counts, degree 1..{args.max_deg}: "
+                    + ", ".join(str(c) for c in counts), "hilbert", counts))
+    for d in range(1, min(args.words_deg, args.max_deg) + 1):
         rendered = ["".join(gens[g] for g in w)
                     for w in groebner.normal_words(state, d)]
-        lines.append(f"normal words of degree {d}: "
-                     + (", ".join(rendered) if rendered else "none"))
-    payload = {"command": "groebner",
-               "basis": state.render(),
-               "new_elements": state.new_elements,
-               "groebner_as_given": state.is_groebner_as_given,
-               "complete_below": state.complete_below,
-               "hilbert": counts}
-    _emit(lines, payload, args.json)
-    return 0
+        entries.append((f"normal words of degree {d}: "
+                        + (", ".join(rendered) if rendered else "none"),
+                        None, None))
+    return entries
 
 
 def _kurosh_steps(max_deg, trunc):
@@ -334,24 +321,19 @@ def _kurosh_steps(max_deg, trunc):
 
 
 def cmd_kurosh_demo(args):
-    lines = []
-    payload = {"command": "kurosh_demo", "max_deg": args.max_deg,
-               "trunc": args.trunc}
+    entries = [(None, "max_deg", args.max_deg), (None, "trunc", args.trunc)]
     steps = _kurosh_steps(args.max_deg, args.trunc)
     for label in ("completion", "nil_span", "hilbert", "truncation",
                   "baric", "train"):
         try:
             ok, detail, extra = next(steps)
         except AlgebraError as exc:
-            lines.append(f"FAIL {label}: {exc}")
-            payload[label] = {"ok": False, "error": str(exc)}
-            break
-        lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
-        payload[label] = {"ok": ok, **extra}
+            ok, detail, extra = False, str(exc), {"error": str(exc)}
+        entries.append((f"{'PASS' if ok else 'FAIL'} {label}: {detail}",
+                        label, {"ok": ok, **extra}))
         if not ok:
             break
-    _emit(lines, payload, args.json)
-    return 0 if payload[label]["ok"] else 1
+    return entries, 0 if ok else 1
 
 
 def build_parser():
@@ -364,25 +346,21 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--generic-degree", action="store_true",
                    help="also compute the degree of a generic element")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("element", help="analyse one element")
     p.add_argument("file")
     p.add_argument("spec", help='element expression such as "e + 2u1 - 1/2 v1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_element)
 
     p = sub.add_parser("train", help="train equation analysis")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("engel", help="nil / Engel / tree-sum analysis")
     p.add_argument("file")
     p.add_argument("--carrier",
                    help="comma separated basis labels (default: weight kernel)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_engel)
 
     p = sub.add_parser("construct", help="build a catalog algebra")
@@ -390,7 +368,6 @@ def build_parser():
     p.add_argument("--param", action="append",
                    help="key=value, repeatable (lists comma separated)")
     p.add_argument("--out", help="write the table as JSON")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("groebner",
@@ -399,16 +376,16 @@ def build_parser():
     p.add_argument("--max-deg", type=int, required=True)
     p.add_argument("--words-deg", type=int, default=3,
                    help="list normal words up to this degree (default 3)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_groebner)
 
     p = sub.add_parser("kurosh-demo",
                        help="two generators, cubes zero: full pipeline")
     p.add_argument("--max-deg", type=int, default=12)
     p.add_argument("--trunc", type=int, default=6)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kurosh_demo)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -422,11 +399,11 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        result = args.func(args)
+        entries, code = result if isinstance(result, tuple) else (result, 0)
+        _emit(args.cmd.replace("-", "_"), entries, args.json)
+        return code
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -437,14 +437,6 @@ def _as_polys(x):
     return {i: MultiPoly({(): n}, x.den) for i, n in x.num.items()}
 
 
-def format_ratio(n, d):
-    """n/d in lowest terms as ``format_scalar`` writes it, with no
-    Fraction built."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 class Element:
     """Element of an AlgebraTable, stored sparsely: ``num`` maps the
     index of each nonzero coordinate to its value.
@@ -642,7 +634,7 @@ class Element:
         if self.den is None:
             return " + ".join(f"({self.num[i]})*{labels[i]}"
                               for i in sorted(self.num))
-        return _signed_sum((Fraction(self.num[i], self.den), labels[i])
+        return _signed_sum((self.num[i], self.den, labels[i])
                            for i in sorted(self.num))
 
 

@@ -13,8 +13,9 @@ import re
 from math import lcm
 
 from .core import (MAX_SCALAR_CHARS, AlgebraError, AlgebraTable, _concrete,
-                   format_ratio, parse_scalar, read_scalar)
+                   parse_scalar, read_scalar)
 from .groebner import NcPoly, Presentation
+from .multipoly import format_ratio
 
 
 def _written(n, d, where, *args):

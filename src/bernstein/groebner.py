@@ -134,7 +134,8 @@ class NcPoly:
 
     def render(self, generators):
         return _signed_sum(
-            (self.terms[word], "".join(generators[g] for g in word))
+            (self.terms[word].numerator, self.terms[word].denominator,
+             "".join(generators[g] for g in word))
             for word in sorted(self.terms, key=word_key, reverse=True))
 
     def __repr__(self):

@@ -275,27 +275,33 @@ class MultiPoly:
 
     def __repr__(self):
         return _signed_sum(
-            (Fraction(self.terms[key], self.den),
+            (self.terms[key], self.den,
              "*".join(f"{n}^{e}" if e > 1 else n for n, e in key))
             for key in sorted(self.terms, key=_graded(self.variables())))
 
 
+def format_ratio(n, d):
+    """n/d (d > 0) in lowest terms as ``format_scalar`` writes it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def _signed_sum(terms):
-    """The linear combination of (c, text) pairs, c a nonzero rational
-    and text "" for a constant, written |c|*text, text for |c| = 1 and
-    |c| for a constant, joined by " + " and " - ", the first term signed
-    only when negative; "0" when there are no terms."""
+    """The linear combination of (n, d, text) triples, c = n/d nonzero, d > 0
+    and text "" for a constant, written |c|*text, text for |c| = 1 and |c|
+    for a constant, joined by " + " and " - ", the first term signed only
+    when negative; "0" when there are no terms."""
     text = ""
-    for c, body in terms:
-        a = abs(c)
+    for n, d, body in terms:
+        a = format_ratio(abs(n), d)
         if not body:
-            body = str(a)
-        elif a != 1:
+            body = a
+        elif a != "1":
             body = f"{a}*{body}"
         if text:
-            text += f" - {body}" if c < 0 else f" + {body}"
+            text += f" - {body}" if n < 0 else f" + {body}"
         else:
-            text = f"-{body}" if c < 0 else body
+            text = f"-{body}" if n < 0 else body
     return text or "0"
 
 

@@ -9,6 +9,7 @@ from bernstein.core import InternalCheckError
 from bernstein.fileformat import (save_algebra, save_presentation,
                                   table_from_json)
 from bernstein import catalog
+from bernstein.groebner import NcPoly, Presentation
 
 from conftest import non_bernstein_table
 
@@ -165,6 +166,9 @@ def test_construct_errors(capsys):
     assert rc == 1 and "key=value" in err
     rc, _, err = run(capsys, "construct", "three_dim", "--param", "beta=2")
     assert rc == 1 and "bad parameters" in err
+    assert run(capsys, "construct", "elementary", "--param", "nil_dim=2",
+               "--param", "nil_dim=3") == \
+        (1, "", "error: parameter nil_dim given twice\n")
     rc, out, _ = run(capsys, "construct", "three_dim",
                      "--param", "alpha=3/2")
     assert rc == 0 and "dim 3" in out
@@ -258,6 +262,22 @@ KUROSH_DEMO_RUNS = [
         "FAIL truncation: completeness bound insufficient for truncation "
         "at 6 (complete below 4)\n"
     )),
+    (("--max-deg", "3", "--json"), 1, (
+        "PASS completion: 4 relations close below degree 4 with 0 new "
+        "elements\n"
+        "PASS nil_span: every element of span(x, y) cubes to zero; "
+        "squares do not all vanish\n"
+        "PASS hilbert: normal word counts [2, 4, 4] match the alternating "
+        "pattern and (xy)^t stays normal\n"
+        "FAIL truncation: completeness bound insufficient for truncation "
+        "at 6 (complete below 4)\n"
+        '{"command": "kurosh_demo", "completion": {"basis_size": 4, "ok": '
+        'true}, "hilbert": {"counts": [2, 4, 4], "ok": true}, "max_deg": 3, '
+        '"nil_span": {"cubes": true, "ok": true, "squares": false}, '
+        '"trunc": 6, "truncation": {"error": "completeness bound '
+        'insufficient for truncation at 6 (complete below 4)", "ok": '
+        'false}}\n'
+    )),
     (("--max-deg", "5", "--trunc", "2", "--json"), 1, (
         "PASS completion: 4 relations close below degree 6 with 0 new "
         "elements\n"
@@ -297,6 +317,90 @@ KUROSH_DEMO_RUNS = [
                               for run in KUROSH_DEMO_RUNS])
 def test_kurosh_demo_output_is_pinned(capsys, argv, code, stdout):
     assert run(capsys, "kurosh-demo", *argv) == (code, stdout, "")
+
+
+# construct and groebner exit code and stdout, byte for byte: the text
+# alone, and with --json the same text followed by one JSON line
+PINNED_RUNS = [
+    (("construct", "free_single", "--param", "n=5", "--out", "free5.json"),
+     0, (
+         "constructed: free_single(5) (dim 5)\n"
+         "basis: e, u1, u2, u3, v1\n"
+         "written to free5.json\n"
+     ),
+     '{"command": "construct", "table": {"basis": ["e", "u1", "u2", "u3", '
+     '"v1"], "name": "free_single(5)", "products": [{"left": "e", "right": '
+     '"e", "value": {"e": "1"}}, {"left": "e", "right": "u1", "value": '
+     '{"u1": "1/2"}}, {"left": "e", "right": "u2", "value": {"u2": '
+     '"1/2"}}, {"left": "e", "right": "u3", "value": {"u3": "1/2"}}, '
+     '{"left": "u1", "right": "v1", "value": {"u2": "1"}}, {"left": "u2", '
+     '"right": "v1", "value": {"u3": "1"}}, {"left": "v1", "right": "v1", '
+     '"value": {"u1": "-2", "u2": "-4"}}], "weight": {"e": "1"}}}\n'),
+    (("construct", "three_dim", "--param", "alpha=1/2"), 0, (
+        "constructed: three_dim(1/2) (dim 3)\n"
+        "basis: e, u1, v1\n"
+    ),
+     '{"command": "construct", "table": {"basis": ["e", "u1", "v1"], '
+     '"name": "three_dim(1/2)", "products": [{"left": "e", "right": "e", '
+     '"value": {"e": "1"}}, {"left": "e", "right": "u1", "value": {"u1": '
+     '"1/2"}}, {"left": "u1", "right": "v1", "value": {"u1": "-1"}}, '
+     '{"left": "v1", "right": "v1", "value": {"u1": "2"}}], "weight": '
+     '{"e": "1"}}}\n'),
+    (("groebner", "kurosh.json", "--max-deg", "6"), 0, (
+        "generators: x, y\n"
+        "input relations: 4\n"
+        "degree bound: 6 (normal forms complete below 7)\n"
+        "new elements during completion: 0\n"
+        "input was already a Groebner basis below the bound: yes\n"
+        "basis (4 elements):\n"
+        "  yyy = 0\n"
+        "  xyy + yxy + yyx = 0\n"
+        "  xxy + xyx + yxx = 0\n"
+        "  xxx = 0\n"
+        "normal word counts, degree 1..6: 2, 4, 4, 5, 4, 5\n"
+        "normal words of degree 1: x, y\n"
+        "normal words of degree 2: xx, xy, yx, yy\n"
+        "normal words of degree 3: xyx, yxx, yxy, yyx\n"
+    ),
+     '{"basis": ["yyy", "xyy + yxy + yyx", "xxy + xyx + yxx", "xxx"], '
+     '"command": "groebner", "complete_below": 7, "groebner_as_given": '
+     'true, "hilbert": [2, 4, 4, 5, 4, 5], "new_elements": 0}\n'),
+    (("groebner", "mixed.json", "--max-deg", "6", "--words-deg", "2"), 0, (
+        "generators: x, y\n"
+        "input relations: 2\n"
+        "degree bound: 6 (normal forms complete below 7)\n"
+        "new elements during completion: 4\n"
+        "input was already a Groebner basis below the bound: no\n"
+        "basis (6 elements):\n"
+        "  xx - yy = 0\n"
+        "  xyy - yyx = 0\n"
+        "  xyx + 1/2*y = 0\n"
+        "  yyyx + 1/2*xy = 0\n"
+        "  yyxy + 1/2*yx = 0\n"
+        "  yyyyy - 1/4*y = 0\n"
+        "normal word counts, degree 1..6: 2, 3, 3, 1, 0, 0\n"
+        "normal words of degree 1: x, y\n"
+        "normal words of degree 2: xy, yx, yy\n"
+    ),
+     '{"basis": ["xx - yy", "xyy - yyx", "xyx + 1/2*y", "yyyx + 1/2*xy", '
+     '"yyxy + 1/2*yx", "yyyyy - 1/4*y"], "command": "groebner", '
+     '"complete_below": 7, "groebner_as_given": false, "hilbert": [2, 3, '
+     '3, 1, 0, 0], "new_elements": 4}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, json_line", PINNED_RUNS,
+                         ids=[" ".join(run[0]) for run in PINNED_RUNS])
+def test_construct_and_groebner_output_is_pinned(tmp_path, capsys,
+                                                 monkeypatch, argv, code,
+                                                 text, json_line):
+    monkeypatch.chdir(tmp_path)
+    save_presentation(catalog.kurosh_presentation(), "kurosh.json")
+    save_presentation(Presentation(("x", "y"), (
+        NcPoly({(0, 0): 1, (1, 1): -1}),
+        NcPoly({(0, 1, 0): 1, (1,): "1/2"}))), "mixed.json")
+    assert run(capsys, *argv) == (code, text, "")
+    assert run(capsys, *argv, "--json") == (code, text + json_line, "")
 
 
 def test_missing_file_is_input_error(capsys):
