@@ -559,8 +559,9 @@ class Element:
                 return _concrete(self.algebra, _integer_product(
                     rows, self.num.items(), other.num.items()),
                     den * self.den * other.den)
-            return _new(self.algebra,
-                        _bilinear(rows, den, _triples(self), _triples(other)), None)
+            return _new(self.algebra, _bilinear(
+                rows, den, _triples(self),
+                None if other is self else _triples(other)), None)
         if isinstance(other, (int, Fraction, MultiPoly)):
             return self.scale(other)
         return NotImplemented

@@ -315,11 +315,13 @@ def _parts(c):
     return None
 
 
-def _bilinear(rows, den, xs, ys):
+def _bilinear(rows, den, xs, ys=None):
     """The nonzero coordinates, as {k: MultiPoly}, of the bilinear
     product of two vectors given by their nonzero entries as
     (index, terms, d) triples: int numerators ``terms`` over d, as
-    ``_parts`` reads a MultiPoly or a rational.
+    ``_parts`` reads a MultiPoly or a rational.  With ``ys`` None it is the
+    square of xs: each pair i <= j once, s_ijk doubled for i != j, as
+    the rows of a commutative table are symmetric.
 
     ``rows[i]`` maps j to the ((k, s_ijk * den), ...) of the nonzero
     structure constants s_ijk, all integers.  Computes
@@ -327,24 +329,26 @@ def _bilinear(rows, den, xs, ys):
     one common denominator and builds a MultiPoly only for the output
     coordinates that are touched.
     """
-    out = {}
+    square = ys is None
+    ys = xs if square else ys
     if not xs or not ys:
-        return out
+        return {}
     dx = lcm(*(d for _, _, d in xs))
-    dy = lcm(*(d for _, _, d in ys))
+    dy = dx if square else lcm(*(d for _, _, d in ys))
     ys = [(j, terms if d == dy
            else {m: v * (dy // d) for m, v in terms.items()})
           for j, terms, d in ys]
-    merged = {}
-    acc = {}
-    for i, xterms, xden in xs:
+    merged, acc = {}, {}
+    for n, (i, xterms, xden) in enumerate(xs):
         row = rows[i]
         inner = {}
-        for j, yterms in ys:
+        for j, yterms in ys[n:] if square else ys:
             pairs = row.get(j)
             if pairs is None:
                 continue
+            two = 2 if square and j != i else 1
             for k, s in pairs:
+                s *= two
                 w = inner.get(k)
                 if w is None:
                     w = inner[k] = {}
@@ -367,9 +371,8 @@ def _bilinear(rows, den, xs, ys):
                     if key is None:
                         key = memo[m2] = _merge_keys(m1, m2)
                     target[key] = target.get(key, 0) + c1 * v
-    total = den * dx * dy
+    total, out = den * dx * dy, {}
     for k, target in acc.items():
-        poly = MultiPoly(target, total)
-        if poly:
+        if poly := MultiPoly(target, total):
             out[k] = poly
     return out

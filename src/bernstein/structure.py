@@ -169,7 +169,7 @@ def peirce(table, e=None):
     if e is None:
         cached = table._cache.get("peirce")
         if cached is None:
-            dec = peirce(table, find_idempotent(table))
+            dec = _peirce(table, find_idempotent(table))
             cached = table._cache["peirce"] = [
                 [(x.num, x.den) for x in part] for part in
                 ([dec.idempotent], dec.u_basis, dec.v_basis)]
@@ -178,6 +178,11 @@ def peirce(table, e=None):
         return PeirceDecomposition(table, e, us, vs)
     if e * e != e or e.weight() != 1:
         raise AlgebraError("peirce needs an idempotent of weight 1")
+    return _peirce(table, e)
+
+
+def _peirce(table, e):
+    """``peirce(table, e)`` for an idempotent e of weight 1, unchecked."""
     nbasis = table.barideal_basis()
     images = [e * b for b in nbasis]
     shifted = [a - b.scale(HALF) for a, b in zip(images, nbasis)]

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .core import (AlgebraError, Element, InternalCheckError, _new,
-                   _power_chain, principal_powers)
-from .multipoly import MultiPoly
+                   _power_chain, _triples, principal_powers)
+from .multipoly import MultiPoly, _merge_keys
 
 import random
 
@@ -28,13 +29,24 @@ ZERO = Fraction(0)
 
 def generic_element(table, prefix="t", restrict_to=None):
     """Fully generic element of the algebra, or of the span of
-    ``restrict_to``, with fresh variables prefix1, prefix2, ..."""
+    ``restrict_to``, with fresh variables prefix1, prefix2, ...; the sum
+    of b_i t_i is built one coordinate at a time, each MultiPoly once."""
     if restrict_to is None:
         return _new(table, {i: MultiPoly.var(f"{prefix}{i + 1}")
                             for i in range(table.dim)}, None)
-    x = _new(table, {}, None)
+    x, cols = _new(table, {}, None), {}
     for i, b in enumerate(restrict_to):
-        x = x + b.scale(MultiPoly.var(f"{prefix}{i + 1}"))
+        x._check_same(b)
+        var = ((f"{prefix}{i + 1}", 1),)
+        for k, terms, d in _triples(b):
+            cols.setdefault(k, []).extend(
+                (_merge_keys(m, var), c, d) for m, c in terms.items())
+    for k, col in cols.items():
+        den, acc = lcm(*(d for _, _, d in col)), {}
+        for key, c, d in col:
+            acc[key] = acc.get(key, 0) + c * (den // d)
+        if poly := MultiPoly(acc, den):
+            x.num[k] = poly
     return x
 
 
@@ -64,17 +76,11 @@ def _witness_assignment(poly, all_names):
             assignment[name] = ZERO
             continue
         cap = current.total_degree() + 2
-        for magnitude in range(cap + 1):
-            candidates = [magnitude] if magnitude == 0 else [magnitude, -magnitude]
-            done = False
-            for cand in candidates:
-                attempt = current.substitute(name, cand)
-                if attempt:
-                    assignment[name] = Fraction(cand)
-                    current = attempt
-                    done = True
-                    break
-            if done:
+        for cand in [0, *(c for m in range(1, cap + 1) for c in (m, -m))]:
+            attempt = current.substitute(name, cand)
+            if attempt:
+                assignment[name] = Fraction(cand)
+                current = attempt
                 break
         else:
             raise InternalCheckError("witness search failed on a nonzero polynomial")

@@ -12,8 +12,8 @@ n-dimensional space has index at most n, and free of random points.
 
 Tree sums S_q (the sum of all full binary trees with q leaves evaluated
 at x) come from the bilinear recursion S_1 = x, S_q = sum of
-S_i S_(q-i) over i = 1..q-1, which takes q(q-1)/2 products in all
-instead of Catalan-many tree evaluations.  Explicit enumeration
+S_i S_(q-i) over i = 1..q-1, each unordered pair formed once: floor(q^2/4)
+products up to q, not Catalan-many tree evaluations.  Explicit enumeration
 (full_trees, parenthesized_powers) is capped at MAX_ENUMERATED_LEAVES.
 """
 
@@ -143,11 +143,14 @@ def parenthesized_powers(a, m, carrier=None):
 def _tree_sums(a, q_max):
     """[S_1, ..., S_q_max], S_q the sum of all q-leaf tree evaluations
     at a.  Splitting each tree at its root and using bilinearity gives
-    S_1 = a and S_q = sum of S_i S_(q-i) over i = 1..q-1."""
+    S_1 = a and S_q = sum of S_i S_(q-i) over i = 1..q-1, formed once per
+    unordered pair: 2 sum over i < q - i, plus S_(q/2)^2 for even q."""
     sums = [a]
     for q in range(2, q_max + 1):
-        products = [sums[j] * sums[q - 2 - j] for j in range(q - 1)]
-        sums.append(sum(products[1:], products[0]))
+        total = sum((sums[i] * sums[q - 2 - i] for i in range((q - 1) // 2)),
+                    a.scale(0)).scale(2)
+        half = sums[q // 2 - 1]
+        sums.append(total + half * half if q % 2 == 0 else total)
     return sums
 
 

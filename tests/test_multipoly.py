@@ -7,10 +7,14 @@ from math import gcd
 import pytest
 
 from bernstein import catalog
-from bernstein.core import AlgebraError, format_scalar
+from bernstein.core import AlgebraError, _new, format_scalar
 from bernstein.groebner import NcPoly, word_key
 from bernstein.multipoly import (MultiPoly, _graded, _merge_keys, _signed_sum,
                                  format_ratio)
+from bernstein.symbolic import generic_element
+
+from conftest import bernstein_pool, rand_scalar
+from test_cli_golden import _twin
 
 F = Fraction
 
@@ -382,3 +386,33 @@ def test_renderers_match_the_reference_forms():
             _reference_ncpoly_render(q, ("x", "y", "z"))
         assert repr(q) == "NcPoly(%s)" % _reference_ncpoly_render(
             q, [f"g{i}" for i in range(3)])
+
+
+def _rand_symbolic(table, rng):
+    """A symbolic element with mixed denominators, some coordinates zero
+    and some constant."""
+    num = {}
+    for i in range(table.dim):
+        poly = rand_poly(rng) + rand_scalar(rng) if rng.random() < 0.7 else 0
+        if poly:
+            num[i] = poly
+    return _new(table, num, None)
+
+
+def test_square_path_matches_the_general_product():
+    # x * x visits each unordered coordinate pair once and doubles the
+    # off-diagonal constants; y, an equal but distinct copy of x, makes
+    # x * y take the general path over all ordered pairs.
+    rng = random.Random(2707)
+    tables = [bernstein_pool(rng) for _ in range(8)]
+    tables.append(_twin(catalog.free_single_truncated(5), 3)[0])
+    for table in tables:
+        xs = [generic_element(table, "t"),
+              generic_element(table, "n", restrict_to=table.barideal_basis())]
+        xs += [_rand_symbolic(table, rng) for _ in range(4)]
+        for x in xs:
+            for z in (x, x * x):
+                y = _new(z.algebra, dict(z.num), z.den)
+                assert y is not z and y == z
+                assert z * z == z * y == y * z
+        assert any((x * x).num for x in xs)

@@ -72,6 +72,24 @@ def test_find_idempotent():
     assert e * e == e and e.weight() == 1
 
 
+def test_peirce_refuses_what_is_not_an_idempotent_of_weight_one():
+    table = catalog.free_single_truncated(5)
+    e = find_idempotent(table)
+    # n n = n with w(n) = 0: a nonzero idempotent of weight 0
+    split = AlgebraTable.build(("e", "n"), {("e", "e"): {"e": 1},
+                                            ("n", "n"): {"n": 1}},
+                               weight={"e": 1})
+    n = split.basis_element(1)
+    assert n * n == n and n.weight() == 0
+    for algebra, bad in ((table, e.scale(2)), (table, e.scale(HALF)),
+                         (table, table.barideal_basis()[0]),
+                         (table, table.zero()), (split, n)):
+        with pytest.raises(AlgebraError,
+                           match="^peirce needs an idempotent of weight 1$"):
+            peirce(algebra, bad)
+    assert peirce(table, e).type_pair == peirce(table).type_pair
+
+
 def test_peirce_eigenspaces_and_types():
     expected = [
         (catalog.example_not_train(), (2, 1)),

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from bernstein.core import AlgebraError, AlgebraTable, InternalCheckError
+from bernstein.core import (AlgebraError, AlgebraTable, InternalCheckError,
+                            _new)
 from bernstein.multipoly import MultiPoly
 from bernstein.structure import _bernstein_identity
 from bernstein.symbolic import (_refute_on_line, check_identity,
@@ -14,9 +15,43 @@ from bernstein.symbolic import (_refute_on_line, check_identity,
 from bernstein import catalog
 
 from conftest import (bernstein_pool, nuclear_table, non_bernstein_table,
-                      rand_scalar)
+                      rand_element, rand_scalar)
 
 F = Fraction
+
+
+def _folded(table, prefix, family):
+    """sum of b_i * prefix(i+1), one element addition per vector."""
+    x = _new(table, {}, None)
+    for i, b in enumerate(family):
+        x = x + b.scale(MultiPoly.var(f"{prefix}{i + 1}"))
+    return x
+
+
+def test_restricted_generic_element_equals_the_fold():
+    rng = random.Random(2709)
+    for _ in range(8):
+        table = bernstein_pool(rng)
+        family = [rand_element(table, rng).scale(rand_scalar(rng))
+                  for _ in range(rng.randint(1, 6))]
+        family.insert(rng.randrange(len(family) + 1), table.zero())
+        got = generic_element(table, "q", restrict_to=family)
+        assert got.is_symbolic() and got.num == _folded(table, "q", family).num
+    # The contributions q2*q1 and -q1*q2 of two symbolic vectors cancel
+    # in coordinate 0, which must then be absent.
+    table = catalog.shift_up_truncated(3)
+    family = [_new(table, {0: MultiPoly.var("q2"),
+                           2: MultiPoly.const(F(1, 2))}, None),
+              _new(table, {0: -MultiPoly.var("q1")}, None),
+              table.element([0, F(2, 3), F(-5, 4), 0, 0])]
+    got = generic_element(table, "q", restrict_to=family)
+    assert sorted(got.num) == [1, 2]
+    assert got.num == _folded(table, "q", family).num
+    empty = generic_element(table, "q", restrict_to=[])
+    assert empty.is_symbolic() and empty.is_zero()
+    assert empty.num == _folded(table, "q", []).num
+    with pytest.raises(AlgebraError, match="different algebras"):
+        generic_element(table, "q", restrict_to=[nuclear_table().zero()])
 
 
 def test_generic_element_evaluates_like_concrete():

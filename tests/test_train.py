@@ -442,6 +442,30 @@ def test_tree_sums_match_enumeration_on_whole_algebra():
                 assert sums[q - 1] == total
 
 
+def test_tree_sums_form_each_unordered_product_once(monkeypatch):
+    # S_q = 2 sum over i < q - i of S_i S_(q-i), plus S_(q/2)^2 for even
+    # q: floor(q^2/4) products up to q, 16 up to q = 8 where the sum over
+    # i = 1..q-1 forms 28; the four squares take the square path.
+    x = generic_element(catalog.shift_up_truncated(4), "t")
+    calls = []
+    real = Element.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Element):
+            calls.append(other is self)
+        return real(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    sums = _tree_sums(x, 8)
+    monkeypatch.undo()
+    assert len(calls) == 16 and calls.count(True) == 4
+    ordered = [x]
+    for q in range(2, 9):
+        products = [ordered[i] * ordered[q - 2 - i] for i in range(q - 1)]
+        ordered.append(sum(products[1:], products[0]))
+    assert sums == ordered and sums[-1]
+
+
 def test_engel_yagzhev_report_shift_up_ten():
     rep = engel_yagzhev_report(catalog.shift_up_truncated(10))
     assert rep.satisfies_sq_sq_zero
