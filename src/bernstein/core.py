@@ -414,6 +414,19 @@ def _concrete(algebra, num, den):
     return _new(algebra, num, den)
 
 
+def _combination(table, coeffs, elements):
+    """sum of c * b for rational c and concrete b, one integer sum."""
+    terms = [(c.numerator, c.denominator * b.den, b)
+             for c, b in zip(coeffs, elements) if c]
+    den = lcm(*(d for _, d, _ in terms))
+    acc = {}
+    for n, d, b in terms:
+        f = n * (den // d)
+        for k, a in b.num.items():
+            acc[k] = acc.get(k, 0) + f * a
+    return _concrete(table, acc, den)
+
+
 def _rationals(algebra, values):
     """The concrete element with coordinates {index: rational}.  Over
     the lcm of the reduced denominators the pair is canonical already."""

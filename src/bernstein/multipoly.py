@@ -23,6 +23,8 @@ ZERO = Fraction(0)
 
 
 def _merge_keys(k1, k2):
+    if not k1 or not k2:
+        return k1 or k2
     exps = dict(k1)
     for name, e in k2:
         exps[name] = exps.get(name, 0) + e

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg, symbolic
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
-                   _concrete, _new, ZERO, HALF)
+                   _combination, _new, ZERO, HALF)
 from .symbolic import IdentityCheck, check_identity, generic_element
 
 
@@ -148,19 +147,6 @@ class PeirceDecomposition:
         return (1 + len(self.u_basis), len(self.v_basis))
 
 
-def _combination(table, coeffs, elements):
-    """sum of c * b for rational c and concrete b, one integer sum."""
-    terms = [(c.numerator, c.denominator * b.den, b)
-             for c, b in zip(coeffs, elements) if c]
-    den = lcm(*(d for _, d, _ in terms))
-    acc = {}
-    for n, d, b in terms:
-        f = n * (den // d)
-        for k, a in b.num.items():
-            acc[k] = acc.get(k, 0) + f * a
-    return _concrete(table, acc, den)
-
-
 def peirce(table, e=None):
     """Peirce decomposition for the idempotent e (found if omitted): U
     and V are read off the relations among the images e n - n/2 and e n
@@ -195,7 +181,8 @@ def _peirce(table, e):
 
 def idempotent_family(table, e, u):
     """The idempotent e + u + u^2 attached to u in U (checked)."""
-    peirce(table, e)  # raises unless e is an idempotent of weight 1
+    if e * e != e or e.weight() != 1:
+        raise AlgebraError("idempotent_family needs an idempotent of weight 1")
     if u.weight() or e * u != u.scale(HALF):
         raise AlgebraError("element is not in the U component")
     f = e + u + u * u
@@ -237,13 +224,16 @@ class StructureReport:
     idempotent: Element | None = None
 
 
-def _jordan_by_identity(table):
+def _jordan_by_identity(table, at_point=False):
     """Whether x (x^2 y) = x^2 (x y) holds.  The identity is linear in
-    y, so it holds when it does for a generic x and each basis vector y."""
-    x = generic_element(table)
-    square = x * x
-    return not any(x * (square * b) - square * (x * b)
-                   for b in table.basis())
+    y, so it holds when it does for a generic x and each basis vector y;
+    ``at_point`` tries ``symbolic._point`` first (``symbolic._vanishing``)."""
+    def defects(x):
+        square = x * x
+        return (x * (square * b) - square * (x * b) for b in table.basis())
+    return all(symbolic._vanishing(
+        defects, [generic_element(table)],
+        at_point and [symbolic._point(table, table.basis())]))
 
 
 def _products(base, positions):
@@ -273,7 +263,9 @@ def classify(table):
     (U^2 = 0), Jordan, the annihilator ideal of U and the type.
 
     Every check runs on ``adapted_table(table)`` if any, where U and V
-    are basis vectors; coordinates and witnesses are on the input basis."""
+    are basis vectors; coordinates and witnesses are on the input basis.
+    When the Peirce criterion fails, Jordan's identity is tried at a
+    fixed point first."""
     bern = is_bernstein(table)
     if not bern:
         return StructureReport(False, bernstein_witness=bern)
@@ -284,8 +276,8 @@ def classify(table):
         [list(base.basis_element(i).coords) for i in v]
     exceptional = not usq
 
-    jid = _jordan_by_identity(base)
     jpe = _jordan_by_peirce(base, u, v)
+    jid = _jordan_by_identity(base, at_point=not jpe)
     if jid != jpe:
         raise InternalCheckError(
             "Jordan identity and Peirce criterion disagree")

@@ -8,18 +8,19 @@ is the zero polynomial; that is an exact statement over the rationals,
 not a sampling argument.  On failure a concrete counterexample is
 produced by substituting small integers.  ``structure.is_bernstein``
 looks for it at fixed integer points first (``_refute_on_line``), with
-the symbolic route as the fallback.
+the symbolic route as the fallback, as in ``_vanishing``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from math import lcm
 
 from . import linalg
-from .core import (AlgebraError, Element, InternalCheckError, _new,
-                   _power_chain, _triples, principal_powers)
+from .core import (AlgebraError, Element, InternalCheckError, _combination,
+                   _new, _power_chain, _triples, principal_powers)
 from .multipoly import MultiPoly, _merge_keys
 
 import random
@@ -48,6 +49,27 @@ def generic_element(table, prefix="t", restrict_to=None):
         if poly := MultiPoly(acc, den):
             x.num[k] = poly
     return x
+
+
+def _point(table, vectors):
+    """The sum of c_i b_i over ``vectors``, c cycling 1, -2, 3, -1, 2, -3."""
+    return _combination(table, cycle((1, -2, 3, -1, 2, -3)), vectors)
+
+
+def _vanishing(chain, generic, point=None):
+    """Whether each value of ``chain(*generic)`` vanishes identically.
+    A value that is nonzero at the concrete ``point`` arguments, if any,
+    is nonzero; from the first one that vanishes there, the chain reruns
+    on the generic arguments from the start, testing each value exactly."""
+    done = 0
+    if point:
+        for done, value in enumerate(chain(*point)):
+            if not value:
+                break
+            yield False
+        else:
+            return
+    yield from (not value for value in islice(chain(*generic), done, None))
 
 
 @dataclass

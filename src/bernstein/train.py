@@ -8,7 +8,9 @@ exactly, not by sampling.  Independent routes to the same verdict are
 always cross-checked against each other.  Operator nilpotency has one
 route, a product chain x y, x (x y), ... on a generic carrier element y
 up to the carrier dimension: exact, since a nilpotent operator on an
-n-dimensional space has index at most n, and free of random points.
+n-dimensional space has index at most n.  After a negative verdict the
+other routes run at a fixed point first (``symbolic._vanishing``), which
+can only confirm that a value is nonzero.
 
 Tree sums S_q (the sum of all full binary trees with q leaves evaluated
 at x) come from the bilinear recursion S_1 = x, S_q = sum of
@@ -21,19 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       islice, repeat)
 from itertools import product as iter_product
 
-from . import linalg
-from .core import (AlgebraError, InternalCheckError, _power_chain,
-                   ideal_rows, ZERO, ONE)
+from . import linalg, symbolic
+from .core import (AlgebraError, InternalCheckError, _combination,
+                   _power_chain, ideal_rows, ZERO, ONE)
 from .elements import _train_forms, train_polynomial
 from .multipoly import MultiPoly
-from .structure import (_combination, _components, _lyubich_kernel,
+from .structure import (_components, _lyubich_kernel,
                         adapted_table, is_bernstein, peirce)
 from .symbolic import IdentityCheck, check_identity, generic_element
 
 LEAF = "x"
+_NOT_CLOSED = "carrier is not closed under multiplication"
 
 # Largest leaf count full_trees enumerates (Catalan(9) = 4862 trees).
 # Its cache of enumerations is never freed, so the cap also bounds that.
@@ -175,13 +179,14 @@ def tree_power_sum(a, q, carrier=None):
     return total
 
 
-def _operator_index(x, carrier, outside):
+def _operator_index(x, carrier, outside, point=None):
     """Least p <= n = len(carrier) with L_x^p = 0 on the span of the
     independent carrier, else None; AlgebraError(outside) when L_x
     does not leave that span invariant.  With y generic over the
     carrier, in variables of its own, L_x^p vanishes there exactly when
     L_x^p y = 0, so each step is one product; as y's variables appear
-    linearly, x y lies in the span exactly when every x c does."""
+    linearly, x y lies in the span exactly when every x c does.  A
+    concrete ``point`` for x runs first, with y at ``symbolic._point``."""
     space = linalg.Subspace(carrier)
     if space.rank != len(carrier):
         raise AlgebraError("carrier basis is linearly dependent")
@@ -190,11 +195,13 @@ def _operator_index(x, carrier, outside):
     image = x * generic_element(x.algebra, "y", restrict_to=carrier)
     if not space.contains(image):
         raise AlgebraError(outside)
-    for p in range(1, len(carrier)):
-        if image.is_zero():
-            return p
-        image = x * image
-    return len(carrier) if image.is_zero() else None
+    if point is not None:
+        point = (point, point * symbolic._point(x.algebra, carrier))
+    zeros = symbolic._vanishing(    # image, x image, ...: n values
+        lambda a, first: accumulate(repeat(a, len(carrier) - 1),
+                                    lambda y, a: a * y, initial=first),
+        (x, image), point)
+    return next((p for p, zero in enumerate(zeros, 1) if zero), None)
 
 
 def operator_nilpotency_check(table, carrier="U"):
@@ -227,19 +234,22 @@ def engel_check(table, carrier=None):
         return engel_check(adapted)
     carrier = _default_carrier(table, carrier)
     x = generic_element(table, "g", restrict_to=carrier)
-    return _operator_index(x, carrier,
-                           "carrier is not closed under multiplication")
+    return _operator_index(x, carrier, _NOT_CLOSED)
 
 
 def generic_nil_index(table, carrier):
     """Least k in 2..dim carrier + 2 with x^k = 0 for the generic
     carrier element, or None."""
-    carrier = list(carrier)
-    if not carrier:
-        return 2
-    x = generic_element(table, "n", restrict_to=carrier)
-    powers = islice(_power_chain(x), 1, len(carrier) + 2)
-    return next((k for k, p in enumerate(powers, 2) if p.is_zero()), None)
+    return _nil_index(table, list(carrier))
+
+
+def _nil_index(table, carrier, at_point=False):
+    """``generic_nil_index``, at ``symbolic._point`` first if ``at_point``."""
+    zeros = symbolic._vanishing(
+        lambda x: islice(_power_chain(x), 1, len(carrier) + 2),
+        [generic_element(table, "n", restrict_to=carrier)],
+        at_point and [symbolic._point(table, carrier)])
+    return next((k for k, zero in enumerate(zeros, 2) if zero), None)
 
 
 @dataclass
@@ -255,26 +265,28 @@ class TrainReport:
 
 
 def train_analysis(table):
-    """Train verdict by three routes that must agree: nilpotency of the
-    generic barideal element, the f_r identity sweep on a fully generic
-    element, and nilpotency of generic multiplication operators V -> U.
-
-    All three run on ``adapted_table(table)`` if any; the report holds
-    no coordinates."""
+    """Train verdict by three routes that must agree: nilpotency of
+    generic multiplication operators V -> U, the cheapest, symbolic and
+    first; then nilpotency of the generic barideal element and the f_r
+    sweep on a fully generic element, at a fixed point first when the
+    operators have no index.  All three run on ``adapted_table(table)``
+    if any; the report holds no coordinates."""
     if not is_bernstein(table):
         raise AlgebraError("train analysis needs a Bernstein algebra")
     if (adapted := adapted_table(table)) is not None:
         return train_analysis(adapted)
+    op_index = operator_nilpotency_check(table)
+
     nbasis = table.barideal_basis()
     nil_bound = len(nbasis) + 2
-    nil_index = generic_nil_index(table, nbasis)
+    nil_index = _nil_index(table, nbasis, op_index is None)
 
     rank_bound = table.dim + 2
-    forms = _train_forms(generic_element(table, "t"))
-    rank = next((r for r, f in zip(range(2, rank_bound + 1), forms)
-                 if f.is_zero()), None)
-
-    op_index = operator_nilpotency_check(table)
+    zeros = symbolic._vanishing(
+        lambda a: islice(_train_forms(a), rank_bound - 1),
+        [generic_element(table, "t")],
+        op_index is None and [symbolic._point(table, table.basis())])
+    rank = next((r for r, zero in enumerate(zeros, 2) if zero), None)
 
     verdicts = {nil_index is not None, rank is not None, op_index is not None}
     if len(verdicts) != 1:
@@ -345,7 +357,9 @@ class EngelYagzhevReport:
 
 def engel_yagzhev_report(table, carrier=None):
     """Bounded nil index, Engel index and tree-sum verification on a
-    carrier with (x^2)^2 = 0; the three verdicts must agree.
+    carrier with (x^2)^2 = 0; the three verdicts must agree.  The nil
+    chain is symbolic and first; when it finds no index, the Engel chain
+    and the tree sums run at a fixed point first.
 
     With the default carrier it runs on ``adapted_table(table)`` if any;
     the report holds no coordinates."""
@@ -365,18 +379,20 @@ def engel_yagzhev_report(table, carrier=None):
         if k > 1 and power.is_zero():
             nil_index = k
             break
-    engel_index = engel_check(table, carrier)
+    point = None if nil_index else symbolic._point(table, carrier)
+    engel_index = _operator_index(x, carrier, _NOT_CLOSED, point)
 
     q_max = max(6, nil_index or 0)
     bounds["yagzhev_max_leaves"] = q_max
-    sums = _tree_sums(x, q_max)
     yagzhev = None
     if nil_index is not None:
+        sums = _tree_sums(x, q_max)
         # x^q = 0 for every q from the nil index on
         for q in range(2, q_max + 1):
             _check_tree_sum(sums[q - 1], powers[min(q, nil_index) - 1], q)
         yagzhev = q_max
-    elif any(total.is_zero() for total in sums[1:]):
+    elif any(symbolic._vanishing(lambda a: _tree_sums(a, q_max)[1:],
+                                 [x], [point])):
         raise InternalCheckError(
             "tree sums vanish although the carrier is not nil bounded")
 

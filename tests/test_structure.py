@@ -10,7 +10,7 @@ from bernstein.core import AlgebraError, AlgebraTable, HALF, left_mult_operator
 from bernstein.structure import (adapted_table, classify, find_idempotent,
                                  idempotent_family, is_bernstein,
                                  lyubich_ideal, peirce, zero_v_squared)
-from bernstein import catalog, linalg, structure
+from bernstein import catalog, linalg, structure, symbolic
 from bernstein.symbolic import check_identity, generic_element
 
 from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
@@ -18,6 +18,7 @@ from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
                       rand_element)
 from test_cli_golden import _twin
 from test_linalg import echelon_kernel
+from test_train import point_route_tables
 
 F = Fraction
 
@@ -468,3 +469,44 @@ def test_peirce_matches_the_operator_kernels():
             assert _outcome(lambda: peirce(table, idem)) == \
                 _outcome(lambda: _operator_peirce(table, idem)) == \
                 "not a Bernstein Peirce decomposition"
+
+
+def _jordan_symbolic(table):
+    """x (x^2 y) = x^2 (x y) on a generic x and each basis vector y, as
+    a pure symbolic loop."""
+    x = generic_element(table)
+    square = x * x
+    return not any(x * (square * b) - square * (x * b)
+                   for b in table.basis())
+
+
+def test_jordan_identity_at_the_point_matches_the_symbolic_loop(monkeypatch):
+    # _jordan_by_identity with and without the point, and classify,
+    # which tries the point only when the Peirce criterion fails, against
+    # the pure symbolic loop; then at the zero point, where every defect
+    # vanishes and each check falls back to the symbolic loop
+    tables = point_route_tables()
+    built = []
+    real = symbolic._point
+    monkeypatch.setattr(symbolic, "_point", lambda table, vectors:
+                        built.append(table) or real(table, vectors))
+    want, seen = [], set()
+    for table in tables:
+        base = adapted_table(table) or table
+        jordan = _jordan_symbolic(base)
+        assert structure._jordan_by_identity(base) is jordan, table.name
+        assert structure._jordan_by_identity(base, True) is jordan
+        if table.dim <= 5:
+            assert structure._jordan_by_identity(table, True) is jordan
+        built.clear()
+        assert classify(table).is_jordan is jordan, table.name
+        assert bool(built) is not jordan, table.name
+        want.append(jordan)
+        seen.add(jordan)
+    assert seen == {True, False}
+    monkeypatch.setattr(symbolic, "_point",
+                        lambda table, vectors: table.zero())
+    for table, jordan in zip(tables, want):
+        base = adapted_table(table) or table
+        assert structure._jordan_by_identity(base, True) is jordan
+        assert classify(table).is_jordan is jordan, table.name

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from bernstein.core import (AlgebraError, AlgebraTable, Element, HALF,
+                            _power_chain,
                             ZERO, left_mult_operator)
-from bernstein.elements import train_polynomial
+from bernstein.elements import _train_forms, train_polynomial
 from bernstein.multipoly import MultiPoly
 from bernstein.symbolic import generic_element
 from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
@@ -20,7 +22,7 @@ from bernstein.train import (MAX_ENUMERATED_LEAVES, _tree_sums,
                              train_analysis, tree_label, tree_power_sum)
 from bernstein.structure import (_components, adapted_table, lyubich_ideal,
                                  peirce)
-from bernstein import catalog, train
+from bernstein import catalog, symbolic, train
 
 from conftest import (bernstein_pool, pool_builders, rand_combination,
                       rand_element, rand_unit_element)
@@ -511,3 +513,93 @@ def test_peirce_decomposition_is_computed_once_per_table(monkeypatch):
     assert all(type(den) is int and all(type(k) is type(a) is int
                                         for k, a in num.items())
                for num, den in (e, *us, *vs))
+
+
+def point_route_tables():
+    """The tables on which the routes that try a fixed point first are
+    checked: every pool builder's table, its change_basis twins at two
+    seeds (for dim > 1), and three tables that are not train."""
+    natives = [build() for build in pool_builders(random.Random(28))]
+    natives += [catalog.example_not_train(), catalog.three_dim_alpha(HALF),
+                catalog.free_single_truncated(5, [0, 0, 1])]
+    return natives + [_basis_twin(t, seed) for t in natives if t.dim > 1
+                      for seed in (5, 6)]
+
+
+def _symbolic_train_routes(table):
+    """The three train routes as pure symbolic loops, on the adapted
+    table: (nil index of N, train rank, operator index)."""
+    table = adapted_table(table) or table
+    nbasis = table.barideal_basis()
+    nil = 2
+    if nbasis:
+        x = generic_element(table, "n", restrict_to=nbasis)
+        powers = islice(_power_chain(x), 1, len(nbasis) + 2)
+        nil = next((k for k, p in enumerate(powers, 2) if p.is_zero()), None)
+    forms = _train_forms(generic_element(table, "t"))
+    rank = next((r for r, f in zip(range(2, table.dim + 3), forms)
+                 if f.is_zero()), None)
+    return nil, rank, _reference_operator_index(table, "U")
+
+
+def _symbolic_engel_report(table):
+    """(satisfies (x^2)^2 = 0, nil index, Engel index, tree sums verified
+    up to) on the barideal by pure symbolic loops and matrix powers."""
+    table = adapted_table(table) or table
+    carrier = table.barideal_basis()
+    x = generic_element(table, "n", restrict_to=carrier)
+    square = x * x
+    if square * square:
+        return False, None, None, None
+    powers = islice(_power_chain(x), 1, len(carrier) + 2)
+    nil = next((k for k, p in enumerate(powers, 2) if p.is_zero()), None)
+    if nil is None:
+        assert all(_tree_sums(x, 6)[1:]), table.name
+    return (True, nil, _reference_engel(table, carrier),
+            None if nil is None else max(6, nil))
+
+
+def _spy_on_the_point(monkeypatch):
+    """Record each call of ``symbolic._point``; returns the record."""
+    built = []
+    real = symbolic._point
+    monkeypatch.setattr(symbolic, "_point", lambda table, vectors:
+                        built.append(table) or real(table, vectors))
+    return built
+
+
+def test_point_routes_match_the_symbolic_loops(monkeypatch):
+    # train_analysis and engel_yagzhev_report against their routes as
+    # pure symbolic loops; the fixed point is built exactly when a first
+    # route has found a negative verdict, never on a positive one
+    built = _spy_on_the_point(monkeypatch)
+    seen = set()
+    for table in point_route_tables():
+        nil, rank, op = _symbolic_train_routes(table)
+        built.clear()
+        rep = train_analysis(table)
+        assert (rep.nil_index_N, rep.rank, rep.operator_index) == \
+            (nil, rank, op), table.name
+        assert bool(built) is (op is None), table.name
+        want = _symbolic_engel_report(table)
+        built.clear()
+        rep = engel_yagzhev_report(table)
+        assert (rep.satisfies_sq_sq_zero, rep.nil_bounded_index,
+                rep.engel_index, rep.yagzhev_verified_upto) == want, table.name
+        assert bool(built) is (want[1] is None), table.name
+        seen.add((op is None, want[1] is None))
+    assert seen == {(False, False), (True, True)}
+
+
+def test_verdicts_stay_when_every_point_value_vanishes(monkeypatch):
+    # at the zero point every value vanishes, so each route that tries
+    # the point first falls back to the symbolic chain from its start
+    tables = point_route_tables()
+    want = [(train_analysis(t), engel_yagzhev_report(t)) for t in tables]
+    assert any(not report.is_train for report, _ in want)
+    built = []
+    monkeypatch.setattr(symbolic, "_point", lambda table, vectors:
+                        built.append(table) or table.zero())
+    assert [(train_analysis(t), engel_yagzhev_report(t))
+            for t in tables] == want
+    assert built
