@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from math import lcm
 
 from .core import AlgebraError, InternalCheckError, as_scalar
@@ -419,6 +419,17 @@ class AssociativeTable:
         return self.products.get((i, j), {})
 
     def verify(self):
+        """Check the entries, then associativity on the triples of total
+        degree <= up_to; AlgebraError names the first failing one in
+        lexicographic order.  By Light's test (Clifford and Preston 1961,
+        §1.2) it is enough to check (e_i e_j) e_g = e_i (e_j e_g) for the
+        letters g and |w_i| + |w_j| + 1 <= up_to, when (P1) no product
+        raises degree and (P2) no word is empty and e_c' e_g = e_c for each
+        word c = c'g of length >= 2.  Proof by induction on |w_k| >= 2, with
+        e_k = e_c' e_g: (e_i e_j)(e_c' e_g) = ((e_i e_j) e_c') e_g =
+        (e_i (e_j e_c')) e_g = e_i ((e_j e_c') e_g) = e_i (e_j e_k) by letters,
+        induction, letters and letters, all within the bound by P1.  When
+        a premise or a letter triple fails, every triple is scanned."""
         n = self.dim
         if len(set(self.words)) != n or len(self.labels) != n:
             raise AlgebraError("words and labels must be distinct and aligned")
@@ -431,42 +442,61 @@ class AssociativeTable:
                     raise AlgebraError("bad product entry")
                 scalars[i, j, k] = c
         # The table on integers over the common denominator D: both sides
-        # below are D² times (p_ij)·e_k and e_i·(p_jk).
+        # compared are D² times (e_i e_j) e_k and e_i (e_j e_k).
         den = lcm(*{c.denominator for c in scalars.values()})
         ints = {}
         for (i, j, k), c in scalars.items():
             ints.setdefault((i, j), {})[k] = c.numerator * den // c.denominator
-        # Only triples of total degree <= up_to are checked; within[b]
-        # lists, in index order, the words of degree at most b, so the
-        # triples are visited in lexicographic order.
         degrees = [len(w) for w in self.words]
-        within = {b: [k for k in range(n) if degrees[k] <= b]
-                  for b in range(self.up_to + 1)}
-        for i in range(n):
-            for j in within.get(self.up_to - degrees[i], ()):
-                pij = ints.get((i, j), {})
-                for k in within.get(self.up_to - degrees[i] - degrees[j], ()):
-                    if _multiply(ints, pij, {k: 1}) != \
-                            _multiply(ints, {i: 1}, ints.get((j, k), {})):
-                        raise AlgebraError(
-                            f"associativity fails on triple ({i}, {j}, {k})")
+        index = {w: k for k, w in enumerate(self.words)}
+        raising = any(degrees[k] > degrees[i] + degrees[j]  # not P1
+                      for (i, j), vec in ints.items() for k in vec)
+        unsplit = any(d < 1 or d > 1 and ints.get(  # not P2
+            (index.get(w[:-1]), index.get(w[-1:]))) != {k: den}
+            for k, (w, d) in enumerate(zip(self.words, degrees)))
+        letters = [k for k in range(n) if degrees[k] == 1]
+        if raising or unsplit or _first_failure(ints, degrees, self.up_to,
+                                                letters):
+            if triple := _first_failure(ints, degrees, self.up_to, range(n)):
+                raise AlgebraError("associativity fails on triple "
+                                   "({}, {}, {})".format(*triple))
 
     def multiply(self, x, y):
         """The product of sparse vectors {index: coeff}, as one."""
-        return _multiply(self.products, x, y)
+        acc = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                vec = self.products.get((i, j))
+                if vec:
+                    ab = a * b
+                    for k, c in vec.items():
+                        acc[k] = acc.get(k, 0) + ab * c
+        return {k: c for k, c in acc.items() if c}
 
 
-def _multiply(products, x, y):
-    """``AssociativeTable.multiply`` under the table ``products``."""
-    acc = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            vec = products.get((i, j))
-            if vec:
-                ab = a * b
-                for k, c in vec.items():
-                    acc[k] = acc.get(k, 0) + ab * c
-    return {k: c for k, c in acc.items() if c}
+def _first_failure(ints, degrees, up_to, inner):
+    """The first triple (i, j, k) in lexicographic order, k in ``inner``,
+    of total degree at most up_to where (e_i e_j) e_k and e_i (e_j e_k)
+    differ under the table ``ints``; None when there is none."""
+    empty = {}
+    # The words, and those of ``inner``, of degree <= b, in index order.
+    within, inner_within = ({b: [k for k in ks if degrees[k] <= b]
+                             for b in range(up_to + 1)}
+                            for ks in (range(len(degrees)), inner))
+    for i, di in enumerate(degrees):
+        for j in within.get(up_to - di, ()):
+            pij = ints.get((i, j), empty)
+            for k in inner_within.get(up_to - di - degrees[j], ()):
+                acc = {}
+                for m, c in pij.items():
+                    for t, d in ints.get((m, k), empty).items():
+                        acc[t] = acc.get(t, 0) + c * d
+                for m, c in ints.get((j, k), empty).items():
+                    for t, d in ints.get((i, m), empty).items():
+                        acc[t] = acc.get(t, 0) - c * d
+                if any(acc.values()):
+                    return i, j, k
+    return None
 
 
 def truncated_algebra_table(state, up_to):
@@ -474,24 +504,29 @@ def truncated_algebra_table(state, up_to):
     1..up_to, with products beyond the bound truncated to zero.  Built
     from generator actions: NF(w·g) is reduced once for each normal word
     w below the bound and letter g; then e_wi·e_(u·g) = (e_wi·e_u)·g, as
-    normal forms are unique below complete_below."""
+    normal forms are unique below complete_below.  The words come in
+    degree order, so the pairs within the bound are index ranges.  Normal
+    forms do not raise degree and a normal word is its own normal form, so
+    ``AssociativeTable.verify`` needs only its letter triples."""
     if not isinstance(up_to, int) or up_to < 1:
         raise AlgebraError("truncation degree must be a positive integer")
     if up_to >= state.complete_below:
         raise AlgebraError(
             f"completeness bound insufficient for truncation at {up_to} "
             f"(complete below {state.complete_below})")
-    words = [w for level in _normal_words_upto(state, up_to) for w in level]
+    levels = _normal_words_upto(state, up_to)
+    words = [w for level in levels for w in level]
+    # ends[d]: the number of words of degree at most d.
+    ends = list(accumulate(map(len, levels), initial=0))
     index = {w: i for i, w in enumerate(words)}
     gens = state.presentation.generators
     joiner = "" if all(len(g) == 1 for g in gens) else "_"
     labels = tuple(joiner.join(gens[g] for g in w) for w in words)
 
     leads = [g.leading_word() for g in state.basis]
-    letters = [g for g, w in enumerate(words) if len(w) == 1]
     products = {}
-    for i, wi in enumerate(words):
-        for g in letters if len(wi) < up_to else ():
+    for i, wi in enumerate(words[:ends[up_to - 1]]):
+        for g in range(ends[1]):
             normal = _reduce(NcPoly.word(wi + words[g]), state.basis, leads)
             if any(word not in index for word in normal.terms):
                 raise InternalCheckError(
@@ -499,14 +534,15 @@ def truncated_algebra_table(state, up_to):
             if normal:
                 products[i, g] = {index[w]: c for w, c in normal.terms.items()}
     for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            if 1 < len(wj) <= up_to - len(wi):
-                prefix = products.get((i, index[wj[:-1]]))
-                if prefix and (vec := _multiply(products, prefix,
-                                                {index[wj[-1:]]: 1})):
-                    products[i, j] = vec
+        for j in range(ends[1], ends[up_to - len(wi)]):
+            g, acc = index[words[j][-1:]], {}
+            for m, a in products.get((i, index[words[j][:-1]]), {}).items():
+                for k, c in products.get((m, g), {}).items():
+                    acc[k] = acc.get(k, 0) + a * c
+            if vec := {k: c for k, c in acc.items() if c}:
+                products[i, j] = vec
     overflow = {(i, j) for i, wi in enumerate(words)
-                for j, wj in enumerate(words) if len(wi) + len(wj) > up_to}
+                for j in range(ends[up_to - len(wi)], len(words))}
 
     try:
         return AssociativeTable(

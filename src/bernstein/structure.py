@@ -100,8 +100,9 @@ def _is_adapted(table):
     row, s = rows[i], Fraction(ws[i] * den, dw)   # s = den w_i
     if row.get(i) != ((i, s),):
         return None
+    half = s / 2
     kinds = ["e" if j == i else "v" if j not in row
-             else "u" if row[j] == ((j, s / 2),) else None
+             else "u" if row[j] == ((j, half),) else None
              for j in range(table.dim)]
     return None if None in kinds else kinds
 
@@ -180,13 +181,16 @@ def _peirce(table, e):
 
 
 def idempotent_family(table, e, u):
-    """The idempotent e + u + u^2 attached to u in U (checked)."""
+    """The idempotent e + u + u^2 attached to u in U (checked: a table
+    that is not Bernstein can fail, a Bernstein table cannot)."""
     if e * e != e or e.weight() != 1:
         raise AlgebraError("idempotent_family needs an idempotent of weight 1")
     if u.weight() or e * u != u.scale(HALF):
         raise AlgebraError("element is not in the U component")
     f = e + u + u * u
     if f * f != f:
+        if not is_bernstein(table):
+            raise AlgebraError("e + u + u^2 is not idempotent: not Bernstein")
         raise InternalCheckError("e + u + u^2 failed to be idempotent")
     return f
 

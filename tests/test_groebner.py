@@ -570,3 +570,154 @@ def test_hilbert_counts_match_the_span_oracle():
         for case in (pres, _renamed(pres, rng)):
             state = buchberger_truncated(case, up_to)
             assert hilbert_counts(state, up_to) == oracle, (spec, case)
+
+
+def _verify_tables():
+    """Truncated tables: the Kurosh table, the benchmark pipelines at two
+    seeds and 20 inhomogeneous presentations."""
+    tables = [truncated_algebra_table(kurosh_state(), 9)]
+    for spec in PIPELINES:
+        for seed in (1, 2):
+            pres = _reshaped(catalog.nil_power_presentation(*spec[:2]),
+                             random.Random(f"{seed}:{spec}"))
+            tables.append(truncated_algebra_table(
+                buchberger_truncated(pres, spec[2]), spec[3]))
+    for seed in DIFFERENTIAL_SEEDS[:20]:
+        pres, bound, _ = _random_presentation(seed)
+        tables.append(truncated_algebra_table(
+            buchberger_truncated(pres, bound), bound))
+    return tables
+
+
+def _corrupted(table, kind, rng):
+    """The products of ``table`` with one random corruption of the given
+    kind, or None when the table has no place for it."""
+    n, up_to, deg = table.dim, table.up_to, table.degree
+    products = {pair: dict(vec) for pair, vec in table.products.items()}
+    within = [(i, j) for (i, j) in sorted(products)
+              if deg(i) + deg(j) <= up_to]
+    if kind in ("off", "dropped", "moved") and within:
+        vec = products[rng.choice(within)]
+        k = rng.choice(sorted(vec))
+        if kind == "off":
+            step = Fraction(1, lcm(*{c.denominator for v in products.values()
+                                     for c in v.values()}))
+            vec[k] += step if vec[k] + step else -step
+        elif kind == "dropped":
+            del vec[k]
+        elif len(vec) < n:
+            vec[rng.choice([m for m in range(n) if m not in vec])] = vec.pop(k)
+        return products
+    long = [c for c in range(n) if deg(c) >= 2]
+    if kind == "prefix" and long:
+        # p_(c', g) for a word c = c'g is no longer e_c.
+        c = rng.choice(long)
+        index = {w: i for i, w in enumerate(table.words)}
+        other = rng.choice([m for m in range(n) if m != c])
+        products[index[table.words[c][:-1]], index[table.words[c][-1:]]] = \
+            rng.choice(({c: 2}, {}, {c: 1, other: 1}, {other: -1}))
+        return products
+    raising = [(i, j, l) for i in range(n) for j in range(n)
+               for l in range(n) if deg(i) + deg(j) < min(deg(l), up_to)]
+    if kind == "raising" and raising:
+        # e_l enters e_i e_j above its degree, and e_l e_k, for a k that
+        # completes (i, j) within the bound, is made nonzero.
+        i, j, l = rng.choice(raising)
+        products.setdefault((i, j), {})[l] = rng.choice((1, -1, 2))
+        k = rng.choice([k for k in range(n)
+                        if deg(i) + deg(j) + deg(k) <= up_to])
+        products[l, k] = {rng.randrange(n): 1}
+        return products
+    return None
+
+
+def _verify_message(table, **changes):
+    """What ``verify`` raises on ``table`` with the changes; None when
+    it accepts."""
+    try:
+        dataclasses.replace(table, **changes)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def test_letter_check_matches_the_full_scan():
+    rng = random.Random(29)
+    kinds = ("off", "dropped", "moved", "prefix", "raising")
+    rejected = dict.fromkeys(kinds, 0)
+    for table in _verify_tables():
+        long = [k for k in range(table.dim) if table.degree(k) >= 2]
+        for kind in (None,) + kinds * 2:
+            products = (table.products if kind is None
+                        else _corrupted(table, kind, rng))
+            if products is None:
+                continue
+            triple = _first_nonassociative_triple(table, products)
+            expected = None if triple is None else \
+                "associativity fails on triple ({}, {}, {})".format(*triple)
+            assert _verify_message(table, products=products) == expected
+            if kind is None:
+                assert expected is None
+            else:
+                rejected[kind] += expected is not None
+            # A word whose prefix is not a word: a fresh first letter.
+            if long:
+                words = list(table.words)
+                k = rng.choice(long)
+                words[k] = (len(table.generators),) + words[k][1:]
+                assert _verify_message(table, words=tuple(words),
+                                       products=products) == expected
+    assert min(rejected.values()) >= 40, rejected
+
+
+def test_truncated_tables_pass_on_letter_triples(monkeypatch):
+    # Both premises hold by construction, so the scan runs once, on the
+    # letters, whether or not the table needs a common denominator.
+    calls = []
+    scan = groebner._first_failure
+
+    def recording(ints, degrees, up_to, inner):
+        calls.append(list(inner))
+        return scan(ints, degrees, up_to, inner)
+
+    tables = _verify_tables()
+    monkeypatch.setattr(groebner, "_first_failure", recording)
+    scaled = 0
+    for table in tables:
+        calls.clear()
+        table.verify()
+        assert calls == [[k for k in range(table.dim)
+                          if table.degree(k) == 1]]
+        scaled += any(c.denominator > 1 for vec in table.products.values()
+                      for c in vec.values())
+    assert scaled >= 3
+
+
+def test_each_premise_is_needed_for_the_letter_check():
+    # Both tables pass every letter triple within the bound and fail a
+    # longer triple; only the failed premise sends verify to the scan.
+    x, y, yx, yy, yyx = (0,), (1,), (1, 0), (1, 1), (1, 1, 0)
+    # The monomial algebra on the factor-closed words x, y, yx, yy, yyx.
+    monomial = AssociativeTable(
+        generators=("x", "y"), words=(x, y, yx, yy, yyx),
+        labels=("x", "y", "yx", "yy", "yyx"),
+        products={(1, 0): {2: 1}, (1, 1): {3: 1}, (3, 0): {4: 1},
+                  (1, 2): {4: 1}}, up_to=4)
+    # (P1) x·y = yyx raises degree, and yyx·yy = x lies beyond the bound:
+    # (xy)(yy) = x but x(y·yy) = 0.
+    raising = {**monomial.products, (0, 1): {4: 1}, (4, 3): {0: 1}}
+    # (P2) x, xx, u = yy, t = xyy, s = xxyy with x·x = xx, x·u = t and
+    # x·t = s; only x is a letter, and u is no product of letters.
+    words = ((0,), (0, 0), (1, 1), (0, 1, 1), (0, 0, 1, 1))
+    generated = AssociativeTable(
+        generators=("x", "y"), words=words, labels=("x", "xx", "u", "t", "s"),
+        products={(0, 0): {1: 1}, (0, 2): {3: 1}, (0, 3): {4: 1},
+                  (1, 2): {4: 1}}, up_to=4)
+    # xx·u = 0 drops: (xx)u = 0 but x(xu) = s.
+    dropped = {pair: vec for pair, vec in generated.products.items()
+               if pair != (1, 2)}
+    for table, products in ((monomial, raising), (generated, dropped)):
+        triple = _first_nonassociative_triple(table, products)
+        assert triple is not None
+        assert _verify_message(table, products=products) == \
+            "associativity fails on triple ({}, {}, {})".format(*triple)

@@ -137,6 +137,22 @@ def test_idempotent_family_and_component_transform():
         idempotent_family(table, e, e)  # nonzero weight
 
 
+def test_idempotent_family_blames_a_non_bernstein_input(monkeypatch):
+    # e·u = u/2, so u lies in U; but (e + u + v)² = e + u + 3v.
+    table = AlgebraTable.build(
+        ("e", "u", "v"),
+        {("e", "e"): {"e": 1}, ("e", "u"): {"u": HALF}, ("u", "u"): {"v": 1},
+         ("u", "v"): {"v": 1}}, weight={"e": 1})
+    e, u = table.basis_element(0), table.basis_element(1)
+    assert not is_bernstein(table)
+    with pytest.raises(AlgebraError, match="not Bernstein"):
+        idempotent_family(table, e, u)
+    # On a Bernstein table the same failure is an internal fault.
+    monkeypatch.setattr(structure, "is_bernstein", lambda table: True)
+    with pytest.raises(structure.InternalCheckError):
+        idempotent_family(table, e, u)
+
+
 def test_type_is_idempotent_invariant():
     rng = random.Random(34)
     table = catalog.free_single_truncated(6)
