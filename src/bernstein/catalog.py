@@ -3,7 +3,8 @@ shift truncations, singly generated models, idempotent adjunction,
 regular-word nil algebras, quotients and subalgebras (both through
 ``AlgebraTable.change_basis``), and the bridge from truncated
 associative algebras to Bernstein tables.  Subalgebras close their
-spans with ``linalg.closure``, the bridge under right products by S.
+spans with ``linalg.closure``; the bridge proves that S generates from
+the normal words when it can, else grows S under right products by S.
 The Peirce frame (e e = e, e u = u/2, e v = 0, weight 1 on e) is
 written once, in ``_frame``; tables on it add their products on N = U + V.
 """
@@ -17,7 +18,7 @@ from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
                    ideal_rows, ZERO, HALF)
 from .elements import analyze_element
-from .groebner import NcPoly, Presentation
+from .groebner import NcPoly, Presentation, _prefix_split
 from .structure import is_bernstein
 
 
@@ -136,27 +137,22 @@ def adjoin_idempotent(nil_table, u_indices, v_indices, name=""):
     dim = nil_table.dim
     if sorted(u_indices + v_indices) != list(range(dim)):
         raise AlgebraError("U and V indices must partition the basis")
+    rows, den = nil_table._integer_rows()   # rows[i][j]: (k, den s_ijk)
     uset = set(u_indices)
-    for i in u_indices:
-        for j in u_indices:
-            if nil_table.product_vector(i, j):
-                raise AlgebraError("U is not a zero-multiplication subspace")
-    for i in u_indices:
-        for j in v_indices:
-            if set(nil_table.product_vector(i, j)) - uset:
-                raise AlgebraError("U V does not lie in U")
-    for i in v_indices:
-        for j in v_indices:
-            if set(nil_table.product_vector(i, j)) - uset:
-                raise AlgebraError("V^2 does not lie in U")
+    if any(j in uset for i in u_indices for j in rows[i]):
+        raise AlgebraError("U is not a zero-multiplication subspace")
+    for left, message in ((u_indices, "U V does not lie in U"),
+                          (v_indices, "V^2 does not lie in U")):
+        if any(k not in uset for i in left for j, vec in rows[i].items()
+               if j not in uset for k, _ in vec):
+            raise AlgebraError(message)
     if "e" in nil_table.labels:
         raise AlgebraError("label 'e' is already taken")
 
     labels = nil_table.labels
-    products = {}
-    for (i, j), vec in nil_table.product_items():
-        products[(labels[i], labels[j])] = {
-            labels[k]: c for k, c in vec.items()}
+    products = {(labels[i], labels[j]): {labels[k]: (s, den)
+                                         for k, s in row[j]}
+                for i, row in enumerate(rows) for j in sorted(row) if i <= j}
     table = _frame(
         labels, [labels[i] for i in u_indices], products,
         name=name or (f"adjoin({nil_table.name})" if nil_table.name
@@ -234,6 +230,12 @@ def from_associative(assoc, s_indices, name=""):
     component a1 b2 + a2 b1 (with the copy of S mapped back into C) and
     zero S component; U = C is a zero-multiplication subspace, so the
     result is an exceptional Bernstein algebra.
+
+    C is associative, so S generates it when the span W grown from S
+    under right products by S is C.  That holds with no elimination when
+    S holds every letter and P2 (``groebner._prefix_split``) holds: by
+    induction on |c|, e_c is a letter in S or e_c' e_g with e_c' in W and
+    g in S.  Otherwise W is grown in a ``linalg.Subspace``.
     """
     s_indices = list(s_indices)
     if len(set(s_indices)) != len(s_indices) or not s_indices:
@@ -241,16 +243,18 @@ def from_associative(assoc, s_indices, name=""):
     if any(not 0 <= i < assoc.dim for i in s_indices):
         raise AlgebraError("S index out of range")
 
-    # C is associative, so S generates it when the products v s, for v
-    # in the span grown so far and s in S, span it.
     dim = assoc.dim
-    space = linalg.Subspace()
-    found = [{i: 1} for i in s_indices]
-    for v in found:
-        if space.add([v.get(k, 0) for k in range(dim)]) and space.rank < dim:
-            found.extend(assoc.multiply(v, {s: 1}) for s in s_indices)
-    if space.rank != dim:
-        raise AlgebraError("S does not generate the associative algebra")
+    letters = {k for k, w in enumerate(assoc.words) if len(w) == 1}
+    if not (letters <= set(s_indices)
+            and _prefix_split(assoc.words, assoc.products, 1)):
+        space = linalg.Subspace()
+        found = [{i: 1} for i in s_indices]
+        for v in found:
+            if space.add([v.get(k, 0) for k in range(dim)]) \
+                    and space.rank < dim:
+                found.extend(assoc.multiply(v, {s: 1}) for s in s_indices)
+        if space.rank != dim:
+            raise AlgebraError("S does not generate the associative algebra")
 
     clabels = [f"c_{lbl}" for lbl in assoc.labels]
     slabels = [f"s_{assoc.labels[i]}" for i in s_indices]

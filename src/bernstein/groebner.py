@@ -424,12 +424,12 @@ class AssociativeTable:
         lexicographic order.  By Light's test (Clifford and Preston 1961,
         §1.2) it is enough to check (e_i e_j) e_g = e_i (e_j e_g) for the
         letters g and |w_i| + |w_j| + 1 <= up_to, when (P1) no product
-        raises degree and (P2) no word is empty and e_c' e_g = e_c for each
-        word c = c'g of length >= 2.  Proof by induction on |w_k| >= 2, with
-        e_k = e_c' e_g: (e_i e_j)(e_c' e_g) = ((e_i e_j) e_c') e_g =
-        (e_i (e_j e_c')) e_g = e_i ((e_j e_c') e_g) = e_i (e_j e_k) by letters,
-        induction, letters and letters, all within the bound by P1.  When
-        a premise or a letter triple fails, every triple is scanned."""
+        raises degree and (P2, ``_prefix_split``) e_c = e_c' e_g for each
+        word c = c'g.  Proof by induction on |w_k| >= 2, with e_k = e_c' e_g:
+        (e_i e_j)(e_c' e_g) = ((e_i e_j) e_c') e_g = (e_i (e_j e_c')) e_g
+        = e_i ((e_j e_c') e_g) = e_i (e_j e_k) by letters, induction,
+        letters and letters, all within the bound by P1.  When a premise
+        or a letter triple fails, every triple is scanned."""
         n = self.dim
         if len(set(self.words)) != n or len(self.labels) != n:
             raise AlgebraError("words and labels must be distinct and aligned")
@@ -448,15 +448,11 @@ class AssociativeTable:
         for (i, j, k), c in scalars.items():
             ints.setdefault((i, j), {})[k] = c.numerator * den // c.denominator
         degrees = [len(w) for w in self.words]
-        index = {w: k for k, w in enumerate(self.words)}
         raising = any(degrees[k] > degrees[i] + degrees[j]  # not P1
                       for (i, j), vec in ints.items() for k in vec)
-        unsplit = any(d < 1 or d > 1 and ints.get(  # not P2
-            (index.get(w[:-1]), index.get(w[-1:]))) != {k: den}
-            for k, (w, d) in enumerate(zip(self.words, degrees)))
         letters = [k for k in range(n) if degrees[k] == 1]
-        if raising or unsplit or _first_failure(ints, degrees, self.up_to,
-                                                letters):
+        if raising or not _prefix_split(self.words, ints, den) or \
+                _first_failure(ints, degrees, self.up_to, letters):
             if triple := _first_failure(ints, degrees, self.up_to, range(n)):
                 raise AlgebraError("associativity fails on triple "
                                    "({}, {}, {})".format(*triple))
@@ -472,6 +468,17 @@ class AssociativeTable:
                     for k, c in vec.items():
                         acc[k] = acc.get(k, 0) + ab * c
         return {k: c for k, c in acc.items() if c}
+
+
+def _prefix_split(words, products, one):
+    """(P2) No word is empty, and each word c = c'g of length >= 2 has
+    c' and g among the words and e_c' e_g = e_c exactly: ``{c: one}`` in
+    ``products``, with ``one`` the table's scalar 1.  Then the words are
+    closed under prefixes and each e_c is e_g1 e_g2 ... e_gm."""
+    index = {w: k for k, w in enumerate(words)}
+    return all(len(w) == 1 or w and products.get(
+        (index.get(w[:-1]), index.get(w[-1:]))) == {k: one}
+        for k, w in enumerate(words))
 
 
 def _first_failure(ints, degrees, up_to, inner):

@@ -18,9 +18,11 @@ questions about one family builds one ``Subspace`` and reuses it.
 Results come back as Fractions.  Targets of ``contains`` and ``coords``
 may have entries in any commutative ring with a Fraction action
 (``MultiPoly``, also an element with ``den`` None); they reduce against
-the same integer rows, divided by the row denominator.  ``closure`` grows
-one ``Subspace`` until it is closed under a product, and ``kernel``
-reads a nullspace basis off one ``Subspace``.
+the same integer rows, divided by the row denominator.  ``contains``
+reduces span-only: it skips the coefficient keys, so a row that holds
+only coefficients, as for a family of basis vectors, costs it no ring
+operation.  ``closure`` grows one ``Subspace`` until it is closed under
+a product, and ``kernel`` reads a nullspace basis off one ``Subspace``.
 """
 
 from __future__ import annotations
@@ -66,23 +68,24 @@ class Subspace:
     def rank(self):
         return len(self._rows)
 
-    def _residual(self, v, new=None):
+    def _residual(self, v, new=None, span=False):
         """(acc, den): the residual r = v - sum of v_p row_p over the
         pivots p, augmented.  Keys below len(v) hold r, keys len(v) + i
         its coefficient of the i-th vector given, counting v itself as
-        vector ``new`` when that is given.  Rational v gives int values
-        over den; polynomial v gives ring values and den None."""
+        vector ``new`` when that is given; with ``span`` the coefficient
+        keys are skipped and acc holds r alone.  Rational v gives int
+        values over den; polynomial v gives ring values and den None."""
         rows = self._rows
         width = len(v)
         if isinstance(v, (list, tuple)):
             try:
                 entries, den = integer_entries(v)
             except AttributeError:      # polynomial entries
-                return self._ring_residual(enumerate(v)), None
+                return self._ring_residual(enumerate(v), width, span), None
         else:
             entries, den = v.num.items(), v.den
             if den is None:
-                return self._ring_residual(entries), None
+                return self._ring_residual(entries, width, span), None
         acc = {}
         factors = []
         for c, n in entries:
@@ -100,7 +103,7 @@ class Subspace:
                 den *= scale
             for (row, d), n in factors:
                 f = n * (scale // d)
-                for k, x in row.items():
+                for k, x in _tail(row, width) if span else row.items():
                     a = acc.get(k, 0) - f * x
                     if a:
                         acc[k] = a
@@ -108,10 +111,11 @@ class Subspace:
                         del acc[k]
         return acc, den
 
-    def _ring_residual(self, entries):
+    def _ring_residual(self, entries, width, span):
         """The augmented residual of a vector with ring entries, given as
         (index, value) pairs: each factor v_p is divided by its row
-        denominator once."""
+        denominator once, and with ``span`` only when the row has an
+        entry below ``width``."""
         rows = self._rows
         entries = [(c, x) for c, x in entries if x]
         acc = {c: x for c, x in entries if c not in rows}
@@ -119,8 +123,11 @@ class Subspace:
             if p not in rows:
                 continue
             row, d = rows[p]
+            items = _tail(row, width) if span else row.items()
+            if not items:
+                continue
             f = x / d
-            for k, n in row.items():
+            for k, n in items:
                 prev = acc.get(k)
                 val = -(f * n) if prev is None else prev - f * n
                 if val:
@@ -186,8 +193,9 @@ class Subspace:
                 for i in range(self.size - 1)]
 
     def contains(self, v):
-        acc, _ = self._residual(v)
-        return not acc or min(acc) >= len(v)
+        """Whether v lies in the span: a span-only reduction."""
+        acc, _ = self._residual(v, span=True)
+        return not acc
 
     def _coefficients(self, t):
         """(coefficients, den), the nonzero ``coords`` of t as {i: int}
@@ -225,6 +233,11 @@ class Subspace:
                     row[c] = Fraction(x, den)
             out.append(row)
         return out
+
+
+def _tail(row, width):
+    """The pairs of ``row`` below ``width``: no coefficient keys."""
+    return [(k, x) for k, x in row.items() if k < width]
 
 
 def closure(vectors, multiply):

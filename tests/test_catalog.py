@@ -11,8 +11,8 @@ from bernstein.core import AlgebraError, HALF
 from bernstein.elements import analyze_element
 from bernstein.structure import classify, is_bernstein, peirce
 from bernstein.train import train_analysis
-from bernstein.groebner import (NcPoly, Presentation, buchberger_truncated,
-                                truncated_algebra_table)
+from bernstein.groebner import (AssociativeTable, NcPoly, Presentation,
+                                buchberger_truncated, truncated_algebra_table)
 from bernstein import catalog, linalg
 
 F = Fraction
@@ -98,6 +98,55 @@ def test_adjoin_idempotent_zero_mult():
     taken = AlgebraTable.build(("e",), {}, weight=None)
     with pytest.raises(AlgebraError, match="taken"):
         catalog.adjoin_idempotent(taken, [], [0])
+
+
+def _reference_adjoin_checks(nil_table, u_indices, v_indices):
+    """The error text of the first failed condition, U^2 = 0, then
+    U V in U, then V^2 in U, read pair by pair; None when all hold."""
+    uset = set(u_indices)
+    if any(nil_table.product_vector(i, j)
+           for i in u_indices for j in u_indices):
+        return "U is not a zero-multiplication subspace"
+    if any(set(nil_table.product_vector(i, j)) - uset
+           for i in u_indices for j in v_indices):
+        return "U V does not lie in U"
+    if any(set(nil_table.product_vector(i, j)) - uset
+           for i in v_indices for j in v_indices):
+        return "V^2 does not lie in U"
+    return None
+
+
+def test_adjoin_idempotent_checks_match_the_pairwise_reference():
+    from bernstein.core import AlgebraTable
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        u = [i for i in range(dim) if rng.random() < 0.6]
+        v = [i for i in range(dim) if i not in u]
+        products = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                if rng.random() < (0.1 if i in u and j in u else 0.5):
+                    pool = u if u and rng.random() < 0.9 else range(dim)
+                    products[(i, j)] = {
+                        rng.choice(pool): F(rng.choice((-2, -1, 1, 3)),
+                                            rng.choice((1, 2)))}
+        labels = [f"n{i}" for i in range(dim)]
+        table = AlgebraTable(labels, products)
+        want = _reference_adjoin_checks(table, u, v)
+        seen.add(want)
+        if want is not None:
+            with pytest.raises(AlgebraError) as exc:
+                catalog.adjoin_idempotent(table, u, v)
+            assert str(exc.value) == want
+            continue
+        expected = catalog._frame(
+            labels, [labels[i] for i in u],
+            {(labels[i], labels[j]): {labels[k]: c for k, c in vec.items()}
+             for (i, j), vec in table.product_items()}, name="adjoin")
+        assert catalog.adjoin_idempotent(table, u, v) == expected
+    assert len(seen) == 4
 
 
 def test_zhevlakov_word_products():
@@ -219,6 +268,83 @@ def test_from_associative_accepts_exactly_generating_sets():
             else:
                 assert want, s_indices
         assert verdicts == {True, False}
+
+
+def _reference_generation(assoc, s_indices):
+    """The verdict of growing S under right products by S inside a
+    Subspace of dense vectors, for every S: None when S generates C,
+    else the error text."""
+    dim = assoc.dim
+    space = linalg.Subspace()
+    found = [{i: 1} for i in s_indices]
+    for v in found:
+        if space.add([v.get(k, 0) for k in range(dim)]) and space.rank < dim:
+            found.extend(assoc.multiply(v, {s: 1}) for s in s_indices)
+    if space.rank != dim:
+        return "S does not generate the associative algebra"
+    return None
+
+
+def _generation_verdict(assoc, s_indices):
+    try:
+        catalog.from_associative(assoc, s_indices)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def test_generation_without_the_prefix_premise_matches_the_loop():
+    # Tables on which P2 fails, so from_associative must grow S as the
+    # reference does; every nonempty S is tried on each.
+    x, xx, yy = (0,), (0, 0), (1, 1)
+    one = dict(generators=("x",), words=(x, xx), labels=("x", "xx"),
+               up_to=2)
+    tables = [
+        AssociativeTable(products={}, **one),                # x x = 0
+        AssociativeTable(products={(0, 0): {1: 2}}, **one),  # x x = 2 xx
+        # yy, whose prefix y is not a word, with x x = 0 or x x = yy
+        AssociativeTable(generators=("x", "y"), words=(x, yy),
+                         labels=("x", "yy"), products={}, up_to=2),
+        AssociativeTable(generators=("x", "y"), words=(x, yy),
+                         labels=("x", "yy"), products={(0, 0): {1: 1}},
+                         up_to=2),
+        # x, xx, u = yy, t = xyy, s = xxyy: only x is a letter
+        AssociativeTable(
+            generators=("x", "y"), words=(x, xx, yy, (0, 1, 1), (0, 0, 1, 1)),
+            labels=("x", "xx", "u", "t", "s"),
+            products={(0, 0): {1: 1}, (0, 2): {3: 1}, (0, 3): {4: 1},
+                      (1, 2): {4: 1}}, up_to=4),
+    ]
+    verdicts = []
+    for assoc in tables:
+        for k in range(1, assoc.dim + 1):
+            for s_indices in map(list, combinations(range(assoc.dim), k)):
+                want = _reference_generation(assoc, s_indices)
+                assert _generation_verdict(assoc, s_indices) == want, \
+                    (assoc.labels, s_indices)
+                verdicts.append(want)
+    assert None in verdicts and len(set(verdicts)) == 2
+
+
+def test_generation_from_letters_matches_the_loop():
+    # S without a letter takes the loop, S holding every letter the
+    # proof; both must give the reference verdict and text.
+    rng = random.Random(30)
+    assoc = truncated_algebra_table(
+        buchberger_truncated(catalog.kurosh_presentation(), 8), 4)
+    letters = [i for i, w in enumerate(assoc.words) if len(w) == 1]
+    others = [i for i in range(assoc.dim) if i not in letters]
+    cases = [letters, letters[:1], letters + others[:1]]
+    for _ in range(12):
+        base = letters if rng.random() < 0.5 else \
+            rng.sample(letters, len(letters) - 1)
+        cases.append(base + rng.sample(others, rng.randint(1, 4)))
+    verdicts = []
+    for s_indices in cases:
+        want = _reference_generation(assoc, s_indices)
+        assert _generation_verdict(assoc, s_indices) == want, s_indices
+        verdicts.append(want)
+    assert None in verdicts and len(set(verdicts)) == 2
 
 
 def test_kurosh_pipeline():

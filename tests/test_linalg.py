@@ -218,6 +218,47 @@ def test_subspace_coords_with_polynomial_targets():
             assert not space.contains(moved)
 
 
+def test_contains_agrees_with_coords():
+    # contains reduces without the coefficient keys, coords with them;
+    # targets inside the span, off it, and on the pivot columns alone,
+    # as rational lists, MultiPoly lists and concrete or symbolic
+    # elements, against families given as lists and as elements.
+    from bernstein.core import AlgebraTable, Element
+    rng = random.Random(39)
+    s, t = MultiPoly.var("s"), MultiPoly.var("t")
+    zero = MultiPoly.zero()
+    seen = set()
+    for _ in range(80):
+        width, family = rand_family(rng)
+        table = AlgebraTable([f"b{i}" for i in range(width)], {})
+        pivots = [row.index(1) for row in ref_rref(family)]
+        scalars = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in family]
+        polys = [s * F(rng.randint(-3, 3)) + t * t * F(rng.randint(-2, 2), 3)
+                 for _ in family]
+        inside = [sum((c * v[k] for c, v in zip(scalars, family)), F(0))
+                  for k in range(width)]
+        ring_inside = [sum((p * v[k] for p, v in zip(polys, family)), zero)
+                       for k in range(width)]
+        off = [F(rng.randint(-2, 2)) for _ in range(width)]
+        on_pivots = [F(rng.randint(-2, 2)) if k in pivots else F(0)
+                     for k in range(width)]
+        targets = {
+            "rational": [inside, off, on_pivots],
+            "polynomial": [ring_inside,
+                           [x + s * y for x, y in zip(ring_inside, off)],
+                           [x + t * y for x, y in zip(ring_inside, on_pivots)]],
+        }
+        for given in (family, [Element(table, v) for v in family]):
+            space = linalg.Subspace(given)
+            for ring, vectors in targets.items():
+                for kind, v in zip(("inside", "off", "on pivots"), vectors):
+                    for target in (v, Element(table, v)):
+                        found = space.contains(target)
+                        assert found == (space.coords(target) is not None)
+                        seen.add((ring, kind, found))
+    assert len(seen) == 10      # every target kind but "inside" both ways
+
+
 def big_family(rng):
     """Vectors with large denominators, mixed with small integer
     vectors, zero vectors, exact repeats and combinations of earlier
