@@ -8,7 +8,9 @@ of left multiplication by e.  ``peirce`` reads U and V off the
 linear relations among the images e n of a basis of N.  The checks run
 on ``adapted_table``, the table rebuilt on the adapted basis e, U, V by
 ``change_basis``, where U and V are basis vectors and their products
-are structure constants.
+are structure constants.  ``is_bernstein`` decides an adapted table by
+the Peirce conditions, three read off its rows and, unless U^2 = 0, five
+small products of generic elements (``_peirce_holds``).
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from .symbolic import IdentityCheck, check_identity, generic_element
 
 
 def is_bernstein(table):
-    """Symbolic check of (x^2)^2 = w(x)^2 x^2; cached on the table, the
+    """Whether (x^2)^2 = w(x)^2 x^2 holds; cached on the table, the
     witness as integer (num, den) pairs to make no reference cycle.
 
-    Run on ``adapted_table(table)`` when there is one; a failure there
-    is redone on the input basis for an input witness, sought at integer
-    points first when that basis is not adapted (the verdict is negative)."""
+    An adapted basis is decided by ``_peirce_holds``, any other on
+    ``adapted_table(table)`` if any; a failure is redone on the input
+    basis for a witness, at integer points first if it is not adapted."""
     if not table.has_weight:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
@@ -39,17 +41,19 @@ def is_bernstein(table):
             None if xs is None else [_new(table, dict(n), d) for n, d in xs],
             None if value is None else _new(table, dict(value[0]), value[1]))
     adapted = adapted_table(table)
-    if adapted is not None and is_bernstein(adapted):
+    kinds = adapted is None and _is_adapted(table)
+    if (_peirce_holds(table, kinds) if kinds
+            else adapted is not None and is_bernstein(adapted)):
         result = IdentityCheck(True)
     else:
-        unadapted = _is_adapted(table) is None
-        result = (symbolic._refute_on_line(table, _bernstein_identity)
-                  if unadapted else None)
+        result = (None if kinds
+                  else symbolic._refute_on_line(table, _bernstein_identity))
         if result is None:
             result = check_identity(table, _bernstein_identity)
-        if result and unadapted:
+        if result:
             raise InternalCheckError("Bernstein check: " + (
-                "input and adapted bases disagree" if adapted is not None
+                "Peirce conditions disagree on an adapted basis" if kinds
+                else "input and adapted bases disagree" if adapted is not None
                 else "the identity holds but peirce found no decomposition"))
     xs, value = result.witness_elements, result.witness_value
     table._cache["bernstein"] = (
@@ -57,6 +61,32 @@ def is_bernstein(table):
         None if xs is None else [(dict(x.num), x.den) for x in xs],
         None if value is None else (dict(value.num), value.den))
     return result
+
+
+def _peirce_holds(table, kinds):
+    """Whether an adapted table, ``kinds`` from ``_is_adapted``, is
+    Bernstein (Holgate 1975; Lyubich 1992).  For x = ae + u + v and
+    n = u + v, n^2 has weight 0 and (x^2)^2 - a^2 x^2 is
+    a^2 (u^2 - (n^2)_V) + 2a (u u^2 + 2u(uv) + u v^2) + (n^2)^2, with
+    (n^2)^2 = (u^2)^2 + 4u^2(uv) + 2u^2 v^2 + 4(uv)^2 + 4(uv)v^2 + (v^2)^2.
+    Each part of each degree in a, u and v vanishes: the a^2 part is U^2
+    in V, UV in U and V^2 in U, read off the rows; then every term is 0,
+    as (uv)^2 is in V and u^2 v^2 in U.  Of these, (v^2)^2 is (u^2)^2 at
+    u = v^2, (uv)v^2 is u v^2 at u = uv, and w u^2 + 2u(uw) = 0 (u u^2 = 0
+    linearised) gives u^2(uv) = 0 at w = uv, u^2 v^2 = 0 at w = v^2.  The
+    five left have a factor in U^2, so U^2 = 0 proves the identity."""
+    rows, _ = table._integer_rows()
+    found = {(kinds[i] + kinds[j], kinds[k]) for i, row in enumerate(rows)
+             for j, vec in row.items() if "e" not in kinds[i] + kinds[j]
+             for k, _ in vec}
+    if not found <= {("uu", "v"), ("uv", "u"), ("vu", "u"), ("vv", "u")}:
+        return False
+    if ("uu", "v") not in found:
+        return True
+    a, b = (generic_element(table, p, [x for x, k in zip(table.basis(), kinds)
+                                       if k == p]) for p in "uv")
+    a2, ab = a * a, a * b
+    return not (a * a2 or a * ab or a * (b * b) or a2 * a2 or ab * ab)
 
 
 def _bernstein_identity(x):

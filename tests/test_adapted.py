@@ -165,18 +165,41 @@ def test_only_bases_that_are_not_adapted_try_integer_points(monkeypatch):
 
 
 def test_bases_that_disagree_raise(monkeypatch):
+    # a Peirce "no" on the adapted table that its identity check refutes
     twin, _ = _twin(catalog.free_single_truncated(5), 5)
-    assert adapted_table(twin) is not None
+    adapted = adapted_table(twin)
+    assert adapted is not None
+    monkeypatch.setattr(structure, "_peirce_holds", lambda table, kinds: False)
+    with pytest.raises(InternalCheckError, match="adapted"):
+        is_bernstein(twin)
+
+    # a "no" on the adapted table that the input basis refutes
     real = structure.check_identity
 
     def adapted_fails(table, expr, **kwargs):
-        if table is not twin:
+        if table is adapted:
             return IdentityCheck(False)
         return real(table, expr, **kwargs)
 
     monkeypatch.setattr(structure, "check_identity", adapted_fails)
-    with pytest.raises(InternalCheckError, match="adapted"):
+    with pytest.raises(InternalCheckError,
+                       match="input and adapted bases disagree"):
         is_bernstein(twin)
+
+
+def test_peirce_no_on_an_adapted_input_where_the_identity_holds_raises(
+        monkeypatch, tmp_path, capsys):
+    native = catalog.free_single_truncated(5)
+    assert adapted_table(native) is None and structure._is_adapted(native)
+    path = str(tmp_path / "free5.json")
+    save_algebra(native, path)
+    monkeypatch.setattr(structure, "_peirce_holds", lambda table, kinds: False)
+    with pytest.raises(InternalCheckError, match="Bernstein check: Peirce "
+                       "conditions disagree on an adapted basis"):
+        is_bernstein(native)
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "internal check failed: Bernstein check: Peirce conditions")
 
 
 def test_identity_without_a_peirce_decomposition_raises(monkeypatch,

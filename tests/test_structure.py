@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bernstein.core import AlgebraError, AlgebraTable, HALF, left_mult_operator
+from bernstein.groebner import buchberger_truncated, truncated_algebra_table
 from bernstein.structure import (adapted_table, classify, find_idempotent,
                                  idempotent_family, is_bernstein,
                                  lyubich_ideal, peirce, zero_v_squared)
@@ -16,7 +17,8 @@ from bernstein.symbolic import check_identity, generic_element
 from conftest import (bernstein_pool, mixed_table, non_bernstein_table,
                       nuclear_table, pool_builders, rand_combination,
                       rand_element)
-from test_cli_golden import _twin
+from test_cli_golden import TWINS, _native, _twin
+from test_groebner import PIPELINES
 from test_linalg import echelon_kernel
 from test_train import point_route_tables
 
@@ -64,6 +66,128 @@ def test_a_negative_verdict_leaves_no_reference_cycle():
             assert gc.collect() == 0, build
     finally:
         gc.enable()
+
+
+def _identity_holds(table):
+    return bool(check_identity(table, structure._bernstein_identity))
+
+
+def _peirce_verdict(table):
+    """``_peirce_holds`` on ``adapted_table(table) or table``, or None when
+    that basis is not adapted."""
+    base = adapted_table(table) or table
+    kinds = structure._is_adapted(base)
+    return None if kinds is None else structure._peirce_holds(base, kinds)
+
+
+def _pipeline_algebras():
+    """The baric extensions of the benchmark's truncated associative
+    pipelines, S the letters."""
+    for gens, power, max_deg, trunc in PIPELINES:
+        state = buchberger_truncated(
+            catalog.nil_power_presentation(gens, power), max_deg)
+        ctable = truncated_algebra_table(state, trunc)
+        yield catalog.from_associative(
+            ctable, [i for i, w in enumerate(ctable.words) if len(w) == 1])
+
+
+def test_peirce_verdict_matches_the_identity_on_catalog_tables():
+    # the pool builders at two seeds, the golden CLI natives (some not
+    # Bernstein), the hand-built tables and the pipeline algebras, with
+    # twins at two seeds of all but the pipelines
+    natives = [build() for seed in (41, 42)
+               for build in pool_builders(random.Random(seed))]
+    natives += [_native(build, redirect) for build, redirect, _ in TWINS]
+    natives += [nuclear_table(), mixed_table(), non_bernstein_table()]
+    tables = list(natives)
+    for seed in (1, 2):
+        tables += [_twin(native, seed + k)[0]
+                   for k, native in enumerate(natives) if native.dim > 1]
+    tables += _pipeline_algebras()
+    seen = set()
+    for table in tables:
+        want = _identity_holds(table)
+        peirce = _peirce_verdict(table)   # None: no Peirce decomposition
+        assert peirce is want or peirce is None and not want, table.name
+        assert bool(is_bernstein(table)) is want, table.name
+        seen.add(peirce)
+    assert seen == {True, False, None}
+
+
+_COEFFS = (-2, -1, 1, 2)
+
+
+def _framed(rng, broken=False):
+    """A random table on the Peirce frame (``catalog._frame``), U and V
+    of dimension 1 to 3.  Each product of two basis vectors of N is,
+    with probability 1/2, a combination with coefficients in {-2, -1, 1,
+    2} of basis vectors of the kind the linear Peirce conditions allow:
+    V for U x U, U for the rest.  ``broken`` then adds a basis vector of
+    the other kind to one product, which breaks one linear condition."""
+    us = [f"u{i + 1}" for i in range(rng.randint(1, 3))]
+    vs = [f"v{i + 1}" for i in range(rng.randint(1, 3))]
+    nil = us + vs
+    pairs = [(x, y) for a, x in enumerate(nil) for y in nil[a:]]
+    products = {}
+    for x, y in pairs:
+        if rng.random() < 0.5:
+            targets = vs if x in us and y in us else us
+            products[(x, y)] = {t: rng.choice(_COEFFS) for t in rng.sample(
+                targets, rng.randint(1, len(targets)))}
+    if broken:
+        x, y = rng.choice(pairs)
+        wrong = us if x in us and y in us else vs
+        products[(x, y)] = {**products.get((x, y), {}),
+                            rng.choice(wrong): rng.choice(_COEFFS)}
+    return catalog._frame(nil, us, products)
+
+
+def _failing_conditions(table):
+    """Which of the five symbolic Peirce conditions fail, by name."""
+    kinds = structure._is_adapted(table)
+    a, b = (generic_element(table, p, [x for x, k in zip(table.basis(), kinds)
+                                       if k == p]) for p in "uv")
+    a2, ab = a * a, a * b
+    values = {"a a2": a * a2, "a(ab)": a * ab, "a b2": a * (b * b),
+              "(a2)2": a2 * a2, "(ab)2": ab * ab}
+    return {name for name, value in values.items() if value}
+
+
+def _only_ab_squared_fails():
+    """u1 v1 = u2, u2 v1 = u1, u1 u1 = -v2 and u2 u2 = v2: for u = s u1 + t u2
+    and v = p v1 + q v2, u^2 = (t^2 - s^2) v2 is killed by U, so every
+    condition holds but (uv)^2 = p^2 (s^2 - t^2) v2."""
+    return catalog._frame(
+        ["u1", "u2", "v1", "v2"], ["u1", "u2"],
+        {("u1", "v1"): {"u2": 1}, ("u2", "v1"): {"u1": 1},
+         ("u1", "u1"): {"v2": -1}, ("u2", "u2"): {"v2": 1}})
+
+
+# Seeds of ``_framed`` at which the condition named is the only one of
+# the five to fail; (ab)^2 never fails alone there (``_only_ab_squared_fails``).
+_ALONE = {"a a2": (210, 596), "a(ab)": (1089, 1670), "a b2": (49, 296),
+          "(a2)2": (853, 1173)}
+
+
+def test_peirce_verdict_matches_the_identity_on_framed_tables():
+    tables = [_framed(random.Random(seed), broken=seed % 4 == 0)
+              for seed in range(600)]
+    for name, seeds in _ALONE.items():
+        for seed in seeds:
+            table = _framed(random.Random(seed))
+            assert _failing_conditions(table) == {name}, seed
+            tables.append(table)
+    table = _only_ab_squared_fails()
+    assert _failing_conditions(table) == {"(ab)2"}
+    tables.append(table)
+    verdicts = {}
+    for table in tables:
+        want = _identity_holds(table)
+        assert structure._peirce_holds(
+            table, structure._is_adapted(table)) is want
+        assert bool(is_bernstein(table)) is want
+        verdicts[want] = verdicts.get(want, 0) + 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_find_idempotent():
