@@ -92,13 +92,14 @@ def _pipeline_algebras():
 
 
 def test_peirce_verdict_matches_the_identity_on_catalog_tables():
-    # the pool builders at two seeds, the golden CLI natives (some not
-    # Bernstein), the hand-built tables and the pipeline algebras, with
-    # twins at two seeds of all but the pipelines
+    # the pool builders at two seeds (nuclear_table and mixed_table among
+    # them), the golden CLI natives (some not Bernstein), a table with no
+    # Peirce decomposition and the pipeline algebras, with twins at two
+    # seeds of all but the pipelines
     natives = [build() for seed in (41, 42)
                for build in pool_builders(random.Random(seed))]
     natives += [_native(build, redirect) for build, redirect, _ in TWINS]
-    natives += [nuclear_table(), mixed_table(), non_bernstein_table()]
+    natives.append(non_bernstein_table())
     tables = list(natives)
     for seed in (1, 2):
         tables += [_twin(native, seed + k)[0]
@@ -164,7 +165,8 @@ def _only_ab_squared_fails():
 
 
 # Seeds of ``_framed`` at which the condition named is the only one of
-# the five to fail; (ab)^2 never fails alone there (``_only_ab_squared_fails``).
+# the five to fail; (ab)^2 never fails alone there, so it has its own
+# table (``_only_ab_squared_fails``).
 _ALONE = {"a a2": (210, 596), "a(ab)": (1089, 1670), "a b2": (49, 296),
           "(a2)2": (853, 1173)}
 
