@@ -8,9 +8,9 @@ of left multiplication by e.  ``peirce`` reads U and V off the
 linear relations among the images e n of a basis of N.  The checks run
 on ``adapted_table``, the table rebuilt on the adapted basis e, U, V by
 ``change_basis``, where U and V are basis vectors and their products
-are structure constants.  ``is_bernstein`` decides an adapted table by
-the Peirce conditions, three read off its rows and, unless U^2 = 0, five
-small products of generic elements (``_peirce_holds``).
+are structure constants.  ``is_bernstein`` decides an adapted table
+from its rows by the Peirce conditions when U^2 = 0 or a linear one
+fails (``_peirce_holds``), and by the expanded identity otherwise.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ def is_bernstein(table):
     """Whether (x^2)^2 = w(x)^2 x^2 holds; cached on the table, the
     witness as integer (num, den) pairs to make no reference cycle.
 
-    An adapted basis is decided by ``_peirce_holds``, any other on
-    ``adapted_table(table)`` if any; a failure is redone on the input
-    basis for a witness, at integer points first if it is not adapted."""
+    An adapted basis is decided by ``_peirce_holds`` when its rows settle
+    it, any other on ``adapted_table(table)`` if any.  The expanded
+    identity decides the rest and gives the witness of a failure, on the
+    input basis, at integer points first if it is not adapted; it must
+    agree with a verdict already made."""
     if not table.has_weight:
         raise AlgebraError("Bernstein check needs a weighted algebra")
     cached = table._cache.get("bernstein")
@@ -42,15 +44,16 @@ def is_bernstein(table):
             None if value is None else _new(table, dict(value[0]), value[1]))
     adapted = adapted_table(table)
     kinds = adapted is None and _is_adapted(table)
-    if (_peirce_holds(table, kinds) if kinds
-            else adapted is not None and is_bernstein(adapted)):
+    verdict = (_peirce_holds(table, kinds) if kinds
+               else adapted is not None and bool(is_bernstein(adapted)))
+    if verdict:
         result = IdentityCheck(True)
     else:
         result = (None if kinds
                   else symbolic._refute_on_line(table, _bernstein_identity))
         if result is None:
             result = check_identity(table, _bernstein_identity)
-        if result:
+        if result and verdict is False:
             raise InternalCheckError("Bernstein check: " + (
                 "Peirce conditions disagree on an adapted basis" if kinds
                 else "input and adapted bases disagree" if adapted is not None
@@ -65,28 +68,20 @@ def is_bernstein(table):
 
 def _peirce_holds(table, kinds):
     """Whether an adapted table, ``kinds`` from ``_is_adapted``, is
-    Bernstein (Holgate 1975; Lyubich 1992).  For x = ae + u + v and
-    n = u + v, n^2 has weight 0 and (x^2)^2 - a^2 x^2 is
-    a^2 (u^2 - (n^2)_V) + 2a (u u^2 + 2u(uv) + u v^2) + (n^2)^2, with
-    (n^2)^2 = (u^2)^2 + 4u^2(uv) + 2u^2 v^2 + 4(uv)^2 + 4(uv)v^2 + (v^2)^2.
-    Each part of each degree in a, u and v vanishes: the a^2 part is U^2
-    in V, UV in U and V^2 in U, read off the rows; then every term is 0,
-    as (uv)^2 is in V and u^2 v^2 in U.  Of these, (v^2)^2 is (u^2)^2 at
-    u = v^2, (uv)v^2 is u v^2 at u = uv, and w u^2 + 2u(uw) = 0 (u u^2 = 0
-    linearised) gives u^2(uv) = 0 at w = uv, u^2 v^2 = 0 at w = v^2.  The
-    five left have a factor in U^2, so U^2 = 0 proves the identity."""
+    Bernstein, or None when its rows do not settle it (Holgate 1975;
+    Lyubich 1992).  For x = ae + n, n = u + v, n^2 has weight 0 and
+    (x^2)^2 - a^2 x^2 = a^2 (u^2 - (n^2)_V) + 2a u n^2 + (n^2)^2.  The a^2
+    part vanishes iff U^2 is in V, UV in U and V^2 in U, read off the
+    rows.  Then n^2 = u^2 + m with m = 2uv + v^2 in U, so every term of
+    u n^2 and (n^2)^2 = (u^2)^2 + 2u^2 m + m^2 has a factor in U^2, and
+    U^2 = 0 proves the identity."""
     rows, _ = table._integer_rows()
     found = {(kinds[i] + kinds[j], kinds[k]) for i, row in enumerate(rows)
              for j, vec in row.items() if "e" not in kinds[i] + kinds[j]
              for k, _ in vec}
     if not found <= {("uu", "v"), ("uv", "u"), ("vu", "u"), ("vv", "u")}:
         return False
-    if ("uu", "v") not in found:
-        return True
-    a, b = (generic_element(table, p, [x for x, k in zip(table.basis(), kinds)
-                                       if k == p]) for p in "uv")
-    a2, ab = a * a, a * b
-    return not (a * a2 or a * ab or a * (b * b) or a2 * a2 or ab * ab)
+    return True if ("uu", "v") not in found else None
 
 
 def _bernstein_identity(x):
