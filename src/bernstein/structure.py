@@ -31,7 +31,7 @@ def is_bernstein(table):
     An adapted basis is decided by ``_peirce_holds`` when its rows settle
     it, any other on ``adapted_table(table)`` if any.  The expanded
     identity decides the rest and gives the witness of a failure, on the
-    input basis, at integer points first if it is not adapted; it must
+    input basis, at one basis vector first if it is not adapted; it must
     agree with a verdict already made."""
     if not table.has_weight:
         raise AlgebraError("Bernstein check needs a weighted algebra")
@@ -49,6 +49,10 @@ def is_bernstein(table):
     if verdict:
         result = IdentityCheck(True)
     else:
+        # An adapted basis skips the probe: with e first, x = ae + n for n
+        # in the ideal N, and the e-coordinate of (x^2)^2 and of
+        # w(x)^2 x^2 is a^4 alike, so coordinate 0 of the defect vanishes
+        # identically and the probe cannot refute.
         result = (None if kinds
                   else symbolic._refute_on_line(table, _bernstein_identity))
         if result is None:

@@ -7,23 +7,23 @@ algebra iff every coordinate of the symbolically expanded difference
 is the zero polynomial; that is an exact statement over the rationals,
 not a sampling argument.  On failure a concrete counterexample is
 produced by substituting small integers.  ``structure.is_bernstein``
-looks for it at fixed integer points first (``_refute_on_line``), with
-the symbolic route as the fallback, as in ``_vanishing``.
+looks for it at one basis vector first (``_refute_on_line``), with the
+symbolic route as the fallback, as in ``_vanishing``.  The one fixed
+integer point, ``_point``, gives the point-first routes their concrete
+arguments and ``generic_degree`` its lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import islice
 from math import lcm
 
 from . import linalg
 from .core import (AlgebraError, Element, InternalCheckError, _combination,
                    _new, _power_chain, _triples, principal_powers)
 from .multipoly import MultiPoly, _merge_keys
-
-import random
 
 ZERO = Fraction(0)
 
@@ -52,8 +52,13 @@ def generic_element(table, prefix="t", restrict_to=None):
 
 
 def _point(table, vectors):
-    """The sum of c_i b_i over ``vectors``, c cycling 1, -2, 3, -1, 2, -3."""
-    return _combination(table, cycle((1, -2, 3, -1, 2, -3)), vectors)
+    """The sum of c_i b_i over ``vectors`` with c_i = (-1)^i (i+1)^2, no
+    two alike even up to sign.  A periodic choice is a weaker point: with
+    c cycling 1, -2, 3, -1, 2, -3 the powers span 4 dimensions, not 5, on
+    native free_single(5) with u1 u2 = u3, and ``generic_degree`` would
+    need the symbolic rank there."""
+    return _combination(table, [(-1) ** i * (i + 1) ** 2
+                                for i in range(len(vectors))], vectors)
 
 
 def _vanishing(chain, generic, point=None):
@@ -111,26 +116,22 @@ def _witness_assignment(poly, all_names):
     return assignment
 
 
-_LINE = (0, 1, -1, 2, -2, 3, -3, 4)   # t in the witness search's order
-
-
 def _refute_on_line(table, expr):
-    """``check_identity(table, expr)``'s refutation of a one-element
-    identity, found at t*b with no expansion, or None; b is the basis
-    vector of the last of x1, x2, ... in sorted name order.  When the first
-    nonzero value has a nonzero coordinate 0, the polynomial the witness
-    search reads vanishes at the earlier points, all on this line, so
-    ``_witness_assignment`` sets the other variables to 0 and picks t."""
+    """``check_identity(table, expr)``'s refutation of an identity in one
+    element, homogeneous of positive degree like the Bernstein one, found
+    at b with no expansion, or None; b is the basis vector of the last of
+    x1, x2, ... in sorted name order.  On the line t*b the value is t^d
+    times the value at b, so it is 0 at t = 0.  When coordinate 0 of the
+    value at b is nonzero, the polynomial the witness search reads is
+    nonzero on the line, so ``_witness_assignment`` fixes the other
+    variables at 0, rejects t = 0 and picks t = 1."""
     names = sorted(f"x{i + 1}" for i in range(table.dim))
     b = table.basis_element(int(names[-1][1:]) - 1)
-    for t in _LINE:
-        if value := expr(b.scale(t)):
-            if 0 not in value.num:
-                return None
-            return IdentityCheck(False, {**dict.fromkeys(names, ZERO),
-                                         names[-1]: Fraction(t)},
-                                 [b.scale(t)], value)
-    return None
+    value = expr(b)
+    if 0 not in value.num:
+        return None
+    return IdentityCheck(False, {**dict.fromkeys(names, ZERO),
+                                 names[-1]: Fraction(1)}, [b], value)
 
 
 def check_identity(table, expr, arity=1, restrict=None,
@@ -194,25 +195,12 @@ def symbolic_rank(rows):
     return rank
 
 
-def _point_degree(table):
-    """Dimension of the span of the principal powers of one fixed
-    integer point, the one ``random.Random(0)`` draws: a lower bound on
-    the generic degree."""
-    rng = random.Random(0)
-    x = table.element([Fraction(rng.randint(-50, 50))
-                       for _ in range(table.dim)])
-    space = linalg.Subspace()
-    for power in _power_chain(x):
-        if not space.add(power) or space.rank == table.dim:
-            return space.rank
-
-
 def generic_degree(table):
     """Largest dimension of the subalgebra generated by one element.
 
     Runs on ``adapted_table(table) or table``; the degree does not
-    depend on the basis.  The principal powers of one fixed rational
-    point span a lower bound, and the dimension is an upper bound, so
+    depend on the basis.  The principal powers of ``_point`` on the
+    basis span a lower bound, and the dimension is an upper bound, so
     when the point reaches the dimension that is the answer.  Otherwise
     the degree is the exact symbolic rank of the matrix of principal
     powers of a fully generic element, which the point's rank must not
@@ -221,7 +209,11 @@ def generic_degree(table):
     # structure imports this module, so this import waits for the call.
     from .structure import adapted_table
     table = adapted_table(table) or table
-    lower = _point_degree(table)
+    space = linalg.Subspace()
+    for power in _power_chain(_point(table, table.basis())):
+        if not space.add(power) or space.rank == table.dim:
+            break
+    lower = space.rank
     if lower == table.dim:
         return lower
     x = generic_element(table, "t")

@@ -1,9 +1,8 @@
 """Source hygiene: no module of the package imports a name it never
 uses, none uses floating point (no float or complex literal and no use
-of the names ``float`` and ``complex``), only ``symbolic`` imports
-``random``, only to draw the one fixed point of ``generic_degree``
-(``random.Random(0)``), and every public function has a caller in the
-package or is exported."""
+of the names ``float`` and ``complex``), none imports ``random``, so no
+verdict can depend on a random draw, and every public function has a
+caller in the package or is exported."""
 
 import ast
 from pathlib import Path
@@ -70,12 +69,11 @@ def _imports_random(path):
     return False
 
 
-def test_only_symbolic_imports_random():
+def test_no_module_imports_random():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    found = [path.name for path in modules
-             if path.name != "symbolic.py" and _imports_random(path)]
-    assert not found, "random imported outside symbolic.py: " + ", ".join(found)
+    found = [path.name for path in modules if _imports_random(path)]
+    assert not found, "random imported in: " + ", ".join(found)
 
 
 # Documented entry points that the package itself never calls.

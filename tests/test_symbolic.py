@@ -133,6 +133,9 @@ def test_line_refutation_is_the_witness_search_refutation():
     tables = []
     for build, redirect, seed in TWINS:
         native = _native(build, redirect)
+        # e comes first on a native basis, and the e-coordinate of the
+        # defect vanishes identically there, so the probe never refutes
+        assert _refute_on_line(native, _bernstein_identity) is None
         tables += [native, _twin(native, seed)[0], _twin(native, seed + 1)[0]]
     big, _ = _twin(_native(lambda: catalog.shift_up_truncated(8),
                            ("u1", "u1", "u2")), 1)
@@ -334,6 +337,13 @@ def test_generic_degree_returns_full_point_rank_without_symbolic_work(
     assert time.perf_counter() - start < 1
     assert not calls
     assert generic_degree(catalog.constant_algebra()) == 2
+    assert not calls
+    # The powers of a point with coefficients cycling 1, -2, 3, -1, 2, -3
+    # span only 4 of 5 dimensions here, so the symbolic rank would run.
+    from test_cli_golden import _native
+    native = _native(lambda: catalog.free_single_truncated(5),
+                     ("u1", "u2", "u3"))
+    assert generic_degree(native) == 5
     assert not calls
     # Below the dimension the symbolic rank still decides.
     assert generic_degree(catalog.elementary_algebra(1)) == 1
