@@ -4,15 +4,15 @@ algebras over the rationals."""
 from . import catalog, fileformat, groebner, linalg
 from .core import (AlgebraError, AlgebraTable, Element, InternalCheckError,
                    left_mult_operator, poly_eval, principal_powers)
-from .elements import (ElementAnalysis, analyze_element,
+from .elements import (ElementAnalysis, analyze_element, generic_degree,
                        minimal_poly_form_check, singly_generated_subalgebra,
                        train_element_rank, train_f, train_polynomial)
 from .multipoly import MultiPoly
 from .structure import (PeirceDecomposition, StructureReport, classify,
                         find_idempotent, idempotent_family, is_bernstein,
                         lyubich_ideal, peirce, zero_v_squared)
-from .symbolic import (IdentityCheck, check_identity, generic_degree,
-                       generic_element, symbolic_rank)
+from .symbolic import (IdentityCheck, check_identity, generic_element,
+                       symbolic_rank)
 from .train import (EngelYagzhevReport, PowerChainReport, TrainReport,
                     check_lx_power_splitting, engel_check,
                     engel_yagzhev_report, full_trees, generic_nil_index,

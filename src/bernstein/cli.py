@@ -23,7 +23,6 @@ from . import catalog, elements, fileformat, groebner, structure
 from . import train as train_mod
 from .core import (AlgebraError, InternalCheckError, format_scalar,
                    parse_scalar, read_scalar)
-from .symbolic import generic_degree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +84,7 @@ def cmd_check(args):
             (f"annihilator ideal dimension: {len(report.lyubich_basis)}",
              "annihilator_dim", len(report.lyubich_basis))]
     if args.generic_degree:
-        gdeg = generic_degree(table)
+        gdeg = elements.generic_degree(table)
         entries.append((f"generic element degree: {gdeg}", "generic_degree",
                         gdeg))
     return entries

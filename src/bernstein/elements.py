@@ -1,6 +1,7 @@
 """Per-element analysis: algebraic degree, minimal polynomial, the
-canonical table of a singly generated subalgebra (a form written once,
-in the ``catalog`` models it is checked against), and train elements.
+generic degree (the largest degree of one element), the canonical table
+of a singly generated subalgebra (a form written once, in the
+``catalog`` models it is checked against), and train elements.
 
 Minimal polynomials here are monic with zero constant term, normalised
 so that the element satisfies p(a) = 0 with principal (right) powers.
@@ -14,11 +15,11 @@ from fractions import Fraction
 from itertools import islice
 from math import comb
 
-from . import linalg
+from . import catalog, linalg, symbolic
 from .core import (AlgebraError, Element, InternalCheckError, _power_chain,
-                   as_scalar, ZERO, ONE, HALF)
+                   as_scalar, principal_powers, ZERO, ONE, HALF)
 from .multipoly import MultiPoly
-from .structure import is_bernstein
+from .structure import adapted_table, is_bernstein
 
 
 @dataclass
@@ -96,6 +97,33 @@ def analyze_element(a):
             "minimal polynomial of a degree >= 2 element has a linear term")
     nil_index = m + 1 if not any(coords) else None
     return ElementAnalysis(a, m, poly, powers, nil_index)
+
+
+def generic_degree(table):
+    """Largest dimension of the subalgebra generated by one element.
+
+    Runs on ``adapted_table(table) or table``; the degree does not
+    depend on the basis.  The principal powers of ``symbolic._point`` on
+    the basis span a lower bound, and the dimension is an upper bound,
+    so when the point reaches the dimension that is the answer.
+    Otherwise the degree is the exact symbolic rank of the matrix of
+    principal powers of a fully generic element, which the point's rank
+    must not exceed.
+    """
+    table = adapted_table(table) or table
+    space = linalg.Subspace()
+    for power in _power_chain(symbolic._point(table, table.basis())):
+        if not space.add(power) or space.rank == table.dim:
+            break
+    lower = space.rank
+    if lower == table.dim:
+        return lower
+    x = symbolic.generic_element(table, "t")
+    rank = symbolic.symbolic_rank([list(p.coords)
+                                   for p in principal_powers(x, table.dim + 1)])
+    if lower > rank:
+        raise InternalCheckError("point rank exceeds symbolic rank")
+    return rank
 
 
 def minimal_poly_form_check(analysis):
@@ -183,8 +211,6 @@ def singly_generated_subalgebra(a):
     Returns (table, embedding) where embedding lists the canonical
     basis as elements of the ambient algebra, in label order.
     """
-    from . import catalog   # catalog imports this module
-
     table = a.algebra
     if not table.has_weight:
         raise AlgebraError("singly generated analysis needs a weight")

@@ -10,7 +10,7 @@ produced by substituting small integers.  ``structure.is_bernstein``
 looks for it at one basis vector first (``_refute_on_line``), with the
 symbolic route as the fallback, as in ``_vanishing``.  The one fixed
 integer point, ``_point``, gives the point-first routes their concrete
-arguments and ``generic_degree`` its lower bound.
+arguments and ``elements.generic_degree`` its lower bound.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from . import linalg
 from .core import (AlgebraError, Element, InternalCheckError, _combination,
-                   _new, _power_chain, _triples, principal_powers)
+                   _new, _triples)
 from .multipoly import MultiPoly, _merge_keys
 
 ZERO = Fraction(0)
@@ -55,8 +54,8 @@ def _point(table, vectors):
     """The sum of c_i b_i over ``vectors`` with c_i = (-1)^i (i+1)^2, no
     two alike even up to sign.  A periodic choice is a weaker point: with
     c cycling 1, -2, 3, -1, 2, -3 the powers span 4 dimensions, not 5, on
-    native free_single(5) with u1 u2 = u3, and ``generic_degree`` would
-    need the symbolic rank there."""
+    native free_single(5) with u1 u2 = u3, and
+    ``elements.generic_degree`` would need the symbolic rank there."""
     return _combination(table, [(-1) ** i * (i + 1) ** 2
                                 for i in range(len(vectors))], vectors)
 
@@ -192,33 +191,4 @@ def symbolic_rank(rows):
         rows = [[_exact(pivot * a - row[0] * b, prev)
                  for a, b in zip(row[1:], top)] for row in rows]
         rank, prev = rank + 1, pivot
-    return rank
-
-
-def generic_degree(table):
-    """Largest dimension of the subalgebra generated by one element.
-
-    Runs on ``adapted_table(table) or table``; the degree does not
-    depend on the basis.  The principal powers of ``_point`` on the
-    basis span a lower bound, and the dimension is an upper bound, so
-    when the point reaches the dimension that is the answer.  Otherwise
-    the degree is the exact symbolic rank of the matrix of principal
-    powers of a fully generic element, which the point's rank must not
-    exceed.
-    """
-    # structure imports this module, so this import waits for the call.
-    from .structure import adapted_table
-    table = adapted_table(table) or table
-    space = linalg.Subspace()
-    for power in _power_chain(_point(table, table.basis())):
-        if not space.add(power) or space.rank == table.dim:
-            break
-    lower = space.rank
-    if lower == table.dim:
-        return lower
-    x = generic_element(table, "t")
-    rank = symbolic_rank([list(p.coords)
-                          for p in principal_powers(x, table.dim + 1)])
-    if lower > rank:
-        raise InternalCheckError("point rank exceeds symbolic rank")
     return rank

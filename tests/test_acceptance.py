@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import bernstein.cli as cli
 from bernstein.core import HALF
-from bernstein.elements import (analyze_element, minimal_poly_form_check,
+from bernstein.elements import (analyze_element, generic_degree,
+                                minimal_poly_form_check,
                                 singly_generated_subalgebra, train_polynomial)
 from bernstein.groebner import buchberger_truncated, is_normal_word
 from bernstein.linalg import Subspace
 from bernstein.multipoly import MultiPoly
 from bernstein.structure import classify, idempotent_family, lyubich_ideal, peirce
-from bernstein.symbolic import generic_degree, generic_element
+from bernstein.symbolic import generic_element
 from bernstein.train import (check_lx_power_splitting, engel_yagzhev_report,
                              full_trees, ideal_power_chain, train_analysis,
                              tree_power_sum)

@@ -43,8 +43,11 @@ def test_three_dim_alpha_products():
     v1 = table.element_from({"v1": 1})
     assert (table.element_from({"u1": 1}) * v1).is_zero()
     assert v1 * v1 == table.element_from({"u1": -2})
-    gen = table.element_from({"e": 1, "u1": 2, "v1": 1})
-    assert analyze_element(gen).degree == 3
+    # e + 2u1 + v1 generates the table at every alpha (k = 3 gives 1).
+    for alpha in [F(3, 2), *(F(k, 3) for k in range(-10, 11))]:
+        table = catalog.three_dim_alpha(alpha)
+        gen = table.element_from({"e": 1, "u1": 2, "v1": 1})
+        assert analyze_element(gen).degree == table.dim == 3
 
 
 def test_shift_tables():
@@ -80,6 +83,15 @@ def test_free_single_structure():
         catalog.free_single_truncated(3)
     with pytest.raises(AlgebraError):
         catalog.free_single_truncated(5, (F(1),))
+    # e + 2u1 + v1 generates the model, whatever the betas.
+    rng = random.Random(33)
+    for n in range(4, 26):
+        seeded = [F(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n - 2)]
+        for betas in (seeded, None):
+            table = catalog.free_single_truncated(n, betas)
+            gen = table.element_from({"e": 1, "u1": 2, "v1": 1})
+            assert analyze_element(gen).degree == table.dim == n
 
 
 def test_adjoin_idempotent_zero_mult():

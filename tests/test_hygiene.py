@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never
 uses, none uses floating point (no float or complex literal and no use
 of the names ``float`` and ``complex``), none imports ``random``, so no
-verdict can depend on a random draw, and every public function has a
-caller in the package or is exported."""
+verdict can depend on a random draw, none imports inside a function,
+so the import graph is the module-level one and has no cycle to defer,
+and every public function has a caller in the package or is exported."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,22 @@ def test_no_module_imports_random():
     assert modules
     found = [path.name for path in modules if _imports_random(path)]
     assert not found, "random imported in: " + ", ".join(found)
+
+
+def _function_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_module_imports_inside_a_function():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{line}"
+             for path in modules for line in _function_imports(path)]
+    assert not found, "imports inside a function:\n" + "\n".join(found)
 
 
 # Documented entry points that the package itself never calls.

@@ -9,9 +9,9 @@ from bernstein.core import (AlgebraError, AlgebraTable, InternalCheckError,
                             _new)
 from bernstein.multipoly import MultiPoly
 from bernstein.structure import _bernstein_identity
+from bernstein.elements import generic_degree
 from bernstein.symbolic import (_refute_on_line, check_identity,
-                                generic_element, generic_degree,
-                                symbolic_rank)
+                                generic_element, symbolic_rank)
 from bernstein import catalog
 
 from conftest import (bernstein_pool, nuclear_table, non_bernstein_table,
