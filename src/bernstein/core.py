@@ -548,12 +548,7 @@ class Element:
     def scale(self, c):
         """Multiply by a rational or a MultiPoly scalar."""
         if isinstance(c, MultiPoly):
-            if self.den is None:
-                num = {k: a * c for k, a in self.num.items()}
-            else:
-                terms, d = c.terms, c.den * self.den
-                num = {k: MultiPoly({m: t * n for m, t in terms.items()}, d)
-                       for k, n in self.num.items()}
+            num = {k: a * c for k, a in _as_polys(self).items()}
             return _new(self.algebra, {k: a for k, a in num.items() if a},
                         None)
         c = as_scalar(c)

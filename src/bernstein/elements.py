@@ -105,20 +105,26 @@ def generic_degree(table):
     Runs on ``adapted_table(table) or table``; the degree does not
     depend on the basis.  The principal powers of ``symbolic._point`` on
     the basis span a lower bound, and the dimension is an upper bound,
-    so when the point reaches the dimension that is the answer.
-    Otherwise the degree is the exact symbolic rank of the matrix of
-    principal powers of a fully generic element, which the point's rank
-    must not exceed.
+    so when the point reaches the dimension that is the answer.  So is
+    the lower bound on a weighted table where f_(lower+1) vanishes
+    identically (``symbolic._vanishing``): f_m is monic in X^m with no
+    constant term, so f_m = 0 puts each principal power in span(x..x^(m-1)).
+    Otherwise the degree is the exact symbolic rank of the principal
+    powers of a generic element, which the point's rank must not exceed.
     """
     table = adapted_table(table) or table
+    point = symbolic._point(table, table.basis())
     space = linalg.Subspace()
-    for power in _power_chain(symbolic._point(table, table.basis())):
+    for power in _power_chain(point):
         if not space.add(power) or space.rank == table.dim:
             break
     lower = space.rank
     if lower == table.dim:
         return lower
     x = symbolic.generic_element(table, "t")
+    if table.has_weight and next(symbolic._vanishing(
+            lambda a: islice(_train_forms(a), lower - 1, None), [x], [point])):
+        return lower
     rank = symbolic.symbolic_rank([list(p.coords)
                                    for p in principal_powers(x, table.dim + 1)])
     if lower > rank:

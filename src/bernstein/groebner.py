@@ -166,13 +166,28 @@ class Presentation:
         object.__setattr__(self, "relations", rels)
 
 
-def _first_occurrence(word, leads):
-    """Leftmost position where some leading word occurs as a factor;
-    ties broken by basis order."""
+def _lead_index(basis):
+    """The leading words of ``basis`` by length, each mapped to (its
+    first basis position, itself); built once per basis."""
+    index = {}
+    for li, g in enumerate(basis):
+        lead = g.leading_word()
+        index.setdefault(len(lead), {}).setdefault(lead, (li, lead))
+    return index
+
+
+def _first_occurrence(word, index):
+    """(pos, li, lead) for the leftmost position where a leading word of
+    the ``_lead_index`` occurs as a factor; ties broken by basis order.
+    One dict lookup per position and length."""
     for pos in range(len(word)):
-        for li, lead in enumerate(leads):
-            if word[pos:pos + len(lead)] == lead:
-                return pos, li
+        hit = None
+        for n, by_word in index.items():
+            found = by_word.get(word[pos:pos + n])
+            if found and (hit is None or found < hit):
+                hit = found
+        if hit:
+            return (pos, *hit)
     return None
 
 
@@ -181,11 +196,11 @@ def reduce(poly, basis):
     deglex-largest reducible word first, at its leftmost occurrence."""
     if isinstance(basis, GroebnerState):
         basis = basis.basis
-    return _reduce(poly, basis, [g.leading_word() for g in basis])
+    return _reduce(poly, basis, _lead_index(basis))
 
 
-def _reduce(poly, basis, leads):
-    """``reduce`` with the basis's leading words given by the caller.
+def _reduce(poly, basis, index):
+    """``reduce`` with the basis's ``_lead_index`` given by the caller.
     One pass over a heap keyed (-len(word), word), deglex-largest on
     top: a rewrite makes only smaller words, so none is popped twice."""
     terms = dict(poly.terms)
@@ -197,12 +212,11 @@ def _reduce(poly, basis, leads):
         coeff = terms.pop(word)
         if not coeff:
             continue
-        hit = _first_occurrence(word, leads)
+        hit = _first_occurrence(word, index)
         if hit is None:
             normal[word] = coeff
             continue
-        pos, li = hit
-        lead = leads[li]
+        pos, li, lead = hit
         for tail_word, tail_coeff in basis[li].terms.items():
             if tail_word != lead:
                 new_word = word[:pos] + tail_word + word[pos + len(lead):]
@@ -235,8 +249,8 @@ class GroebnerState:
 def _insert(basis, poly):
     """Add a monic polynomial, evicting and re-reducing any basis
     element whose leading word it divides."""
-    lead = poly.leading_word()
-    hits = [_first_occurrence(g.leading_word(), [lead]) for g in basis]
+    index = _lead_index([poly])
+    hits = [_first_occurrence(g.leading_word(), index) for g in basis]
     evicted = [g for g, hit in zip(basis, hits) if hit is not None]
     kept = [g for g, hit in zip(basis, hits) if hit is None] + [poly]
     for g in evicted:
@@ -288,6 +302,7 @@ def buchberger_truncated(presentation, max_degree):
         changed = False
         obstructions = []
         leads = [g.leading_word() for g in basis]
+        index = _lead_index(basis)
         for i, wi in enumerate(leads):
             for j, wj in enumerate(leads):
                 for k in range(1, min(len(wi), len(wj))):
@@ -304,7 +319,7 @@ def buchberger_truncated(presentation, max_degree):
                 continue
             processed.add(signature)
             spoly = gi * NcPoly.word(wj[k:]) - NcPoly.word(wi[:len(wi) - k]) * gj
-            h = _reduce(spoly, basis, leads)
+            h = _reduce(spoly, basis, index)
             if h:
                 _insert(basis, h.monic())
                 _interreduce(basis)
@@ -323,8 +338,7 @@ def is_normal_word(state, word):
         raise AlgebraError(
             "completeness bound insufficient for words of degree "
             f"{len(word)}")
-    leads = [g.leading_word() for g in state.basis]
-    return _first_occurrence(word, leads) is None
+    return _first_occurrence(word, _lead_index(state.basis)) is None
 
 
 def _normal_words_upto(state, bound):
@@ -386,8 +400,8 @@ def nil_span_check(state, span_gens, power):
             poly = poly * gens[idx]
         key = tuple(sorted(combo))
         grouped[key] = grouped.get(key, NcPoly.zero()) + poly
-    leads = [g.leading_word() for g in state.basis]
-    return all(not _reduce(p, state.basis, leads) for p in grouped.values())
+    index = _lead_index(state.basis)
+    return all(not _reduce(p, state.basis, index) for p in grouped.values())
 
 
 @dataclass(frozen=True)
@@ -530,7 +544,7 @@ def truncated_algebra_table(state, up_to):
     joiner = "" if all(len(g) == 1 for g in gens) else "_"
     labels = tuple(joiner.join(gens[g] for g in w) for w in words)
 
-    leads = [g.leading_word() for g in state.basis]
+    leads = _lead_index(state.basis)
     products = {}
     for i, wi in enumerate(words[:ends[up_to - 1]]):
         for g in range(ends[1]):

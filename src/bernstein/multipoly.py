@@ -1,13 +1,13 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are keyed by sorted tuples of (variable name, exponent) pairs.
+Terms are keyed by sorted tuples of (variable name, exponent) pairs;
+``_merge_keys`` multiplies two keys, a one-variable key by position.
 A polynomial is held as integer numerators over one positive common
-denominator ``den``: the coefficient of ``key`` is
-``Fraction(terms[key], den)``.  The form is canonical: zero numerators
-are never stored, ``gcd(den, *numerators) == 1``, and the zero
-polynomial (empty term dict) has ``den == 1``.  So two polynomials are
-equal exactly when their term dicts and denominators are, and the inner
-loops of arithmetic run on Python ints instead of Fractions (the
+denominator ``den``, the coefficient of ``key`` being
+``Fraction(terms[key], den)``, in canonical form: no zero numerator,
+``gcd(den, *numerators) == 1`` and ``den == 1`` for zero.  So equal
+polynomials have equal term dicts and denominators, and arithmetic, the
+symbolic product kernel ``_bilinear`` included, runs on Python ints (the
 one-denominator integer kernels of Monagan and Pearce, CASC 2007).
 Key tuples compared as tuples are not a monomial order; ``_graded`` is
 one.  Minimal and train polynomials are MultiPolys in the variable X.
@@ -15,6 +15,7 @@ one.  Minimal and train polynomials are MultiPolys in the variable X.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -23,12 +24,23 @@ ZERO = Fraction(0)
 
 
 def _merge_keys(k1, k2):
-    if not k1 or not k2:
-        return k1 or k2
-    exps = dict(k1)
-    for name, e in k2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    """The key of the product of monomials k1 and k2.  A one-variable key,
+    as in a generic element, goes into the other by position or adds to
+    the exponent of its name there; others merge through a dict."""
+    if len(k1) > len(k2):
+        k1, k2 = k2, k1
+    if len(k1) != 1:
+        if not k1:
+            return k2
+        exps = dict(k1)
+        for name, e in k2:
+            exps[name] = exps.get(name, 0) + e
+        return tuple(sorted(exps.items()))
+    (name, e), = k1
+    p = bisect_left(k2, (name,))
+    if p < len(k2) and k2[p][0] == name:
+        return k2[:p] + ((name, e + k2[p][1]),) + k2[p + 1:]
+    return k2[:p] + k1 + k2[p:]
 
 
 def _graded(names):
@@ -51,8 +63,10 @@ class MultiPoly:
     def __init__(self, terms=None, den=1):
         """``terms`` maps monomial keys to int numerators over the positive
         int ``den``; zero numerators are dropped and the pair is reduced
-        to lowest terms."""
-        terms = {k: c for k, c in terms.items() if c} if terms else {}
+        to lowest terms; a dict that needs neither is kept, not copied."""
+        terms = terms or {}
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
@@ -328,8 +342,10 @@ def _bilinear(rows, den, xs, ys=None):
     ``rows[i]`` maps j to the ((k, s_ijk * den), ...) of the nonzero
     structure constants s_ijk, all integers.  Computes
     out_k = sum_i x_i * (sum_j s_ijk y_j) on raw numerator dicts over
-    one common denominator and builds a MultiPoly only for the output
-    coordinates that are touched.
+    one common denominator, builds one MultiPoly per touched output
+    coordinate and merges each pair of x and y monomial keys once.  An
+    x_i of one monomial (generic or concrete) multiplies each s_ijk y_j
+    as it is read; any other x_i multiplies the completed inner sum.
     """
     square = ys is None
     ys = xs if square else ys
@@ -342,7 +358,25 @@ def _bilinear(rows, den, xs, ys=None):
           for j, terms, d in ys]
     merged, acc = {}, {}
     for n, (i, xterms, xden) in enumerate(xs):
-        row = rows[i]
+        row, f = rows[i], dx // xden
+        if len(xterms) == 1:
+            (m1, c1), = xterms.items()
+            c1 *= f
+            memo = merged.setdefault(m1, {})
+            for j, yterms in ys[n:] if square else ys:
+                pairs = row.get(j)
+                if pairs is None:
+                    continue
+                two = 2 * c1 if square and j != i else c1
+                for k, s in pairs:
+                    s *= two
+                    target = acc.setdefault(k, {})
+                    for m2, v in yterms.items():
+                        key = memo.get(m2)
+                        if key is None:
+                            key = memo[m2] = _merge_keys(m1, m2)
+                        target[key] = target.get(key, 0) + s * v
+            continue
         inner = {}
         for j, yterms in ys[n:] if square else ys:
             pairs = row.get(j)
@@ -351,23 +385,14 @@ def _bilinear(rows, den, xs, ys=None):
             two = 2 if square and j != i else 1
             for k, s in pairs:
                 s *= two
-                w = inner.get(k)
-                if w is None:
-                    w = inner[k] = {}
+                w = inner.setdefault(k, {})
                 for m, v in yterms.items():
                     w[m] = w.get(m, 0) + s * v
-        if not inner:
-            continue
-        f = dx // xden
         for m1, c1 in xterms.items():
             c1 *= f
-            memo = merged.get(m1)
-            if memo is None:
-                memo = merged[m1] = {}
+            memo = merged.setdefault(m1, {})
             for k, w in inner.items():
-                target = acc.get(k)
-                if target is None:
-                    target = acc[k] = {}
+                target = acc.setdefault(k, {})
                 for m2, v in w.items():
                     key = memo.get(m2)
                     if key is None:

@@ -13,9 +13,10 @@ import pytest
 from bernstein.core import AlgebraError
 from bernstein.groebner import (AssociativeTable, GroebnerState, NcPoly,
                                 Presentation, _first_occurrence, _insert,
-                                buchberger_truncated, hilbert_counts,
-                                is_normal_word, nil_span_check, normal_words,
-                                reduce, truncated_algebra_table, word_key)
+                                _lead_index, buchberger_truncated,
+                                hilbert_counts, is_normal_word,
+                                nil_span_check, normal_words, reduce,
+                                truncated_algebra_table, word_key)
 from bernstein import catalog, groebner, linalg
 
 X, Y = (0,), (1,)
@@ -314,6 +315,35 @@ def test_ncpoly_repr_renders_and_zero_hashes_like_zero():
     assert {p: "v"}.get(NcPoly(dict(reversed(p.terms.items())))) == "v"
 
 
+def test_first_occurrence_matches_the_scan_of_every_lead():
+    # The leftmost position first, then the earliest basis position over
+    # all lengths; a repeated leading word keeps its first position.
+    rng = random.Random(3403)
+
+    def scan(word, leads):
+        for pos in range(len(word)):
+            for li, lead in enumerate(leads):
+                if word[pos:pos + len(lead)] == lead:
+                    return pos, li, lead
+        return None
+
+    def rand_word(lo, hi):
+        return tuple(rng.randrange(2) for _ in range(rng.randint(lo, hi)))
+
+    hits = 0
+    for _ in range(300):
+        leads = [rand_word(1, 4) for _ in range(rng.randint(1, 6))]
+        index = _lead_index([NcPoly.word(w) for w in leads])
+        for _ in range(5):
+            word = rand_word(0, 8)
+            assert _first_occurrence(word, index) == scan(word, leads)
+            hits += scan(word, leads) is not None
+    assert hits > 500
+    index = _lead_index([NcPoly.word(w) for w in ((1, 1), (0, 1, 1),
+                                                  (0, 1, 1))])
+    assert _first_occurrence((0, 1, 1), index) == (0, 1, (0, 1, 1))
+
+
 def _rescan_reduce(poly, basis):
     """The normal form by rescanning: after each rewrite, sort the
     remaining words and rewrite the deglex-largest reducible one.  This
@@ -321,21 +351,20 @@ def _rescan_reduce(poly, basis):
     sequence, kept as the reference."""
     if isinstance(basis, GroebnerState):
         basis = basis.basis
-    leads = [g.leading_word() for g in basis]
+    index = _lead_index(basis)
     terms = dict(poly.terms)
     while True:
         target = None
         for word in sorted(terms, key=word_key, reverse=True):
-            hit = _first_occurrence(word, leads)
+            hit = _first_occurrence(word, index)
             if hit is not None:
                 target = (word, hit)
                 break
         if target is None:
             break
-        word, (pos, li) = target
+        word, (pos, li, lead) = target
         coeff = terms.pop(word)
         g = basis[li]
-        lead = leads[li]
         for tail_word, tail_coeff in g.terms.items():
             if tail_word == lead:
                 continue

@@ -9,8 +9,8 @@ import pytest
 from bernstein import catalog
 from bernstein.core import AlgebraError, _new, format_scalar
 from bernstein.groebner import NcPoly, word_key
-from bernstein.multipoly import (MultiPoly, _graded, _merge_keys, _signed_sum,
-                                 format_ratio)
+from bernstein.multipoly import (MultiPoly, _bilinear, _graded, _merge_keys,
+                                 _signed_sum, format_ratio)
 from bernstein.symbolic import generic_element
 
 from conftest import bernstein_pool, rand_scalar
@@ -416,3 +416,116 @@ def test_square_path_matches_the_general_product():
                 assert y is not z and y == z
                 assert z * z == z * y == y * z
         assert any((x * x).num for x in xs)
+
+
+def _rand_key(rng, names):
+    return tuple((n, rng.randint(1, 3))
+                 for n in sorted(rng.sample(names, rng.randint(0, 4))))
+
+
+def test_merge_keys_matches_the_dict_reference():
+    # One-variable keys are placed by position, on either side; keys with
+    # shared names add exponents; the empty key returns the other.
+    rng = random.Random(3401)
+    names = [f"t{i}" for i in range(1, 7)]
+    for _ in range(2000):
+        k1 = _rand_key(rng, names)
+        if rng.random() < 0.5:
+            k1 = k1[:1]
+        k2 = _rand_key(rng, names)
+        exps = dict(k1)
+        for n, e in k2:
+            exps[n] = exps.get(n, 0) + e
+        expected = tuple(sorted(exps.items()))
+        assert _merge_keys(k1, k2) == _merge_keys(k2, k1) == expected
+    t1, t2 = ("t1", 1), ("t2", 2)
+    assert _merge_keys((t1,), (t1, t2)) == (("t1", 2), t2)
+    assert _merge_keys((t2,), (t1, t2)) == (t1, ("t2", 4))
+    assert _merge_keys((), (t1,)) == _merge_keys((t1,), ()) == (t1,)
+    assert _merge_keys((), ()) == ()
+
+
+def _rand_rows(rng, dim, den):
+    """Symmetric rows in the form of ``AlgebraTable._integer_rows``: each
+    nonzero s_ijk * den an integer, over ``den``."""
+    rows = [{} for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.random() < 0.6:
+                ks = rng.sample(range(dim), min(dim, rng.randint(1, 2)))
+                rows[i][j] = rows[j][i] = tuple(
+                    (k, rng.choice((-3, -2, -1, 1, 2, 4))) for k in sorted(ks))
+    return rows
+
+
+def _rand_triples(rng, dim, rational, single):
+    """(index, terms, den) of a vector whose coordinates are one monomial
+    each when ``single``, with rational coefficients when ``rational``."""
+    out = []
+    for i in sorted(rng.sample(range(dim), rng.randint(1, dim))):
+        c = rand_nonzero(rng) if rational else rng.choice((-2, -1, 1, 3))
+        if single or rng.random() < 0.3:
+            p = MultiPoly.const(c)
+            for _ in range(rng.randint(0, 2)):
+                p = p * MultiPoly.var(f"t{rng.randint(1, 3)}")
+        else:
+            p = rand_poly(rng) + MultiPoly.var("t1") * c
+            if not rational:
+                p = p * p.den
+        if p:
+            out.append((i, p.terms, p.den))
+    return out
+
+
+def _ref_bilinear(rows, den, xs, ys):
+    """sum over every ordered pair i, j of x_i y_j s_ijk, in Fractions."""
+    out = {}
+    for i, xterms, xden in xs:
+        for j, yterms, yden in ys:
+            prod = _ref_mul({m: F(c, xden) for m, c in xterms.items()},
+                            {m: F(c, yden) for m, c in yterms.items()})
+            for k, s in rows[i].get(j, ()):
+                out[k] = _ref_add(out.get(k, {}),
+                                  {m: c * F(s, den) for m, c in prod.items()})
+    return {k: v for k, v in out.items() if v}
+
+
+def _check_bilinear(rows, den, xs, ys=None):
+    got = _bilinear(rows, den, xs, ys)
+    assert all(p and _canonical(p) for p in got.values())
+    assert {k: _ref(p) for k, p in got.items()} == \
+        _ref_bilinear(rows, den, xs, xs if ys is None else ys)
+    return got
+
+
+def test_bilinear_matches_the_sum_of_products():
+    # Integer constants over den 1 with integer coordinates keep the
+    # output denominator 1; rational ones put a common factor to divide
+    # out.  Single-monomial coordinates are accumulated as they are read,
+    # others through their inner sums; squares visit i <= j only.
+    rng = random.Random(3402)
+    dens = set()
+    for n in range(160):
+        rational, single = n % 2 == 1, n % 4 < 2
+        dim = rng.randint(1, 5)
+        den = rng.choice((2, 3, 6)) if rational else 1
+        rows = _rand_rows(rng, dim, den)
+        xs = _rand_triples(rng, dim, rational, single)
+        ys = _rand_triples(rng, dim, rational, single)
+        for got in (_check_bilinear(rows, den, xs),
+                    _check_bilinear(rows, den, xs, ys)):
+            dens.update(p.den for p in got.values())
+    assert 1 in dens and len(dens) > 3
+
+
+def test_bilinear_drops_cancelled_terms():
+    t1, t2, t3 = (((f"t{i}", 1),) for i in (1, 2, 3))
+    rows = [{0: ((0, 1),)}, {1: ((0, 1), (1, 1))}]
+    xs = [(0, {t1: 1}, 1), (1, {t1: 1}, 1)]
+    # out_0 = t1 t2 - t1 t2 vanishes; out_1 = -t1 t2 survives
+    got = _check_bilinear(rows, 1, xs, [(0, {t2: 1}, 1), (1, {t2: -1}, 1)])
+    assert list(got) == [1]
+    # t1 t2 cancels inside out_0 = t1 (t2 + t3) - t1 t2 + ..., over den 2
+    got = _check_bilinear(rows, 2, xs, [(0, {t2: 1, t3: 1}, 1),
+                                        (1, {t2: -1}, 1)])
+    assert got[0] == MultiPoly.var("t1") * MultiPoly.var("t3") / 2

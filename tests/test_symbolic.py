@@ -284,10 +284,13 @@ def test_bareiss_rank_flags_an_inexact_division(monkeypatch):
 
 def test_generic_degree_needs_the_symbolic_rank_and_stays_fast(monkeypatch):
     """Native shift_down(7) (8.6 s by cross-multiplication) and the
-    all-ones twin of shift_up(5) (111 s) reach their degree through the
-    symbolic rank."""
+    all-ones twin of shift_up(5) (111 s) are train tables, so f_(lower+1)
+    vanishes and settles their degree with no symbolic rank; redirects
+    that leave no train equation still reach it through the symbolic
+    rank."""
     import time
     import bernstein.symbolic as symbolic
+    from test_cli_golden import _native
     calls = []
     real_rank = symbolic.symbolic_rank
     monkeypatch.setattr(symbolic, "symbolic_rank",
@@ -302,6 +305,11 @@ def test_generic_degree_needs_the_symbolic_rank_and_stays_fast(monkeypatch):
     start = time.perf_counter()
     assert generic_degree(ones) == 5
     assert time.perf_counter() - start < 5
+    assert not calls
+    assert generic_degree(_native(lambda: catalog.elementary_algebra(3),
+                                  ("n1", "n1", "n2"))) == 2
+    assert generic_degree(_native(lambda: catalog.zhevlakov_bernstein(2, 2),
+                                  ("x1x2", "x1x2", "x1x2"))) == 3
     assert len(calls) == 2
 
 
@@ -345,10 +353,14 @@ def test_generic_degree_returns_full_point_rank_without_symbolic_work(
                      ("u1", "u2", "u3"))
     assert generic_degree(native) == 5
     assert not calls
-    # Below the dimension the symbolic rank still decides.
+    # Below the dimension f_2 = x^2 - w(x) x vanishes on these, and on
+    # the redirect n1 n1 = n2 the symbolic rank still decides.
     assert generic_degree(catalog.elementary_algebra(1)) == 1
     assert generic_degree(catalog.elementary_algebra(2)) == 1
-    assert len(calls) == 2
+    assert not calls
+    assert generic_degree(_native(lambda: catalog.elementary_algebra(3),
+                                  ("n1", "n1", "n2"))) == 2
+    assert len(calls) == 1
 
 
 def test_generic_degree_of_dense_twins_runs_on_the_adapted_table():
@@ -369,9 +381,52 @@ def test_generic_degree_of_dense_twins_runs_on_the_adapted_table():
 
 def test_generic_degree_point_above_symbolic_rank_is_internal(monkeypatch):
     import bernstein.symbolic as symbolic
+    from test_cli_golden import _native
     monkeypatch.setattr(symbolic, "symbolic_rank", lambda rows: 0)
     with pytest.raises(InternalCheckError, match="point rank"):
-        generic_degree(catalog.shift_up_truncated(3))
+        generic_degree(_native(lambda: catalog.elementary_algebra(3),
+                               ("n1", "n1", "n2")))
+
+
+def _pool_tables(max_dim):
+    """The weighted algebras of the benchmark pool up to ``max_dim``."""
+    import os
+    import sys
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench"))
+    try:
+        import pool
+    finally:
+        sys.path.pop(0)
+    tables = [pool.build(key) for key in pool.all_keys()]
+    return [t for t in tables if t.dim <= max_dim and t.has_weight]
+
+
+def test_generic_degree_from_the_train_form_matches_the_symbolic_rank(
+        monkeypatch):
+    """Where f_(lower+1) vanishes, the point's rank is returned; on every
+    weighted pool table of dim <= 9 that equals the symbolic rank of the
+    generic principal powers.  A point that leaves out the first basis
+    vector reaches one less than the degree on most tables, where
+    f_(lower+1) does not vanish and the symbolic rank decides; testing
+    f_(lower+2) there would answer one too low."""
+    import bernstein.symbolic as symbolic
+    from bernstein.core import principal_powers
+    from bernstein.structure import adapted_table
+    tables = _pool_tables(9)
+    assert len(tables) >= 30
+    expected = []
+    for table in tables:
+        table = adapted_table(table) or table
+        x = generic_element(table, "t")
+        expected.append(symbolic_rank(
+            [list(p.coords) for p in principal_powers(x, table.dim + 1)]))
+    assert [generic_degree(t) for t in tables] == expected
+    real_point = symbolic._point
+    monkeypatch.setattr(symbolic, "_point",
+                        lambda table, vectors: real_point(table, vectors[1:]))
+    small = [(t, d) for t, d in zip(tables, expected) if t.dim <= 6]
+    assert [generic_degree(t) for t, _ in small] == [d for _, d in small]
 
 
 def test_generic_degree_evaluates_no_polynomial(monkeypatch):
