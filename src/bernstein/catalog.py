@@ -8,7 +8,7 @@ the normal words when it can, else grows S under right products by S.
 e + 2u1 + v1 generates ``three_dim_alpha`` and ``free_single_truncated``
 by construction, as their docstrings prove, so no build checks it.  The
 Peirce frame (e e = e, e u = u/2, e v = 0, weight 1 on e) is written
-once, in ``_frame``; tables on it add their products on N = U + V.
+once, by ``structure._frame``; tables on it add their products on N.
 """
 
 from __future__ import annotations
@@ -18,20 +18,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .core import (AlgebraError, AlgebraTable, InternalCheckError, as_scalar,
-                   ideal_rows, ZERO, HALF)
+                   ideal_rows, ZERO)
 from .groebner import NcPoly, Presentation, _prefix_split
-from .structure import is_bernstein
-
-
-def _frame(nil_labels, u_labels, products, name="", notes=()):
-    """The table on e, *nil_labels in the Peirce frame: e e = e,
-    e u = u/2 for each label in u_labels, e v = 0 for the other labels
-    and weight 1 on e, with the label-keyed ``products`` on N."""
-    frame = {("e", "e"): {"e": 1}}
-    for u in u_labels:
-        frame[("e", u)] = {u: HALF}
-    return AlgebraTable.build(["e", *nil_labels], {**frame, **products},
-                              weight={"e": 1}, name=name, notes=notes)
+from .structure import _frame, is_bernstein
 
 
 def elementary_algebra(nil_dim=1):
@@ -140,7 +129,7 @@ def adjoin_idempotent(nil_table, u_indices, v_indices, name=""):
     dim = nil_table.dim
     if sorted(u_indices + v_indices) != list(range(dim)):
         raise AlgebraError("U and V indices must partition the basis")
-    rows, den = nil_table._integer_rows()   # rows[i][j]: (k, den s_ijk)
+    rows, _ = nil_table._integer_rows()   # rows[i][j]: (k, den s_ijk)
     uset = set(u_indices)
     if any(j in uset for i in u_indices for j in rows[i]):
         raise AlgebraError("U is not a zero-multiplication subspace")
@@ -153,11 +142,8 @@ def adjoin_idempotent(nil_table, u_indices, v_indices, name=""):
         raise AlgebraError("label 'e' is already taken")
 
     labels = nil_table.labels
-    products = {(labels[i], labels[j]): {labels[k]: (s, den)
-                                         for k, s in row[j]}
-                for i, row in enumerate(rows) for j in sorted(row) if i <= j}
     table = _frame(
-        labels, [labels[i] for i in u_indices], products,
+        labels, [labels[i] for i in u_indices], nil_table,
         name=name or (f"adjoin({nil_table.name})" if nil_table.name
                       else "adjoin"),
         notes=nil_table.notes)
@@ -187,20 +173,17 @@ def zhevlakov_truncated(num_vars, max_len):
     labels = ["".join(f"x{i}" for i in w) for w in words]
     index = {w: k for k, w in enumerate(words)}
 
+    # Two longer words multiply to zero: pair each letter with later words.
     products = {}
-    for a, wa in enumerate(words):
+    for a, (letter,) in enumerate(words[:num_vars]):
         for b in range(a, len(words)):
-            wb = words[b]
-            if len(wa) > 1 and len(wb) > 1:
-                continue
-            if len(wa) == 1 and len(wb) == 1:
-                i, j = wa[0], wb[0]
-                if i == j or max_len < 2:
+            word = words[b]
+            if len(word) == 1:
+                if b == a or max_len < 2:
                     continue
-                target = (min(i, j), max(i, j))
+                target = (letter, word[0])
                 products[(labels[a], labels[b])] = {labels[index[target]]: 1}
                 continue
-            word, letter = (wa, wb[0]) if len(wb) == 1 else (wb, wa[0])
             if letter in word or letter <= word[0]:
                 continue
             merged = tuple(sorted(word + (letter,)))

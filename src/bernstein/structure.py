@@ -6,9 +6,11 @@ identically.  Relative to an idempotent e of weight 1 the weight
 kernel N splits as U + V with U the 1/2-eigenspace and V the kernel
 of left multiplication by e.  ``peirce`` reads U and V off the
 linear relations among the images e n of a basis of N.  The checks run
-on ``adapted_table``, the table rebuilt on the adapted basis e, U, V by
-``change_basis``, where U and V are basis vectors and their products
-are structure constants.  ``is_bernstein`` decides an adapted table
+on ``adapted_table``, the table on the adapted basis e, U, V, where U and
+V are basis vectors and their products are structure constants: it is
+N's table from ``change_basis`` inside the Peirce frame e e = e,
+e u = u/2, e v = 0, weight 1 on e, which ``_frame`` alone writes, for
+``catalog`` too.  ``is_bernstein`` decides an adapted table
 from its rows by the Peirce conditions when U^2 = 0 or a linear one
 fails (``_peirce_holds``), and by the expanded identity otherwise.
 """
@@ -95,11 +97,14 @@ def _bernstein_identity(x):
 
 def adapted_table(table):
     """``table`` rebuilt on the basis e, u1.., v1.. of ``peirce(table)``,
-    or None; cached.  None when there is no Peirce decomposition, and
-    when the basis is adapted already, so that a rebuild would only
-    relabel it: the weight row is w_i at one position i, b_i b_i = w_i b_i
-    and each other b_i b_j is 0 or (w_i/2) b_j, so e = b_i/w_i and every
-    other basis vector lies in U or V.  That test reads dim products."""
+    or None; cached.  Only the products on the ideal N are formed; the
+    frame is written, and is exact: ``find_idempotent`` checks e e = e,
+    and U and V are the kernels of L_e - 1/2 and L_e on N.  None when
+    there is no Peirce decomposition, and when the basis is adapted
+    already, so that a rebuild would only relabel it: the weight row is
+    w_i at one position i, b_i b_i = w_i b_i and each other b_i b_j is 0
+    or (w_i/2) b_j, so e = b_i/w_i and every other basis vector lies in U
+    or V.  That test reads dim products."""
     if "adapted" not in table._cache:
         table._cache["adapted"] = None
         if table.has_weight and not _is_adapted(table):
@@ -109,12 +114,34 @@ def adapted_table(table):
                 pass
             else:
                 us, vs = dec.u_basis, dec.v_basis
-                table._cache["adapted"] = table.change_basis(
-                    [dec.idempotent, *us, *vs],
-                    ["e"] + [f"u{i + 1}" for i in range(len(us))]
-                    + [f"v{i + 1}" for i in range(len(vs))],
-                    name=table.name)
+                ulabels = [f"u{i + 1}" for i in range(len(us))]
+                vlabels = [f"v{i + 1}" for i in range(len(vs))]
+                nil = table.change_basis([*us, *vs], ulabels + vlabels)
+                table._cache["adapted"] = _frame(nil.labels, ulabels, nil,
+                                                 name=table.name)
     return table._cache["adapted"]
+
+
+def _frame(nil_labels, u_labels, products, name="", notes=()):
+    """The table on e, *nil_labels in the Peirce frame: e e = e,
+    e u = u/2 for each label in u_labels, e v = 0 for the other labels
+    and weight 1 on e.  ``products`` on N are label-keyed, or a
+    weightless table on nil_labels whose integer rows move up one index."""
+    labels = ("e", *nil_labels)
+    index = {lab: k for k, lab in enumerate(labels)}
+    table = {(0, 0): {0: 1}}
+    for u in u_labels:
+        table[(0, index[u])] = {index[u]: HALF}
+    if isinstance(products, AlgebraTable):
+        rows, den = products._integer_rows()
+        table.update(((i + 1, j + 1), {k + 1: (s, den) for k, s in vec})
+                     for i, row in enumerate(rows) for j, vec in row.items()
+                     if i <= j)
+    else:
+        for (a, b), vec in products.items():
+            table[index[a], index[b]] = {index[k]: c for k, c in vec.items()}
+    return AlgebraTable(labels, table, weight=[1] + [0] * len(nil_labels),
+                        name=name, notes=notes)
 
 
 def _is_adapted(table):

@@ -14,15 +14,15 @@ import pytest
 
 from bernstein import catalog, cli, linalg, structure
 from bernstein.core import AlgebraError, InternalCheckError
-from bernstein.fileformat import save_algebra
+from bernstein.fileformat import save_algebra, table_to_json
 from bernstein.elements import analyze_element
 from bernstein.structure import adapted_table, classify, is_bernstein
 from bernstein.symbolic import IdentityCheck, check_identity
 from bernstein.train import (engel_yagzhev_report, operator_nilpotency_check,
                              train_analysis)
 
-from conftest import pool_builders
-from test_cli_golden import _native, _twin
+from conftest import mixed_table, nuclear_table, pool_builders
+from test_cli_golden import TWINS, _native, _twin
 
 
 def _verdicts(table, coords):
@@ -113,6 +113,43 @@ def _kernel_twin(native, seed):
         [0] + [sum(lower[i][t] * upper[t][j] for t in range(m))
                for j in range(m)] for i in range(m)]
     return native.change_basis(p, native.labels, name="twin"), p
+
+
+def _formed_on_the_peirce_basis(table):
+    """``table`` rebuilt by ``change_basis`` on e, U, V with every product
+    formed, the e products too; None without a Peirce decomposition."""
+    try:
+        dec = structure.peirce(table)
+    except AlgebraError:
+        return None
+    us, vs = dec.u_basis, dec.v_basis
+    labels = (["e"] + [f"u{i + 1}" for i in range(len(us))]
+              + [f"v{i + 1}" for i in range(len(vs))])
+    return table.change_basis([dec.idempotent, *us, *vs], labels,
+                              name=table.name)
+
+
+def test_written_frame_matches_the_formed_e_products():
+    natives = [build() for seed in (3, 4)
+               for build in pool_builders(random.Random(seed))]
+    natives += [_native(build, redirect) for build, redirect, _ in TWINS]
+    natives += [nuclear_table(), mixed_table(), catalog.constant_algebra(),
+                catalog.elementary_algebra(3)]
+    kinds = set()
+    for n, native in enumerate(natives):
+        twins = [_twin(native, seed + n)[0] for seed in (1, 2)]
+        for twin in [native, *twins, _kernel_twin(native, n)[0]]:
+            got = adapted_table(twin)
+            want = (None if structure._is_adapted(twin)
+                    else _formed_on_the_peirce_basis(twin))
+            if want is None:
+                assert got is None
+                continue
+            assert got == want and got.name == want.name == twin.name
+            assert table_to_json(got) == table_to_json(want)
+            kinds.add(tuple(sorted({lab[0] for lab in got.labels})))
+    # U empty (constant), V empty (elementary) and both present
+    assert kinds == {("e", "v"), ("e", "u"), ("e", "u", "v")}
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

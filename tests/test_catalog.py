@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from bernstein.core import AlgebraError, HALF
+from bernstein.core import AlgebraError, AlgebraTable, HALF
 from bernstein.elements import analyze_element
 from bernstein.structure import classify, is_bernstein, peirce
 from bernstein.train import train_analysis
@@ -209,6 +209,48 @@ def test_zhevlakov_signs_match_permutation_parity():
             inv -= 1
         target = table.element_from({"".join(f"x{i}" for i in chosen): 1})
         assert value == target.scale(F((-1) ** inv))
+
+
+def _zhevlakov_all_pairs(num_vars, max_len):
+    """The regular-word table built by visiting every pair of words a <= b
+    in order, the rule stated for each pair on its own."""
+    words = [w for n in range(1, max_len + 1)
+             for w in combinations(range(1, num_vars + 1), n)]
+    labels = ["".join(f"x{i}" for i in w) for w in words]
+    products = {}
+    for a in range(len(words)):
+        for b in range(a, len(words)):
+            wa, wb = words[a], words[b]
+            if len(wa) > 1 and len(wb) > 1:
+                continue
+            word, letter = (wa, wb[0]) if len(wb) == 1 else (wb, wa[0])
+            if letter in word or (len(word) > 1 and letter <= word[0]):
+                continue
+            merged = tuple(sorted(word + (letter,)))
+            if len(merged) > max_len:
+                continue
+            sign = (-1) ** sum(1 for g in word if g > letter)
+            products[(labels[a], labels[b])] = {
+                labels[words.index(merged)]: sign}
+    return AlgebraTable.build(labels, products,
+                              name=f"regular_words({num_vars},{max_len})")
+
+
+@pytest.mark.parametrize("num_vars", range(2, 7))
+def test_zhevlakov_letter_pairs_match_the_all_pairs_table(num_vars):
+    # rows in insertion order, so the products are visited in the same order
+    for max_len in range(1, num_vars + 1):
+        table, word_idx, letter_idx = catalog.zhevlakov_truncated(
+            num_vars, max_len)
+        want = _zhevlakov_all_pairs(num_vars, max_len)
+        rows, den = table._integer_rows()
+        want_rows, want_den = want._integer_rows()
+        assert [list(r.items()) for r in rows] == \
+            [list(r.items()) for r in want_rows]
+        assert (table.labels, den, table.name) == \
+            (want.labels, want_den, want.name)
+        assert letter_idx == tuple(range(num_vars))
+        assert word_idx == tuple(range(num_vars, table.dim))
 
 
 def test_from_associative_truncated_power_algebras():
